@@ -51,7 +51,6 @@ from .qsim import (
     grover_success_probability,
     max_wit,
     max_wit_table,
-    tradeoff_query,
 )
 from .witness import (
     ApproxParams,
@@ -103,7 +102,6 @@ __all__ = [
     "algorithm2",
     "algorithm3",
     "algorithm4",
-    "tradeoff_query",
     "CycleError",
     "Dag",
     "VertexWeightedGraph",

@@ -15,7 +15,7 @@ strictly greater witnesses (the maximum witness has rank 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,8 @@ __all__ = [
     "BoolMatrix",
     "WitnessMatrix",
     "WitnessLists",
+    "product_dims",
+    "set_bits",
     "bool_product",
     "transpose",
     "max_witness_oracle",
@@ -183,20 +185,21 @@ class WitnessMatrix:
         raise TypeError("WitnessMatrix is not hashable")
 
     def to_json_dict(self, one_based: bool = False) -> dict:
-        off = 1 if one_based else 0
-        ii, jj = np.nonzero(self._w >= 0)
-        entries = [
-            {"i": int(i) + off, "j": int(j) + off, "witness": int(self._w[i, j]) + off}
-            for i, j in zip(ii.tolist(), jj.tolist())
-        ]
+        entries = [{"i": i, "j": j, "witness": w} for i, j, w in self.to_csv_rows(one_based)]
         return {"n": self.n, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, obj: dict, one_based: bool = False) -> "WitnessMatrix":
         off = 1 if one_based else 0
-        wm = cls(int(obj["n"]))
+        n = int(obj["n"])
+        wm = cls(n)
         for e in obj["entries"]:
-            wm.set(int(e["i"]) - off, int(e["j"]) - off, int(e["witness"]) - off)
+            i, j, w = int(e["i"]) - off, int(e["j"]) - off, int(e["witness"]) - off
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"entry ({i + off}, {j + off}) lies outside an n={n} matrix")
+            if w < 0:
+                raise ValueError(f"entry ({i + off}, {j + off}) has negative witness {w + off}")
+            wm.set(i, j, w)
         return wm
 
     def to_csv_rows(self, one_based: bool = False) -> list[tuple[int, int, int]]:
@@ -257,9 +260,38 @@ class WitnessLists:
 # ---------------------------------------------------------------------------
 
 
-def _check_product_dims(a: BoolMatrix, b: BoolMatrix) -> None:
+def product_dims(
+    a: BoolMatrix, b: BoolMatrix, square: bool = False, wm: WitnessMatrix | None = None
+) -> tuple[int, int]:
+    """Check that a x b is defined and return (a.rows, a.cols).
+
+    ``square`` also requires an n x n product, as every witness matrix is;
+    a given ``wm`` must then have that n.
+    """
+    shapes = f"{a.rows}x{a.cols} times {b.rows}x{b.cols}"
     if a.cols != b.rows:
-        raise ValueError(f"inner dimensions differ: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+        raise ValueError(f"inner dimensions differ: {shapes}")
+    if (square or wm is not None) and a.rows != b.cols:
+        raise ValueError(f"witness matrix requires a square product: {shapes}")
+    if wm is not None and wm.n != a.rows:
+        raise ValueError(f"witness matrix has n={wm.n} but the product is {a.rows}x{b.cols}")
+    return a.rows, a.cols
+
+
+def set_bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def or_rows(bits: int, rows: Sequence[int]) -> int:
+    """OR of rows[k] over the set bits k of ``bits``."""
+    acc = 0
+    for k in set_bits(bits):
+        acc |= rows[k]
+    return acc
 
 
 def bool_product(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
@@ -268,18 +300,8 @@ def bool_product(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     Row i of the result is the OR of the rows of b selected by the set bits
     of row i of a: O(rows * popcount) word operations in total.
     """
-    _check_product_dims(a, b)
-    rows_b = b.row_bits
-    out = []
-    for bits in a.row_bits:
-        acc = 0
-        m = bits
-        while m:
-            low = m & -m
-            acc |= rows_b[low.bit_length() - 1]
-            m ^= low
-        out.append(acc)
-    return BoolMatrix(a.rows, b.cols, tuple(out))
+    product_dims(a, b)
+    return BoolMatrix(a.rows, b.cols, tuple(or_rows(bits, b.row_bits) for bits in a.row_bits))
 
 
 def transpose(m: BoolMatrix) -> BoolMatrix:
@@ -292,10 +314,7 @@ def max_witness_oracle(a: BoolMatrix, b: BoolMatrix) -> WitnessMatrix:
     The product must be square (a.rows == b.cols). For each entry the witness
     set is one AND of packed rows; its highest set bit is the answer.
     """
-    _check_product_dims(a, b)
-    if a.rows != b.cols:
-        raise ValueError("witness matrix requires a square product")
-    n = a.rows
+    n, _ = product_dims(a, b, square=True)
     bt = transpose(b).row_bits
     w = np.full((n, n), -1, dtype=np.int64)
     for i, ra in enumerate(a.row_bits):
@@ -311,7 +330,7 @@ def max_witness_oracle(a: BoolMatrix, b: BoolMatrix) -> WitnessMatrix:
 
 def witness_mask(a: BoolMatrix, b: BoolMatrix, i: int, j: int) -> int:
     """Bitset of all witnesses of entry (i, j): bit k set iff A[i,k] = B[k,j] = 1."""
-    _check_product_dims(a, b)
+    product_dims(a, b)
     if not (0 <= i < a.rows and 0 <= j < b.cols):
         raise IndexError(f"entry ({i}, {j}) out of range")
     col = 0
@@ -350,7 +369,7 @@ def witness_violations(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> dict:
     invalid (reported k is not a witness), missing (product is 1 but no
     witness reported), spurious (product is 0 but a witness is reported).
     """
-    _check_product_dims(a, b)
+    product_dims(a, b, wm=wm)
     pattern = bool_product(a, b)
     bt = transpose(b).row_bits
     invalid: list[tuple[int, int, int]] = []

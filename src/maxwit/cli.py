@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from . import io
+from . import __version__, io
 from .boolmat import (
     BoolMatrix,
     WitnessMatrix,
@@ -34,12 +35,11 @@ from .boolmat import (
 )
 from .graphs import (
     LCA_SOLVERS,
-    Dag,
-    VertexWeightedGraph,
     all_pairs_lca,
     brute_force_heaviest_triangles,
     brute_force_two_edge_paths,
     heaviest_triangle_per_edge,
+    lca_errors,
     max_weight_two_edge_paths,
     random_dag,
     random_weighted_graph,
@@ -48,24 +48,22 @@ from .qsim import (
     TABLE_SHAPES,
     VirtualMinTable,
     algorithm1,
-    algorithm2,
-    algorithm3,
-    algorithm4,
     durr_hoyer_min,
     table_values,
 )
 from .rng import np_stream, py_stream, spawn_seed
+from .solvers import SOLVERS, binomial_tolerance
 from .witness import (
     ApproxParams,
     approx_multiwitness,
     approx_multiwitness_boosted,
     approx_rank_bounded,
-    exact_max_witness_strips,
+    default_strip_width,
     k_witness,
     witness_rank_matrix,
 )
 
-__all__ = ["main", "build_parser", "RunConfig", "ConfigError", "VerificationFailure"]
+__all__ = ["main", "build_parser", "RunConfig", "ConfigError"]
 
 SCHEMA_VERSION = 1
 
@@ -77,10 +75,6 @@ EXIT_VERIFY = 3
 
 class ConfigError(ValueError):
     """Invalid flags or flag combinations; maps to exit code 1."""
-
-
-class VerificationFailure(Exception):
-    """Result failed its oracle check; maps to exit code 3."""
 
 
 @dataclass(frozen=True)
@@ -114,19 +108,22 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _thread_count() -> int:
+def _thread_count(items: int) -> int:
+    """MAXWIT_THREADS, clamped to the item count and the CPU count (at least 1)."""
     raw = os.environ.get("MAXWIT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
         raise ConfigError(f"MAXWIT_THREADS must be an integer, got {raw!r}") from None
+    return max(1, min(requested, items, os.cpu_count() or 1))
 
 
 def _map_indexed(fn, items: list) -> list:
     """Apply fn to items, possibly in parallel; results keep item order."""
-    if _thread_count() == 1 or len(items) <= 1:
+    workers = _thread_count(len(items))
+    if workers == 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, x) for x in items]
         return [f.result() for f in futures]
 
@@ -143,20 +140,23 @@ def _load_pair(args) -> tuple[BoolMatrix, BoolMatrix]:
     return a, b
 
 
+def _load_graph(args, read: Callable, generate: Callable):
+    """The --graph file via ``read``, else ``generate(n, density, seed)``."""
+    if args.graph:
+        return read(args.graph)
+    if args.n is None:
+        raise ConfigError("either --graph or --n is required")
+    return generate(args.n, args.density, args.seed)
+
+
 def _report_text(args, payload: dict) -> str:
     doc = {
         "schema": SCHEMA_VERSION,
-        "version": _version(),
+        "version": __version__,
         "config": RunConfig.from_args(args).to_json_dict(),
     }
     doc.update(payload)
     return io.canonical_json(doc)
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def _emit(args, text: str) -> None:
@@ -166,20 +166,16 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _binomial_tolerance(p: float, trials: int) -> float:
-    return p + 3.0 * math.sqrt(p * (1.0 - p) / max(trials, 1))
+def _violation_counts(viol: dict) -> dict:
+    return {key: len(viol[key]) for key in ("invalid", "missing", "spurious")}
 
 
-def _witness_csv(wm: WitnessMatrix, one_based: bool) -> str:
-    lines = ["i,j,witness"]
-    lines += [f"{i},{j},{w}" for i, j, w in wm.to_csv_rows(one_based)]
-    return "\n".join(lines) + "\n"
-
-
-def _maybe_timing(args, marks: dict[str, float]) -> dict:
-    if getattr(args, "timing", False):
-        return {"timing": {k: round(v, 6) for k, v in marks.items()}}
-    return {}
+def _rank_violations(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix, bound: int) -> dict:
+    ranks = witness_rank_matrix(a, b, wm)
+    return {
+        "rank_violations": int(((ranks > bound) | (ranks == -2)).sum()),
+        "max_rank_allowed": bound,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -212,353 +208,240 @@ def _cmd_gen(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# maxwit
+# The timed pipeline: load -> solve -> verify -> emit
 # ---------------------------------------------------------------------------
 
-EXACT_ALGOS = ("oracle", "strips")
-QSIM_ALGOS = ("alg1", "alg2", "alg3", "alg4")
 
+@dataclass(frozen=True)
+class Pipeline:
+    """One timed subcommand, given as the steps it does not share.
 
-def _cmd_maxwit(args) -> int:
-    t0 = time.perf_counter()
-    a, b = _load_pair(args)
-    t1 = time.perf_counter()
-    stats = None
-    if args.algo == "oracle":
-        wm = max_witness_oracle(a, b)
-    elif args.algo == "strips":
-        wm = exact_max_witness_strips(a, b, args.ell)
-    elif args.algo == "alg1":
-        wm, stats = algorithm1(a, b, args.beta, args.seed)
-    elif args.algo == "alg2":
-        wm, stats = algorithm2(a, b, args.beta, args.seed)
-    elif args.algo == "alg3":
-        wm, stats = algorithm3(a, b, args.beta, args.seed)
-    else:
-        wm, stats = algorithm4(a, b, args.ell, args.beta, args.seed)
-    t2 = time.perf_counter()
+    load(args) -> x; solve(args, x) -> r; check(args, x, r) -> the
+    verification dict, whose "passed" key sets exit code 3; rows(args, x, r,
+    off) -> CSV rows under ``header`` with indices shifted by off; and
+    report(args, x, r, verification) -> the JSON fields besides
+    "verification" and "timing". ``time.perf_counter`` is read exactly at
+    the start and after load, solve and verify: those are the --timing
+    intervals.
+    """
 
-    verification = None
-    failed = False
-    if args.verify:
-        ref = max_witness_oracle(a, b)
-        disagree = int((wm.array != ref.array).sum())
-        rate = disagree / (wm.n * wm.n)
-        if args.algo in EXACT_ALGOS:
-            tolerance = 0.0
+    load: Callable
+    solve: Callable
+    check: Callable
+    header: str
+    rows: Callable
+    report: Callable
+
+    def __call__(self, args) -> int:
+        t0 = time.perf_counter()
+        x = self.load(args)
+        t1 = time.perf_counter()
+        r = self.solve(args, x)
+        t2 = time.perf_counter()
+        verification = self.check(args, x, r) if args.verify else None
+        t3 = time.perf_counter()
+
+        if args.format == "csv":
+            _emit(args, io.csv_text(self.header, self.rows(args, x, r, int(args.one_based))))
         else:
-            tolerance = _binomial_tolerance(wm.n ** (-args.beta), wm.n * wm.n)
-        viol = witness_violations(a, b, wm)
-        bad = len(viol["invalid"]) + len(viol["spurious"])
-        if args.algo in EXACT_ALGOS:
-            bad += len(viol["missing"])  # exact solvers may not drop entries
-        failed = rate > tolerance or bad > 0
-        verification = {
-            "disagreements": disagree,
-            "disagreement_rate": rate,
-            "tolerance": tolerance,
-            "invalid": len(viol["invalid"]),
-            "missing": len(viol["missing"]),
-            "spurious": len(viol["spurious"]),
-            "passed": not failed,
-        }
-        if stats is not None:
-            stats = replace(stats, error_rate_vs_oracle=rate)
-    t3 = time.perf_counter()
+            payload = self.report(args, x, r, verification)
+            if verification is not None:
+                payload["verification"] = verification
+            if args.timing:
+                marks = {"load_s": t1 - t0, "solve_s": t2 - t1, "verify_s": t3 - t2}
+                payload["timing"] = {k: round(v, 6) for k, v in marks.items()}
+            _emit(args, _report_text(args, payload))
+        return EXIT_VERIFY if verification is not None and not verification["passed"] else EXIT_OK
 
-    if args.format == "csv":
-        _emit(args, _witness_csv(wm, args.one_based))
-    else:
-        payload = {"result": wm.to_json_dict(args.one_based)}
-        if stats is not None:
-            payload["stats"] = stats.to_json_dict()
+
+def _witness_rows(args, ab, r, off):
+    return r[0].to_csv_rows(args.one_based)
+
+
+def _check_maxwit(args, ab, r) -> dict:
+    (a, b), (wm, _) = ab, r
+    solver = SOLVERS[args.algo]
+    ref = max_witness_oracle(a, b)
+    disagree = int((wm.array != ref.array).sum())
+    rate = disagree / (wm.n * wm.n)
+    tolerance = solver.tolerance(wm.n, args.beta)
+    viol = _violation_counts(witness_violations(a, b, wm))
+    bad = viol["invalid"] + viol["spurious"]
+    if solver.exact:
+        bad += viol["missing"]  # exact solvers may not drop entries
+    return {
+        "disagreements": disagree,
+        "disagreement_rate": rate,
+        "tolerance": tolerance,
+        **viol,
+        "passed": rate <= tolerance and bad == 0,
+    }
+
+
+def _report_maxwit(args, ab, r, verification) -> dict:
+    wm, stats = r
+    payload = {"result": wm.to_json_dict(args.one_based)}
+    if stats is not None:
         if verification is not None:
-            payload["verification"] = verification
-        payload.update(
-            _maybe_timing(args, {"load_s": t1 - t0, "solve_s": t2 - t1, "verify_s": t3 - t2})
-        )
-        _emit(args, _report_text(args, payload))
-    return EXIT_VERIFY if failed else EXIT_OK
+            stats = replace(stats, error_rate_vs_oracle=verification["disagreement_rate"])
+        payload["stats"] = stats.to_json_dict()
+    return payload
 
 
-# ---------------------------------------------------------------------------
-# approx
-# ---------------------------------------------------------------------------
+MAXWIT = Pipeline(
+    load=_load_pair,
+    solve=lambda args, ab: SOLVERS[args.algo].run(*ab, args.ell, args.beta, args.seed),
+    check=_check_maxwit,
+    header="i,j,witness",
+    rows=_witness_rows,
+    report=_report_maxwit,
+)
 
 
-def _cmd_approx(args) -> int:
-    t0 = time.perf_counter()
-    a, b = _load_pair(args)
-    t1 = time.perf_counter()
+def _solve_approx(args, ab) -> tuple[WitnessMatrix, int | None]:
+    """The witnesses and, for rank-bounded, the rank bound they must meet."""
+    a, b = ab
     if args.method == "rank-bounded":
-        ell = args.ell if args.ell is not None else _default_ell(a.cols)
-        wm = approx_rank_bounded(a, b, ell, args.seed)
-    else:
-        params = ApproxParams(args.k, args.reps, args.seed)
-        if args.reps == 1:
-            wm = approx_multiwitness(a, b, params)
-        else:
-            wm = approx_multiwitness_boosted(a, b, params)
-    t2 = time.perf_counter()
-
-    verification = None
-    failed = False
-    if args.verify:
-        viol = witness_violations(a, b, wm)
-        bad = len(viol["invalid"]) + len(viol["missing"]) + len(viol["spurious"])
-        verification = {
-            "invalid": len(viol["invalid"]),
-            "missing": len(viol["missing"]),
-            "spurious": len(viol["spurious"]),
-        }
-        if args.method == "rank-bounded":
-            ranks = witness_rank_matrix(a, b, wm)
-            rank_viol = int(((ranks > ell) | (ranks == -2)).sum())
-            verification["rank_violations"] = rank_viol
-            verification["max_rank_allowed"] = ell
-            bad += rank_viol
-        failed = bad > 0
-        verification["passed"] = not failed
-    t3 = time.perf_counter()
-
-    if args.format == "csv":
-        _emit(args, _witness_csv(wm, args.one_based))
-    else:
-        payload = {"result": wm.to_json_dict(args.one_based)}
-        if verification is not None:
-            payload["verification"] = verification
-        payload.update(
-            _maybe_timing(args, {"load_s": t1 - t0, "solve_s": t2 - t1, "verify_s": t3 - t2})
-        )
-        _emit(args, _report_text(args, payload))
-    return EXIT_VERIFY if failed else EXIT_OK
+        ell = default_strip_width(a.cols) if args.ell is None else args.ell
+        return approx_rank_bounded(a, b, ell, args.seed), ell
+    params = ApproxParams(args.k, args.reps, args.seed)
+    if args.reps == 1:
+        return approx_multiwitness(a, b, params), None
+    return approx_multiwitness_boosted(a, b, params), None
 
 
-def _default_ell(n: int) -> int:
-    from .witness import default_strip_width
+def _check_approx(args, ab, r) -> dict:
+    (a, b), (wm, ell) = ab, r
+    verification = _violation_counts(witness_violations(a, b, wm))
+    bad = sum(verification.values())
+    if ell is not None:
+        verification.update(_rank_violations(a, b, wm, ell))
+        bad += verification["rank_violations"]
+    verification["passed"] = bad == 0
+    return verification
 
-    return default_strip_width(n)
+
+APPROX = Pipeline(
+    load=_load_pair,
+    solve=_solve_approx,
+    check=_check_approx,
+    header="i,j,witness",
+    rows=_witness_rows,
+    report=lambda args, ab, r, verification: {"result": r[0].to_json_dict(args.one_based)},
+)
 
 
-# ---------------------------------------------------------------------------
-# kwitness
-# ---------------------------------------------------------------------------
-
-
-def _cmd_kwitness(args) -> int:
-    t0 = time.perf_counter()
-    a, b = _load_pair(args)
-    t1 = time.perf_counter()
+def _solve_kwitness(args, ab):
     if args.k is None:
         raise ConfigError("kwitness requires --k")
-    wl = k_witness(a, b, args.k, args.seed)
-    t2 = time.perf_counter()
-
-    verification = None
-    failed = False
-    if args.verify:
-        ad = a.to_dense()
-        bd = b.to_dense()
-        wcount = (ad.astype(np.int64) @ bd.astype(np.int64))
-        want = np.minimum(wcount, args.k)
-        got = wl.lengths()
-        length_bad = int((got != want).sum())
-        wl.validate()
-        invalid = 0
-        for i in range(wl.n):
-            for j in range(wl.n):
-                for w in wl.get(i, j):
-                    if not (ad[i, w] and bd[w, j]):
-                        invalid += 1
-        failed = length_bad > 0 or invalid > 0
-        verification = {
-            "length_mismatches": length_bad,
-            "invalid": invalid,
-            "passed": not failed,
-        }
-    t3 = time.perf_counter()
-
-    if args.format == "csv":
-        lines = ["i,j,witness"]
-        off = 1 if args.one_based else 0
-        for i in range(wl.n):
-            for j in range(wl.n):
-                for w in wl.get(i, j):
-                    lines.append(f"{i + off},{j + off},{w + off}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        payload = {"result": wl.to_json_dict(args.one_based)}
-        if verification is not None:
-            payload["verification"] = verification
-        payload.update(
-            _maybe_timing(args, {"load_s": t1 - t0, "solve_s": t2 - t1, "verify_s": t3 - t2})
-        )
-        _emit(args, _report_text(args, payload))
-    return EXIT_VERIFY if failed else EXIT_OK
+    return k_witness(*ab, args.k, args.seed)
 
 
-# ---------------------------------------------------------------------------
-# graph commands
-# ---------------------------------------------------------------------------
+def _check_kwitness(args, ab, wl) -> dict:
+    ad = ab[0].to_dense()
+    bd = ab[1].to_dense()
+    wcount = (ad.astype(np.int64) @ bd.astype(np.int64))
+    want = np.minimum(wcount, args.k)
+    got = wl.lengths()
+    length_bad = int((got != want).sum())
+    wl.validate()
+    # one (i, j, w) triple per listed witness, in row-major order
+    i, j = np.divmod(np.repeat(np.arange(wl.n * wl.n), got.ravel()), wl.n)
+    w = np.fromiter((w for row in wl.lists for cell in row for w in cell), np.int64, int(got.sum()))
+    invalid = int(((ad[i, w] & bd[w, j]) == 0).sum())
+    return {
+        "length_mismatches": length_bad,
+        "invalid": invalid,
+        "passed": length_bad == 0 and invalid == 0,
+    }
 
 
-def _load_dag(args) -> Dag:
-    if args.graph:
-        return io.load_dag(args.graph)
-    if args.n is None:
-        raise ConfigError("either --graph or --n is required")
-    return random_dag(args.n, args.density, args.seed)
+KWITNESS = Pipeline(
+    load=_load_pair,
+    solve=_solve_kwitness,
+    check=_check_kwitness,
+    header="i,j,witness",
+    rows=lambda args, ab, wl, off: (
+        (i + off, j + off, w + off) for i, row in enumerate(wl.lists) for j, cell in enumerate(row) for w in cell
+    ),
+    report=lambda args, ab, wl, verification: {"result": wl.to_json_dict(args.one_based)},
+)
 
 
-def _load_weighted(args, directed: bool) -> VertexWeightedGraph:
-    if args.graph:
-        return io.load_graph(args.graph)
-    if args.n is None:
-        raise ConfigError("either --graph or --n is required")
-    return random_weighted_graph(args.n, args.density, args.seed, directed)
+def _graph_pipeline(load, solve, check, header, rows, key="entries") -> Pipeline:
+    """A graph command, whose JSON entries are its CSV rows keyed by the header."""
+
+    def report(args, g, r, verification):
+        keys = header.split(",")
+        entries = [dict(zip(keys, row)) for row in rows(args, g, r, int(args.one_based))]
+        return {"result": {"n": g.n, key: entries}}
+
+    return Pipeline(load, solve, check, header, rows, report)
 
 
-def _cmd_lca(args) -> int:
-    t0 = time.perf_counter()
-    dag = _load_dag(args)
-    t1 = time.perf_counter()
-    lca = all_pairs_lca(dag, args.solver, args.ell, args.beta, args.seed)
-    t2 = time.perf_counter()
-
-    verification = None
-    failed = False
-    if args.verify:
-        anc = dag.ancestor_bitsets()
-        desc = dag.descendant_bitsets()
-        wrong = 0
-        for u in range(dag.n):
-            for v in range(dag.n):
-                common = anc[u] & anc[v]
-                w = int(lca[u, v])
-                if w < 0:
-                    ok = common == 0
-                else:
-                    ok = bool((common >> w) & 1) and (desc[w] & common) == (1 << w)
-                wrong += not ok
-        tolerance = (
-            0.0
-            if args.solver in ("oracle", "strips")
-            else _binomial_tolerance(dag.n ** (-args.beta), dag.n * dag.n)
-        )
-        rate = wrong / (dag.n * dag.n)
-        failed = rate > tolerance
-        verification = {
-            "wrong_pairs": wrong,
-            "rate": rate,
-            "tolerance": tolerance,
-            "passed": not failed,
-        }
-    t3 = time.perf_counter()
-
-    off = 1 if args.one_based else 0
-    if args.format == "csv":
-        lines = ["u,v,lca"]
-        for u in range(dag.n):
-            for v in range(dag.n):
-                if lca[u, v] >= 0:
-                    lines.append(f"{u + off},{v + off},{int(lca[u, v]) + off}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        entries = [
-            {"u": int(u) + off, "v": int(v) + off, "lca": int(lca[u, v]) + off}
-            for u, v in zip(*np.nonzero(lca >= 0))
-        ]
-        payload = {"result": {"n": dag.n, "entries": entries}}
-        if verification is not None:
-            payload["verification"] = verification
-        payload.update(
-            _maybe_timing(args, {"load_s": t1 - t0, "solve_s": t2 - t1, "verify_s": t3 - t2})
-        )
-        _emit(args, _report_text(args, payload))
-    return EXIT_VERIFY if failed else EXIT_OK
+def _check_lca(args, dag, lca) -> dict:
+    wrong = lca_errors(dag, lca)
+    tolerance = SOLVERS[LCA_SOLVERS[args.solver]].tolerance(dag.n, args.beta)
+    rate = wrong / (dag.n * dag.n)
+    return {"wrong_pairs": wrong, "rate": rate, "tolerance": tolerance, "passed": rate <= tolerance}
 
 
-def _cmd_triangle(args) -> int:
-    t0 = time.perf_counter()
-    g = _load_weighted(args, directed=False)
-    t1 = time.perf_counter()
-    apex = heaviest_triangle_per_edge(g, args.lightest)
-    t2 = time.perf_counter()
-
-    verification = None
-    failed = False
-    if args.verify:
-        ref = brute_force_heaviest_triangles(g, args.lightest)
-        wrong = sum(1 for e in apex if apex[e] != ref[e])
-        failed = wrong > 0
-        verification = {"wrong_edges": wrong, "passed": not failed}
-    t3 = time.perf_counter()
-
-    off = 1 if args.one_based else 0
-    if args.format == "csv":
-        lines = ["u,v,apex"]
-        for (u, v), w in sorted(apex.items()):
-            if w is not None:
-                lines.append(f"{u + off},{v + off},{w + off}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        edges = [
-            {"u": u + off, "v": v + off, "apex": w + off}
-            for (u, v), w in sorted(apex.items())
-            if w is not None
-        ]
-        payload = {"result": {"n": g.n, "edges": edges}}
-        if verification is not None:
-            payload["verification"] = verification
-        payload.update(
-            _maybe_timing(args, {"load_s": t1 - t0, "solve_s": t2 - t1, "verify_s": t3 - t2})
-        )
-        _emit(args, _report_text(args, payload))
-    return EXIT_VERIFY if failed else EXIT_OK
+def _lca_rows(args, dag, lca, off):
+    return [(int(u) + off, int(v) + off, int(lca[u, v]) + off) for u, v in zip(*np.nonzero(lca >= 0))]
 
 
-def _cmd_two_edge(args) -> int:
-    t0 = time.perf_counter()
-    g = _load_weighted(args, directed=True)
-    t1 = time.perf_counter()
-    mid, weight = max_weight_two_edge_paths(g)
-    t2 = time.perf_counter()
+LCA = _graph_pipeline(
+    load=lambda args: _load_graph(args, io.load_dag, random_dag),
+    solve=lambda args, dag: all_pairs_lca(dag, args.solver, args.ell, args.beta, args.seed),
+    check=_check_lca,
+    header="u,v,lca",
+    rows=_lca_rows,
+)
 
-    verification = None
-    failed = False
-    if args.verify:
-        rmid, rweight = brute_force_two_edge_paths(g)
-        wrong = int((mid != rmid).sum())
-        both = (mid >= 0) & (rmid >= 0)
-        wrong += int((weight[both] != rweight[both]).sum())
-        failed = wrong > 0
-        verification = {"wrong_pairs": wrong, "passed": not failed}
-    t3 = time.perf_counter()
 
-    off = 1 if args.one_based else 0
-    if args.format == "csv":
-        lines = ["i,j,mid,weight"]
-        for i, j in zip(*np.nonzero(mid >= 0)):
-            lines.append(f"{int(i) + off},{int(j) + off},{int(mid[i, j]) + off},{float(weight[i, j])!r}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        entries = [
-            {
-                "i": int(i) + off,
-                "j": int(j) + off,
-                "mid": int(mid[i, j]) + off,
-                "weight": float(weight[i, j]),
-            }
-            for i, j in zip(*np.nonzero(mid >= 0))
-        ]
-        payload = {"result": {"n": g.n, "entries": entries}}
-        if verification is not None:
-            payload["verification"] = verification
-        payload.update(
-            _maybe_timing(args, {"load_s": t1 - t0, "solve_s": t2 - t1, "verify_s": t3 - t2})
-        )
-        _emit(args, _report_text(args, payload))
-    return EXIT_VERIFY if failed else EXIT_OK
+def _check_triangle(args, g, apex) -> dict:
+    ref = brute_force_heaviest_triangles(g, args.lightest)
+    wrong = sum(1 for e in apex if apex[e] != ref[e])
+    return {"wrong_edges": wrong, "passed": wrong == 0}
+
+
+def _triangle_rows(args, g, apex, off):
+    return [(u + off, v + off, w + off) for (u, v), w in sorted(apex.items()) if w is not None]
+
+
+TRIANGLE = _graph_pipeline(
+    load=lambda args: _load_graph(args, io.load_graph, partial(random_weighted_graph, directed=False)),
+    solve=lambda args, g: heaviest_triangle_per_edge(g, args.lightest),
+    check=_check_triangle,
+    header="u,v,apex",
+    rows=_triangle_rows,
+    key="edges",
+)
+
+
+def _check_two_edge(args, g, r) -> dict:
+    (mid, weight), (rmid, rweight) = r, brute_force_two_edge_paths(g)
+    wrong = int((mid != rmid).sum())
+    both = (mid >= 0) & (rmid >= 0)
+    wrong += int((weight[both] != rweight[both]).sum())
+    return {"wrong_pairs": wrong, "passed": wrong == 0}
+
+
+def _two_edge_rows(args, g, r, off):
+    mid, weight = r
+    return [
+        (int(i) + off, int(j) + off, int(mid[i, j]) + off, float(weight[i, j]))
+        for i, j in zip(*np.nonzero(mid >= 0))
+    ]
+
+
+TWO_EDGE = _graph_pipeline(
+    load=lambda args: _load_graph(args, io.load_graph, partial(random_weighted_graph, directed=True)),
+    solve=lambda args, g: max_weight_two_edge_paths(g),
+    check=_check_two_edge,
+    header="i,j,mid,weight",
+    rows=_two_edge_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -679,20 +562,21 @@ def _campaign_maxwit_accuracy(args) -> dict:
         "trials": trials,
         "entry_trials": total,
         "error_rate": wrong / total,
-        "error_bound": _binomial_tolerance(p, total),
+        "error_bound": binomial_tolerance(p, total),
     }
+
+
+CAMPAIGNS = {
+    "durr-hoyer": _campaign_durr_hoyer,
+    "multiwitness": _campaign_multiwitness,
+    "maxwit-accuracy": _campaign_maxwit_accuracy,
+}
 
 
 def _cmd_campaign(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
-    if args.target == "durr-hoyer":
-        payload = _campaign_durr_hoyer(args)
-    elif args.target == "multiwitness":
-        payload = _campaign_multiwitness(args)
-    else:
-        payload = _campaign_maxwit_accuracy(args)
-    _emit(args, _report_text(args, {"results": payload}))
+    _emit(args, _report_text(args, {"results": CAMPAIGNS[args.target](args)}))
     return EXIT_OK
 
 
@@ -702,34 +586,26 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    a = io.load_matrix(args.a)
-    b = io.load_matrix(args.b)
+    a, b = _load_pair(args)
     doc = json.loads(Path(args.result).read_text())
     if "result" in doc:  # full report; unwrap to the witness payload
         doc = doc["result"]
     wm = WitnessMatrix.from_json_dict(doc)
     ref = max_witness_oracle(a, b)
-    viol = witness_violations(a, b, wm)
-    disagree = int((wm.array != ref.array).sum())
-    payload = {
-        "diff": {
-            "entries": wm.n * wm.n,
-            "max_witness_disagreements": disagree,
-            "invalid": len(viol["invalid"]),
-            "missing": len(viol["missing"]),
-            "spurious": len(viol["spurious"]),
-            "invalid_sample": [list(x) for x in viol["invalid"][:10]],
-        }
+    viol = witness_violations(a, b, wm)  # rejects a result whose n is not the product's
+    counts = _violation_counts(viol)
+    diff = {
+        "entries": wm.n * wm.n,
+        "max_witness_disagreements": int((wm.array != ref.array).sum()),
+        **counts,
+        "invalid_sample": [list(x) for x in viol["invalid"][:10]],
     }
-    bad = len(viol["invalid"]) + len(viol["missing"]) + len(viol["spurious"])
+    bad = sum(counts.values())
     if args.max_rank is not None:
-        ranks = witness_rank_matrix(a, b, wm)
-        rank_viol = int(((ranks > args.max_rank) | (ranks == -2)).sum())
-        payload["diff"]["rank_violations"] = rank_viol
-        payload["diff"]["max_rank_allowed"] = args.max_rank
-        bad += rank_viol
-    payload["diff"]["passed"] = bad == 0
-    _emit(args, _report_text(args, payload))
+        diff.update(_rank_violations(a, b, wm, args.max_rank))
+        bad += diff["rank_violations"]
+    diff["passed"] = bad == 0
+    _emit(args, _report_text(args, {"diff": diff}))
     return EXIT_OK if bad == 0 else EXIT_VERIFY
 
 
@@ -770,10 +646,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("maxwit", help="maximum witness of a Boolean product")
     _add_common(p)
-    p.add_argument("--algo", choices=EXACT_ALGOS + QSIM_ALGOS, default="oracle")
+    p.add_argument("--algo", choices=tuple(SOLVERS), default="oracle")
     p.add_argument("--ell", type=int, default=None, help="strip width (strips, alg4)")
     p.add_argument("--beta", type=float, default=2.0)
-    p.set_defaults(func=_cmd_maxwit)
+    p.set_defaults(func=MAXWIT)
 
     p = sub.add_parser("approx", help="approximate maximum witnesses")
     _add_common(p)
@@ -781,31 +657,31 @@ def build_parser() -> _Parser:
     p.add_argument("--ell", type=int, default=None, help="rank bound (rank-bounded)")
     p.add_argument("--k", type=int, default=4, help="witnesses per round (multiwitness)")
     p.add_argument("--reps", type=int, default=1)
-    p.set_defaults(func=_cmd_approx)
+    p.set_defaults(func=APPROX)
 
     p = sub.add_parser("kwitness", help="min(k, W) distinct witnesses per entry")
     _add_common(p)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=_cmd_kwitness)
+    p.set_defaults(func=KWITNESS)
 
     p = sub.add_parser("lca", help="all-pairs lowest common ancestors of a dag")
     _add_common(p, matrices=False, graph=True)
-    p.add_argument("--solver", choices=LCA_SOLVERS, default="oracle")
+    p.add_argument("--solver", choices=tuple(LCA_SOLVERS), default="oracle")
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--beta", type=float, default=2.0)
-    p.set_defaults(func=_cmd_lca)
+    p.set_defaults(func=LCA)
 
     p = sub.add_parser("triangle", help="extreme-weight triangle through every edge")
     _add_common(p, matrices=False, graph=True)
     p.add_argument("--lightest", action="store_true")
-    p.set_defaults(func=_cmd_triangle)
+    p.set_defaults(func=TRIANGLE)
 
     p = sub.add_parser("two-edge", help="max middle-weight two-edge paths, all pairs")
     _add_common(p, matrices=False, graph=True)
-    p.set_defaults(func=_cmd_two_edge)
+    p.set_defaults(func=TWO_EDGE)
 
     p = sub.add_parser("campaign", help="Monte-Carlo statistics campaigns")
-    p.add_argument("--target", choices=("durr-hoyer", "multiwitness", "maxwit-accuracy"), required=True)
+    p.add_argument("--target", choices=tuple(CAMPAIGNS), required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--q-grid", dest="q_grid", type=str, default="64,256,1024,4096")
     p.add_argument("--n", type=int, default=None)
@@ -832,16 +708,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (ValueError, IndexError, KeyError) as exc:
+    except (ValueError, IndexError, KeyError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolmat import BoolMatrix, WitnessMatrix, bool_product, max_witness_oracle, transpose
+from .boolmat import BoolMatrix, WitnessMatrix, bool_product, max_witness_oracle, set_bits, transpose
 from .rng import np_stream
-from .witness import exact_max_witness_strips
+from .solvers import SOLVERS
 
 __all__ = [
     "CycleError",
@@ -28,6 +28,7 @@ __all__ = [
     "lca_matrix",
     "all_pairs_lca",
     "brute_force_lca_set",
+    "lca_errors",
     "VertexWeightedGraph",
     "random_weighted_graph",
     "heaviest_triangle_per_edge",
@@ -36,7 +37,8 @@ __all__ = [
     "brute_force_two_edge_paths",
 ]
 
-LCA_SOLVERS = ("oracle", "strips", "qsim-algorithm4")
+# public LCA solver name -> entry of the solver table
+LCA_SOLVERS = {"oracle": "oracle", "strips": "strips", "qsim-algorithm4": "alg4"}
 
 
 class CycleError(ValueError):
@@ -189,12 +191,9 @@ def lca_matrix(dag: Dag, method: str = "traversal") -> tuple[BoolMatrix, tuple[i
     rank = dag.rank
     rows = []
     for x in range(dag.n):
-        mask = anc[order[x]]
         bits = 0
-        while mask:
-            low = mask & -mask
-            bits |= 1 << rank[low.bit_length() - 1]
-            mask ^= low
+        for k in set_bits(anc[order[x]]):
+            bits |= 1 << rank[k]
         rows.append(bits)
     return BoolMatrix(dag.n, dag.n, tuple(rows)), order
 
@@ -214,18 +213,10 @@ def all_pairs_lca(
     "qsim-algorithm4" (simulated quantum search; correct with high
     probability).
     """
-    m, order = lca_matrix(dag)
-    mt = transpose(m)
-    if solver == "oracle":
-        wm = max_witness_oracle(m, mt)
-    elif solver == "strips":
-        wm = exact_max_witness_strips(m, mt, ell)
-    elif solver == "qsim-algorithm4":
-        from .qsim import algorithm4
-
-        wm, _ = algorithm4(m, mt, ell, beta, seed)
-    else:
+    if solver not in LCA_SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
+    m, order = lca_matrix(dag)
+    wm, _ = SOLVERS[LCA_SOLVERS[solver]].run(m, transpose(m), ell, beta, seed)
     w = wm.array
     order_arr = np.asarray(order, np.int64)
     renum = np.where(w >= 0, order_arr[np.clip(w, 0, None)], np.int64(-1))
@@ -238,15 +229,28 @@ def brute_force_lca_set(dag: Dag, u: int, v: int) -> list[int]:
     anc = dag.ancestor_bitsets()
     desc = dag.descendant_bitsets()
     common = anc[u] & anc[v]
-    out = []
-    mask = common
-    while mask:
-        low = mask & -mask
-        w = low.bit_length() - 1
-        if desc[w] & common == low:  # no proper descendant is also common
-            out.append(w)
-        mask ^= low
-    return out
+    # keep w when no proper descendant of w is also common
+    return [w for w in set_bits(common) if desc[w] & common == 1 << w]
+
+
+def lca_errors(dag: Dag, lca: np.ndarray) -> int:
+    """Number of pairs whose entry in an all-pairs LCA array is not one of their LCAs.
+
+    An entry of -1 is correct exactly when the pair has no common ancestor.
+    """
+    anc = dag.ancestor_bitsets()
+    desc = dag.descendant_bitsets()
+    wrong = 0
+    for u in range(dag.n):
+        for v in range(dag.n):
+            common = anc[u] & anc[v]
+            w = int(lca[u, v])
+            if w < 0:
+                ok = common == 0
+            else:
+                ok = bool((common >> w) & 1) and (desc[w] & common) == (1 << w)
+            wrong += not ok
+    return wrong
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "write_witness_json",
     "read_witness_json",
     "write_witness_csv",
+    "csv_text",
 ]
 
 MATRIX_MAGIC = b"BMAT"
@@ -173,6 +174,10 @@ def read_witness_json(path: str | Path) -> WitnessMatrix:
 
 
 def write_witness_csv(path: str | Path, wm: WitnessMatrix, one_based: bool = False) -> None:
-    lines = ["i,j,witness"]
-    lines += [f"{i},{j},{w}" for i, j, w in wm.to_csv_rows(one_based)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(csv_text("i,j,witness", wm.to_csv_rows(one_based)))
+
+
+def csv_text(header: str, rows) -> str:
+    """A header line, then one comma-separated line per row, newline-terminated."""
+    line = ",".join(["%s"] * len(header.split(",")))
+    return "\n".join([header, *(line % row for row in rows)]) + "\n"

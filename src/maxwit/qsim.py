@@ -22,12 +22,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .boolmat import BoolMatrix, WitnessMatrix, bool_product, transpose
+from .boolmat import (
+    BoolMatrix,
+    WitnessMatrix,
+    bool_product,
+    product_dims,
+    set_bits,
+    transpose,
+    witness_mask,
+)
 from .rng import np_stream, py_stream
 from .witness import StripDecomposition, default_strip_width, largest_nonzero_strip
 
@@ -52,7 +60,6 @@ __all__ = [
     "algorithm3",
     "algorithm4",
     "MaxWitnessIndex",
-    "tradeoff_query",
     "table_values",
 ]
 
@@ -186,17 +193,7 @@ class AlgoStats:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "algo": self.algo,
-            "beta": self.beta,
-            "ell": self.ell,
-            "entries": self.entries,
-            "total_queries": self.total_queries,
-            "mean_queries_per_entry": self.mean_queries_per_entry,
-            "error_rate_vs_oracle": self.error_rate_vs_oracle,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +334,6 @@ def boost_reps(beta: float, n: int) -> int:
     return max(1, math.ceil(beta * math.log2(max(n, 2))))
 
 
-def _column_bits(b: BoolMatrix, j: int) -> int:
-    col = 0
-    for k in range(b.rows):
-        col |= ((b.row_bits[k] >> j) & 1) << k
-    return col
-
-
 def max_wit_table(
     a: BoolMatrix, b: BoolMatrix, i: int, j: int, lo: int = 0, hi: int | None = None
 ) -> tuple[VirtualMinTable, int]:
@@ -355,17 +345,11 @@ def max_wit_table(
     when one exists. The -(k+1) shift keeps all values pairwise distinct with
     0-based indices. Returns (table, n).
     """
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions differ")
-    if not (0 <= i < a.rows and 0 <= j < b.cols):
-        raise IndexError(f"entry ({i}, {j}) out of range")
+    wit = witness_mask(a, b, i, j)
     hi = a.cols if hi is None else hi
     if not (0 <= lo < hi <= a.cols):
         raise ValueError(f"bad index range [{lo}, {hi})")
     nbase = max(a.rows, a.cols, b.cols)
-    ra = a.row_bits[i]
-    col = _column_bits(b, j)
-    wit = ra & col
 
     def evaluate(s: int) -> int:
         k = lo + s
@@ -522,14 +506,6 @@ def _run_entry_searches(
 # ---------------------------------------------------------------------------
 
 
-def _square(a: BoolMatrix, b: BoolMatrix) -> tuple[int, int]:
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions differ")
-    if a.rows != b.cols:
-        raise ValueError("square product required")
-    return a.rows, a.cols
-
-
 def _stats(n, algo, beta, ell, entries, total_queries, seed) -> AlgoStats:
     mean = total_queries / entries if entries else 0.0
     return AlgoStats(
@@ -549,7 +525,7 @@ def algorithm1(
     a: BoolMatrix, b: BoolMatrix, beta: float = 2.0, seed: int = 0
 ) -> tuple[WitnessMatrix, AlgoStats]:
     """Boosted maximum-witness search on every entry of the product."""
-    n, q = _square(a, b)
+    n, q = product_dims(a, b, square=True)
     bt = transpose(b).row_bits
     targets = [(i, j, a.row_bits[i] & bt[j], q) for i in range(n) for j in range(n)]
     rng = np_stream(seed, _TAG_ALG, 1)
@@ -566,18 +542,12 @@ def algorithm2(
     not query-metered. Query totals therefore scale with the number of
     nonzero entries.
     """
-    n, q = _square(a, b)
+    n, q = product_dims(a, b, square=True)
     pattern = bool_product(a, b)
     bt = transpose(b).row_bits
-    targets = []
-    for i in range(n):
-        prow = pattern.row_bits[i]
-        mm = prow
-        while mm:
-            low = mm & -mm
-            j = low.bit_length() - 1
-            targets.append((i, j, a.row_bits[i] & bt[j], q))
-            mm ^= low
+    targets = [
+        (i, j, a.row_bits[i] & bt[j], q) for i in range(n) for j in set_bits(pattern.row_bits[i])
+    ]
     rng = np_stream(seed, _TAG_ALG, 2)
     wm, total = _run_entry_searches(n, targets, boost_reps(beta, n), rng)
     return wm, _stats(n, "alg2", beta, None, len(targets), total, seed)
@@ -593,7 +563,7 @@ def algorithm3(
     the product is computed as the transpose of the swapped product, which
     leaves every witness index unchanged.
     """
-    n, _ = _square(a, b)
+    n, _ = product_dims(a, b, square=True)
     m1 = sum(r.bit_count() for r in a.row_bits)
     m2 = sum(r.bit_count() for r in b.row_bits)
     if m1 < m2:
@@ -603,7 +573,7 @@ def algorithm3(
 
 
 def _algorithm3_core(a, b, beta, seed) -> tuple[WitnessMatrix, AlgoStats]:
-    n, _ = _square(a, b)
+    n, _ = product_dims(a, b, square=True)
     tables = ColumnIndexTables.from_matrix(b)
     bt = transpose(b).row_bits
     targets = []
@@ -628,7 +598,7 @@ def algorithm4(
     preprocessing (not query-metered); the witness search then runs on a
     table of length at most ell, so per-entry queries scale with sqrt(ell).
     """
-    n, q = _square(a, b)
+    n, q = product_dims(a, b, square=True)
     if ell is None:
         ell = default_strip_width(q)
     dec = StripDecomposition.build(q, ell)
@@ -674,7 +644,7 @@ class MaxWitnessIndex:
     ):
         if level not in PREPROCESSING_LEVELS:
             raise ValueError(f"unknown preprocessing level {level!r}")
-        n, q = _square(a, b)
+        n, q = product_dims(a, b, square=True)
         self.a = a
         self.b = b
         self.n = n
@@ -721,20 +691,6 @@ class MaxWitnessIndex:
             return None, QueryLog()
         lo, hi = self._dec.ranges[p]
         return max_wit(self.a, self.b, i, j, self.beta, self._rng, lo=lo, hi=hi)
-
-
-def tradeoff_query(
-    a: BoolMatrix,
-    b: BoolMatrix,
-    level: str,
-    i: int,
-    j: int,
-    ell: int | None = None,
-    beta: float = 1.0,
-    seed: int = 0,
-) -> tuple[int | None, QueryLog]:
-    """One-off query at a preprocessing level; see MaxWitnessIndex for reuse."""
-    return MaxWitnessIndex(a, b, level, ell, beta, seed).query(i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from .boolmat import (
     BoolMatrix,
     WitnessLists,
     WitnessMatrix,
+    or_rows,
+    product_dims,
+    set_bits,
     transpose,
 )
 from .rng import np_stream
@@ -113,14 +116,6 @@ class ApproxParams:
             raise ValueError("reps must be at least 1")
 
 
-def _square_dims(a: BoolMatrix, b: BoolMatrix) -> tuple[int, int]:
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions differ")
-    if a.rows != b.cols:
-        raise ValueError("square product required")
-    return a.rows, a.cols
-
-
 # ---------------------------------------------------------------------------
 # Exact strip solver
 # ---------------------------------------------------------------------------
@@ -133,8 +128,7 @@ def largest_nonzero_strip(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition)
     shrinks as strips claim entries, so total OR work matches one Boolean
     product.
     """
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions differ")
+    product_dims(a, b)
     if dec.n != a.cols:
         raise ValueError("decomposition does not cover the inner dimension")
     out = np.full((a.rows, b.cols), -1, dtype=np.int64)
@@ -146,23 +140,11 @@ def largest_nonzero_strip(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition)
         remaining = full
         oi = out[i]
         for p in range(len(dec.masks) - 1, -1, -1):
-            rp = ra & dec.masks[p]
-            if not rp:
-                continue
-            acc = 0
-            m = rp
-            while m:
-                low = m & -m
-                acc |= rows_b[low.bit_length() - 1]
-                m ^= low
-            newly = acc & remaining
+            newly = or_rows(ra & dec.masks[p], rows_b) & remaining
             if not newly:
                 continue
-            mm = newly
-            while mm:
-                low = mm & -mm
-                oi[low.bit_length() - 1] = p
-                mm ^= low
+            for j in set_bits(newly):
+                oi[j] = p
             remaining &= ~newly
             if not remaining:
                 break
@@ -176,7 +158,7 @@ def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = Non
     nonzero, so only that strip is scanned per entry. Output is identical to
     max_witness_oracle for every input and every strip width.
     """
-    n, q = _square_dims(a, b)
+    n, q = product_dims(a, b, square=True)
     if ell is None:
         ell = default_strip_width(q)
     dec = StripDecomposition.build(q, ell)
@@ -217,9 +199,7 @@ def _collect_witnesses(
     deterministic scan fills whatever the sampling missed.
     """
     p, q = a_dense.shape
-    q2, r = b_dense.shape
-    if q != q2:
-        raise ValueError("inner dimensions differ")
+    r = b_dense.shape[1]
     af = a_dense.astype(np.float64)
     bf = b_dense.astype(np.float64)
     # counts and index sums stay far below 2^53, so float64 products are exact
@@ -309,7 +289,7 @@ def single_witness_product(a: BoolMatrix, b: BoolMatrix, seed: int = 0) -> Witne
 
     Which witness is reported depends on the seed; its validity does not.
     """
-    n, _ = _square_dims(a, b)
+    n, _ = product_dims(a, b, square=True)
     found, _, _ = _collect_witnesses(a.to_dense(), b.to_dense(), 1, np_stream(seed, _TAG_SINGLE))
     return WitnessMatrix(n, found[:, :, 0])
 
@@ -320,7 +300,7 @@ def k_witness(a: BoolMatrix, b: BoolMatrix, k: int, seed: int = 0) -> WitnessLis
     The length contract holds for every seed; the sampling only decides which
     witnesses are reported when there are more than k.
     """
-    n, q = _square_dims(a, b)
+    n, q = product_dims(a, b, square=True)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     found, cnt, _ = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))
@@ -339,7 +319,7 @@ def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -
     greater witnesses then lie inside that strip, so the rank is at most its
     width. ell=1 degenerates to exact maximum witnesses.
     """
-    n, q = _square_dims(a, b)
+    n, q = product_dims(a, b, square=True)
     dec = StripDecomposition.build(q, ell)
     ad = a.to_dense()
     bd = b.to_dense()
@@ -361,7 +341,7 @@ def _multiwitness_rounds(n: int) -> int:
 
 
 def _multiwitness_run(a: BoolMatrix, b: BoolMatrix, k: int, seed: int, rep: int) -> np.ndarray:
-    n, _ = _square_dims(a, b)
+    n, _ = product_dims(a, b, square=True)
     ad = a.to_dense()
     d = b.to_dense().copy()
     wit = np.full((n, n), -1, dtype=np.int64)
@@ -389,7 +369,7 @@ def approx_multiwitness(a: BoolMatrix, b: BoolMatrix, params: ApproxParams) -> W
 
 def approx_multiwitness_boosted(a: BoolMatrix, b: BoolMatrix, params: ApproxParams) -> WitnessMatrix:
     """Entrywise best witness over params.reps independent runs."""
-    n, _ = _square_dims(a, b)
+    n, _ = product_dims(a, b, square=True)
     wit = np.full((n, n), -1, dtype=np.int64)
     for rep in range(params.reps):
         wit = np.maximum(wit, _multiwitness_run(a, b, params.k, params.seed, rep))
@@ -407,10 +387,7 @@ def witness_rank_matrix(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> np.n
     Vectorized over all entries via suffix counts of the witness tensor;
     meant for verifying rank bounds over many runs quickly.
     """
-    if a.cols != b.rows or a.rows != b.cols or wm.n != a.rows:
-        raise ValueError("dimension mismatch")
-    n = wm.n
-    q = a.cols
+    n, q = product_dims(a, b, wm=wm)
     ad = a.to_dense()
     bd = b.to_dense()
     t = ad[:, :, None] & bd[None, :, :]  # (n, q, n); t[i,k,j] = 1 iff k witnesses (i,j)

@@ -4,9 +4,13 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from maxwit.boolmat import max_witness_oracle, random_matrix
-from maxwit.cli import main
+from maxwit.cli import _thread_count, main
+from maxwit.graphs import LCA_SOLVERS
 from maxwit.io import load_matrix, save_matrix_text, write_witness_json
+from maxwit.solvers import SOLVERS
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -275,3 +279,73 @@ def test_report_out_file_matches_stdout_format(tmp_path, capsys):
     assert printed == "" or printed.strip() == ""  # report goes to the file
     doc = json.loads(out.read_text())
     assert doc["schema"] == 1 and doc["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda r: r["entries"].append({"i": -1, "j": 0, "witness": -7}), "(-1, 0) lies outside an n=10 matrix"),
+        (lambda r: r["entries"][0].update(witness=-3), "negative witness -3"),
+        (lambda r: r.update(n=11), "witness matrix has n=11 but the product is 10x10"),
+    ],
+    ids=["negative-index", "negative-witness", "size-mismatch"],
+)
+def test_verify_rejects_malformed_results(tmp_path, capsys, corrupt, message):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_matrix_text(a, random_matrix(10, 0.4, seed=230))
+    save_matrix_text(b, random_matrix(10, 0.4, seed=231))
+    rep = tmp_path / "report.json"
+    assert main(["maxwit", "--a", str(a), "--b", str(b), "--out", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    corrupt(doc["result"])
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--a", str(a), "--b", str(b), "--result", str(rep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_thread_count_is_clamped(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("MAXWIT_THREADS", str(10**9))
+    assert _thread_count(10**6) == cpus
+    assert _thread_count(3) == min(3, cpus)
+    monkeypatch.setenv("MAXWIT_THREADS", "0")
+    assert _thread_count(8) == 1
+
+
+# command -> (instance flags, CSV header); every first three CSV columns are indices
+TIMED = {
+    "maxwit": (["--n", "10", "--density", "0.4"], "i,j,witness"),
+    "approx": (["--n", "10", "--density", "0.4", "--method", "rank-bounded", "--ell", "3"], "i,j,witness"),
+    "kwitness": (["--n", "10", "--density", "0.4", "--k", "3"], "i,j,witness"),
+    "lca": (["--n", "12", "--density", "0.25"], "u,v,lca"),
+    "triangle": (["--n", "12", "--density", "0.5"], "u,v,apex"),
+    "two-edge": (["--n", "10", "--density", "0.4"], "i,j,mid,weight"),
+}
+SOLVER_FLAGS = {"maxwit": ("--algo", tuple(SOLVERS)), "lca": ("--solver", tuple(LCA_SOLVERS))}
+
+
+@pytest.mark.parametrize("cmd", sorted(TIMED))
+def test_timed_commands_share_emit_path(cmd, capsys):
+    flags, header = TIMED[cmd]
+    n = int(flags[1])
+    code, out = run(capsys, cmd, *flags, "--seed", "3", "--format", "csv", "--one-based", "--verify")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header and len(lines) > 1
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == len(header.split(","))
+        assert all(1 <= int(f) <= n for f in fields[:3])
+
+    doc = json.loads(run(capsys, cmd, *flags, "--timing")[1])
+    assert set(doc["timing"]) == {"load_s", "solve_s", "verify_s"}
+
+    flag, names = SOLVER_FLAGS.get(cmd, (None, ()))
+    for name in names:
+        code, out = run(capsys, cmd, *flags, "--seed", "5", flag, name, "--verify")
+        assert code == 0, name
+        assert json.loads(out)["verification"]["passed"] is True, name

@@ -27,7 +27,6 @@ from maxwit.qsim import (
     max_wit,
     max_wit_table,
     table_values,
-    tradeoff_query,
 )
 from maxwit.rng import np_stream, py_stream
 
@@ -340,10 +339,10 @@ def test_tradeoff_levels():
     assert 0 < strips_cost < none_cost  # searching one strip beats the full range
     assert spend("strips+largest-p") == strips_cost
 
-    w, log = tradeoff_query(a, b, "full", 3, 7, ell=16, beta=2.0, seed=9)
+    w, log = MaxWitnessIndex(a, b, "full", ell=16, beta=2.0, seed=9).query(3, 7)
     assert w == want.get(3, 7) and log.oracle_queries == 0
     with pytest.raises(ValueError):
-        tradeoff_query(a, b, "bogus", 0, 0)
+        MaxWitnessIndex(a, b, "bogus").query(0, 0)
 
 
 def test_table_values_shapes():
