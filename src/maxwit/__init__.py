@@ -1,8 +1,9 @@
 """Maximum witnesses of Boolean matrix products.
 
 Exact bit-parallel oracles, strip-decomposition solvers, randomized
-approximation schemes, a query-counted simulator of quantum search
-(Grover, exponential search, threshold minimum finding), and graph
+approximation schemes, a query-counted simulator of quantum minimum finding
+(one vectorized engine behind ``durr_hoyer_batch`` and the four witness
+algorithms, plus the scalar reference ``durr_hoyer_min``), and graph
 applications (all-pairs LCA in dags, extreme-weight triangles, two-edge
 paths).
 """
@@ -45,9 +46,8 @@ from .qsim import (
     algorithm2,
     algorithm3,
     algorithm4,
-    bbht_search,
+    durr_hoyer_batch,
     durr_hoyer_min,
-    grover_sample,
     grover_success_probability,
     max_wit,
     max_wit_table,
@@ -93,9 +93,8 @@ __all__ = [
     "ColumnIndexTables",
     "AlgoStats",
     "grover_success_probability",
-    "grover_sample",
-    "bbht_search",
     "durr_hoyer_min",
+    "durr_hoyer_batch",
     "max_wit_table",
     "max_wit",
     "algorithm1",

@@ -46,12 +46,11 @@ from .graphs import (
 )
 from .qsim import (
     TABLE_SHAPES,
-    VirtualMinTable,
     algorithm1,
-    durr_hoyer_min,
+    durr_hoyer_batch,
     table_values,
 )
-from .rng import np_stream, py_stream, spawn_seed
+from .rng import np_stream, spawn_seed
 from .solvers import SOLVERS, binomial_tolerance
 from .witness import (
     ApproxParams,
@@ -454,8 +453,8 @@ def _parse_q_grid(text: str) -> list[int]:
         qs = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--q-grid must be comma-separated integers, got {text!r}") from None
-    if not qs or any(q < 1 for q in qs):
-        raise ConfigError("--q-grid entries must be positive")
+    if not qs or any(q < 2 for q in qs) or len(set(qs)) != len(qs):
+        raise ConfigError("--q-grid entries must be distinct and at least 2")
     return qs
 
 
@@ -464,20 +463,16 @@ def _campaign_durr_hoyer(args) -> dict:
 
     def run_cell(cell):
         qi, q, si, shape = cell
-        hits = 0
-        queries = []
-        for t in range(args.trials):
-            vals = table_values(shape, q, np_stream(args.seed, 31, qi, si, t))
-            table = VirtualMinTable.from_values(vals.tolist())
-            _, log = durr_hoyer_min(table, py_stream(args.seed, 30, qi, si, t))
-            hits += log.succeeded
-            queries.append(log.oracle_queries)
-        arr = np.asarray(queries, np.float64)
+        tables = np.stack(
+            [table_values(shape, q, np_stream(args.seed, 31, qi, si, t)) for t in range(args.trials)]
+        )
+        _, hits, queries = durr_hoyer_batch(tables, np_stream(args.seed, 30, qi, si))
+        arr = queries.astype(np.float64)
         return {
             "q": q,
             "shape": shape,
             "trials": args.trials,
-            "success_rate": hits / args.trials,
+            "success_rate": int(hits.sum()) / args.trials,
             "mean_queries": float(arr.mean()),
             "std_queries": float(arr.std()),
         }

@@ -273,6 +273,8 @@ class VertexWeightedGraph:
         if len(self.weights) != self.n:
             raise ValueError("need exactly one weight per vertex")
         self.weights = tuple(float(w) for w in self.weights)
+        if not np.isfinite(self.weights).all():
+            raise ValueError("vertex weights must be finite")
         edges = []
         seen = set()
         for u, v in self.edges:

@@ -16,7 +16,11 @@ The minimum-finding loop only ever compares table values, so its trajectory
 depends on the table through the sorted order of the values alone. The
 simulator exploits that: it runs the search on sorted positions (physics known
 globally, queries still charged per the convention above) and translates the
-final position back to an index.
+final position back to an index. One vectorized engine, ``_dh_position_batch``,
+runs every search in the library: ``durr_hoyer_batch`` on explicit tables,
+``max_wit`` on one product entry and ``algorithm1``-``algorithm4`` on whole
+products. ``durr_hoyer_min`` is the one-run-at-a-time scalar reference the
+engine is tested against.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from .boolmat import (
     transpose,
     witness_mask,
 )
-from .rng import np_stream, py_stream
+from .rng import np_stream
 from .witness import StripDecomposition, default_strip_width, largest_nonzero_strip
 
 __all__ = [
@@ -49,9 +53,8 @@ __all__ = [
     "ColumnIndexTables",
     "AlgoStats",
     "grover_success_probability",
-    "grover_sample",
-    "bbht_search",
     "durr_hoyer_min",
+    "durr_hoyer_batch",
     "boost_reps",
     "max_wit_table",
     "max_wit",
@@ -70,16 +73,6 @@ DH_BUDGET_FACTOR = 22.5
 
 _TAG_ALG = 11
 _TAG_TRADEOFF = 12
-
-
-def _rand(rng) -> float:
-    return rng.random()
-
-
-def _randint(rng, n: int) -> int:
-    if isinstance(rng, random.Random):
-        return rng.randrange(n)
-    return int(rng.integers(n))
 
 
 @dataclass
@@ -213,72 +206,14 @@ def grover_success_probability(n_items: int, marked_count: int, iterations: int)
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
-def _marked_mask(n_items: int, marked) -> np.ndarray:
-    if callable(marked):
-        return np.fromiter((bool(marked(x)) for x in range(n_items)), bool, n_items)
-    mask = np.asarray(marked).astype(bool)
-    if mask.shape != (n_items,):
-        raise ValueError("marked mask must have length n_items")
-    return mask
-
-
-def grover_sample(n_items: int, marked, iterations: int, rng, log: QueryLog | None = None) -> int:
-    """Simulate one Grover run of ``iterations`` steps; returns the measured index.
-
-    ``marked`` is a predicate over range(n_items) or a boolean mask. Charges
-    iterations + 1 queries to ``log`` when given.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
-    mask = _marked_mask(n_items, marked)
-    t = int(mask.sum())
-    if log is not None:
-        log.oracle_queries += iterations + 1
-        log.grover_iterations += iterations
-    p = grover_success_probability(n_items, t, iterations)
-    if t and _rand(rng) < p:
-        idx = np.flatnonzero(mask)
-        return int(idx[_randint(rng, t)])
-    idx = np.flatnonzero(~mask)
-    if idx.size == 0:  # everything marked, p was 1
-        idx = np.flatnonzero(mask)
-        return int(idx[_randint(rng, idx.size)])
-    return int(idx[_randint(rng, idx.size)])
-
-
-def bbht_search(n_items: int, marked, rng, budget: float) -> tuple[int | None, QueryLog]:
-    """Exponential Grover search for any marked item within a query budget.
-
-    The iteration count for each run is drawn uniformly from [0, m) with m
-    growing by 6/5 per failure and capped at sqrt(n_items). Returns the found
-    index or None once the budget is spent.
-    """
-    mask = _marked_mask(n_items, marked)
-    t = int(mask.sum())
-    marked_idx = np.flatnonzero(mask)
-    log = QueryLog()
-    m = 1.0
-    mcap = math.sqrt(n_items)
-    while log.oracle_queries < budget:
-        j = int(_rand(rng) * m)
-        log.grover_iterations += j
-        log.oracle_queries += j + 1
-        if t and _rand(rng) < grover_success_probability(n_items, t, j):
-            k = int(marked_idx[_randint(rng, t)])
-            log.succeeded = True
-            log.result = k
-            return k, log
-        m = min(m * BBHT_GROWTH, mcap)
-    return None, log
-
-
-def durr_hoyer_min(table: VirtualMinTable, rng) -> tuple[int, QueryLog]:
-    """Threshold-descent minimum finding over a virtual table.
+def durr_hoyer_min(table: VirtualMinTable, rng: random.Random) -> tuple[int, QueryLog]:
+    """Threshold-descent minimum finding over a virtual table, one run.
 
     Repeatedly Grover-searches for an index whose value beats the current
     threshold, lowering the threshold on every verified hit, until the total
     budget 22.5*sqrt(q) is spent. Always returns an index; ``succeeded``
-    records whether it is the true argmin.
+    records whether it is the true argmin. This is the scalar reference for
+    the batch engine; library searches go through ``durr_hoyer_batch``.
     """
     q = table.length
     log = QueryLog()
@@ -290,7 +225,7 @@ def durr_hoyer_min(table: VirtualMinTable, rng) -> tuple[int, QueryLog]:
     order = np.argsort(values, kind="stable")
     if np.any(np.diff(values[order]) <= 0):
         raise ValueError("table values are not pairwise distinct")
-    pos = _randint(rng, q)
+    pos = rng.randrange(q)
     y = int(order[pos])
     threshold = table.query(y)
     log.oracle_queries += 1
@@ -300,15 +235,15 @@ def durr_hoyer_min(table: VirtualMinTable, rng) -> tuple[int, QueryLog]:
     sin = math.sin
     asin = math.asin
     while log.oracle_queries < budget:
-        j = int(_rand(rng) * m)
+        j = int(rng.random() * m)
         log.grover_iterations += j
         log.oracle_queries += j
         # pos items sit strictly below the threshold in sorted order
         p = sin((2 * j + 1) * asin(math.sqrt(pos / q))) ** 2 if pos else 0.0
-        if p and _rand(rng) < p:
-            meas = _randint(rng, pos)
+        if p and rng.random() < p:
+            meas = rng.randrange(pos)
         else:
-            meas = pos + _randint(rng, q - pos)
+            meas = pos + rng.randrange(q - pos)
         k = int(order[meas])
         v = table.query(k)
         log.oracle_queries += 1
@@ -364,34 +299,29 @@ def max_wit(
     i: int,
     j: int,
     beta: float = 1.0,
-    rng=None,
+    rng: np.random.Generator | None = None,
     lo: int = 0,
     hi: int | None = None,
 ) -> tuple[int | None, QueryLog]:
     """Maximum witness of one product entry via boosted minimum finding.
 
-    Runs durr_hoyer_min ceil(beta*log2 n) times on the witness table and keeps
-    the candidate with the smallest observed value (the largest verified
+    Runs ceil(beta*log2 n) minimum-finding runs on the witness table in one
+    engine call and keeps the smallest final position (the largest verified
     witness). Returns (witness, log) or (None, log) when no run lands on a
     witness; wrong answers occur with probability at most n^-beta.
     """
     if rng is None:
-        rng = random.Random(0)
+        rng = np.random.default_rng(0)
     table, nbase = max_wit_table(a, b, i, j, lo, hi)
-    agg = QueryLog()
-    best_k: int | None = None
-    best_v: int | None = None
-    for _ in range(boost_reps(beta, nbase)):
-        s, log = durr_hoyer_min(table, rng)
-        agg.absorb(log)
-        v = table.peek(s)  # value already observed by the run; no extra charge
-        if best_v is None or v < best_v:
-            best_v, best_k = v, s
-    if best_v is not None and best_v < nbase:
-        agg.succeeded = True
-        agg.result = lo + best_k
-        return lo + best_k, agg
-    return None, agg
+    # the table's sorted order lists the in-range witnesses first, largest first
+    mask = witness_mask(a, b, i, j) & ((1 << (lo + table.length)) - (1 << lo))
+    pos, queries, iters = _dh_position_batch(np.full(boost_reps(beta, nbase), table.length), rng)
+    log = QueryLog(int(queries.sum()), int(iters.sum()))
+    r = int(pos.min())
+    if r < mask.bit_count():
+        log.succeeded = True
+        log.result = _kth_highest_bit(mask, r)
+    return log.result, log
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +389,22 @@ def _dh_position_batch(
     return out_pos, out_q, out_it
 
 
-def _boosted_positions(
-    entry_qs: np.ndarray, reps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best (minimum) final position over reps independent runs per entry."""
-    entry_qs = np.asarray(entry_qs, np.int64)
-    tiled = np.repeat(entry_qs, reps)
-    pos, queries, _ = _dh_position_batch(tiled, rng)
-    e = entry_qs.size
-    return pos.reshape(e, reps).min(axis=1), queries.reshape(e, reps).sum(axis=1)
+def durr_hoyer_batch(
+    values: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum finding on each row of a (runs, q) array of tables, in one engine call.
+
+    Rows must hold pairwise distinct values. Returns (index, succeeded,
+    queries) per row: the index the run ends on, whether it is the row's
+    argmin, and the oracle queries the run spent.
+    """
+    values = np.asarray(values)
+    runs, q = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    if np.any(np.diff(np.take_along_axis(values, order, axis=1), axis=1) <= 0):
+        raise ValueError("table values are not pairwise distinct")
+    pos, queries, _ = _dh_position_batch(np.full(runs, q), rng)
+    return order[np.arange(runs), pos], pos == 0, queries
 
 
 def _kth_highest_bit(mask: int, r: int) -> int:
@@ -485,15 +422,17 @@ def _run_entry_searches(
 ) -> tuple[WitnessMatrix, int]:
     """Boosted witness search on each (i, j, witness_mask, table_length) target.
 
-    A run's final sorted position r maps to the (r+1)-th largest witness when
-    r < popcount(mask); anything at or beyond the witness count verifies as a
-    non-witness and the entry reports no witness.
+    All reps runs of every target go through one engine call; the best
+    (minimum) final sorted position r of a target maps to the (r+1)-th largest
+    witness when r < popcount(mask); anything at or beyond the witness count
+    verifies as a non-witness and the entry reports no witness.
     """
     w = np.full((n, n), -1, dtype=np.int64)
     if not targets:
         return WitnessMatrix(n, w), 0
     qs = np.fromiter((t[3] for t in targets), np.int64, len(targets))
-    best, queries = _boosted_positions(qs, reps, rng)
+    pos, queries, _ = _dh_position_batch(np.repeat(qs, reps), rng)
+    best = pos.reshape(len(targets), reps).min(axis=1)
     for idx, (i, j, mask, _qlen) in enumerate(targets):
         r = int(best[idx])
         if r < mask.bit_count():
@@ -651,7 +590,7 @@ class MaxWitnessIndex:
         self.level = level
         self.beta = beta
         self.ell = default_strip_width(q) if ell is None else ell
-        self._rng = py_stream(seed, _TAG_TRADEOFF)
+        self._rng = np_stream(seed, _TAG_TRADEOFF)
         self._dec: StripDecomposition | None = None
         self._strip_products: list[BoolMatrix] | None = None
         self._parr: np.ndarray | None = None

@@ -8,7 +8,7 @@ import pytest
 
 from maxwit.boolmat import max_witness_oracle, random_matrix
 from maxwit.cli import _thread_count, main
-from maxwit.graphs import LCA_SOLVERS
+from maxwit.graphs import LCA_SOLVERS, VertexWeightedGraph
 from maxwit.io import load_matrix, save_matrix_text, write_witness_json
 from maxwit.solvers import SOLVERS
 
@@ -187,6 +187,8 @@ def test_campaign_reports(tmp_path, capsys):
 
     assert main(["campaign", "--target", "durr-hoyer", "--trials", "0"]) == 1
     assert main(["campaign", "--target", "durr-hoyer", "--q-grid", "4,nope"]) == 1
+    assert main(["campaign", "--target", "durr-hoyer", "--q-grid", "1,4"]) == 1
+    assert main(["campaign", "--target", "durr-hoyer", "--q-grid", "8,8"]) == 1
 
 
 def test_campaign_rerun_is_byte_identical(tmp_path):
@@ -305,6 +307,19 @@ def test_verify_rejects_malformed_results(tmp_path, capsys, corrupt, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def test_graph_commands_reject_non_finite_weights(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("3 3 weighted\n0 1\n1 2\n0 2\n1.0 nan 2.0\n")
+    for cmd in ("triangle", "two-edge"):
+        capsys.readouterr()
+        assert main([cmd, "--graph", str(g), "--verify"]) == 1, cmd
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    with pytest.raises(ValueError):
+        VertexWeightedGraph(2, ((0, 1),), (1.0, float("inf")))
 
 
 def test_thread_count_is_clamped(monkeypatch):

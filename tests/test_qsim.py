@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from maxwit.boolmat import BoolMatrix, max_witness_oracle, random_matrix
+from maxwit.boolmat import BoolMatrix, max_witness_oracle, random_matrix, witness_mask
 from maxwit.qsim import (
     DH_BUDGET_FACTOR,
     TABLE_SHAPES,
@@ -19,10 +19,9 @@ from maxwit.qsim import (
     algorithm2,
     algorithm3,
     algorithm4,
-    bbht_search,
     boost_reps,
+    durr_hoyer_batch,
     durr_hoyer_min,
-    grover_sample,
     grover_success_probability,
     max_wit,
     max_wit_table,
@@ -89,49 +88,6 @@ def test_grover_success_probability_exact_points():
         grover_success_probability(0, 0, 0)
 
 
-def test_grover_sample_law_and_accounting():
-    # N=4 with 1 marked item and 1 iteration measures the marked item surely
-    rng = py_stream(0, 950)
-    log = QueryLog()
-    for _ in range(50):
-        assert grover_sample(4, [False, False, True, False], 1, rng, log) == 2
-    assert log.oracle_queries == 50 * 2  # j + 1 per run
-    assert log.grover_iterations == 50
-
-    # N=16, 4 marked, 0 iterations: uniform measurement, marked rate 1/4
-    rng = py_stream(1, 951)
-    marked = [i % 4 == 0 for i in range(16)]
-    hits = sum(marked[grover_sample(16, marked, 0, rng)] for _ in range(2000))
-    sigma = math.sqrt(2000 * 0.25 * 0.75)
-    assert abs(hits - 500) <= 3 * sigma
-
-    with pytest.raises(ValueError):
-        grover_sample(4, [True] * 3, 0, rng)
-
-
-def test_bbht_search_behavior():
-    rng = py_stream(0, 952)
-    # all marked: the very first verification succeeds
-    idx, log = bbht_search(32, [True] * 32, rng, budget=100)
-    assert idx is not None and log.succeeded
-    assert log.oracle_queries <= 2
-
-    # nothing marked: budget is spent, no result
-    idx, log = bbht_search(32, [False] * 32, rng, budget=40)
-    assert idx is None and not log.succeeded
-    assert log.oracle_queries >= 40
-
-    # single marked item out of 1024 found well within 9*sqrt(N) on average
-    total = 0
-    runs = 30
-    for s in range(runs):
-        marked = [i == 517 for i in range(1024)]
-        idx, log = bbht_search(1024, marked, py_stream(s, 953), budget=20 * 32)
-        assert idx == 517
-        total += log.oracle_queries
-    assert total / runs <= 9 * 32
-
-
 def test_durr_hoyer_length_one_is_free():
     t = VirtualMinTable.from_values([7])
     idx, log = durr_hoyer_min(t, py_stream(0, 954))
@@ -156,6 +112,22 @@ def test_durr_hoyer_rejects_duplicate_values():
     t = VirtualMinTable(3, [4, 4, 5].__getitem__)
     with pytest.raises(ValueError):
         durr_hoyer_min(t, py_stream(0, 957))
+
+
+def test_durr_hoyer_batch_maps_positions_to_indices():
+    for si, shape in enumerate(TABLE_SHAPES):
+        tables = np.stack([table_values(shape, 64, np_stream(s, 964)) for s in range(40)])
+        idx, ok, queries = durr_hoyer_batch(tables, np_stream(si, 965))
+        assert idx.shape == ok.shape == queries.shape == (40,)
+        assert np.array_equal(ok, idx == tables.argmin(axis=1))
+        assert ok.sum() >= 20, shape
+        assert (queries >= DH_BUDGET_FACTOR * 8).all()
+
+    with pytest.raises(ValueError):
+        durr_hoyer_batch(np.array([[0, 1, 2], [4, 4, 5]]), np_stream(0, 966))
+
+    idx, ok, queries = durr_hoyer_batch(np.array([[7], [3]]), np_stream(0, 967))
+    assert idx.tolist() == [0, 0] and ok.all() and queries.tolist() == [0, 0]
 
 
 def test_scalar_and_batch_engines_agree_distributionally():
@@ -188,13 +160,31 @@ def test_boost_reps():
 def test_max_wit_single_entries():
     a = BoolMatrix.from_strings(["1011"] * 4)
     b = BoolMatrix.from_dense(np.array([[1], [1], [1], [0]]) * np.ones((4, 4), dtype=int))
-    w, log = max_wit(a, b, 0, 0, beta=2.0, rng=py_stream(0, 961))
+    w, log = max_wit(a, b, 0, 0, beta=2.0, rng=np_stream(0, 961))
     assert w == 2 and log.succeeded
 
     zero = BoolMatrix.zeros(4)
-    w, log = max_wit(zero, b, 0, 0, beta=2.0, rng=py_stream(0, 962))
+    w, log = max_wit(zero, b, 0, 0, beta=2.0, rng=np_stream(0, 962))
     assert w is None and not log.succeeded
     assert log.oracle_queries > 0  # searching still costs queries
+
+
+def test_max_wit_index_range():
+    n = 24
+    a = random_matrix(n, 0.3, seed=65)
+    b = random_matrix(n, 0.3, seed=66)
+    rng = np_stream(6, 968)
+    found = empty = 0
+    for i, j, lo, hi in [(i, (5 * i) % n, (7 * i) % 12, 12 + (3 * i) % 13) for i in range(n)]:
+        in_range = [k for k in range(lo, hi) if (witness_mask(a, b, i, j) >> k) & 1]
+        w, log = max_wit(a, b, i, j, beta=2.0, rng=rng, lo=lo, hi=hi)
+        assert w == (max(in_range) if in_range else None), (i, j, lo, hi)
+        assert log.succeeded == (w is not None) and log.result == w
+        log.check()
+        assert log.oracle_queries >= log.grover_iterations > 0
+        found += w is not None
+        empty += w is None
+    assert found and empty  # both outcomes are exercised
 
 
 def test_max_wit_accuracy_over_random_entries():
@@ -202,7 +192,7 @@ def test_max_wit_accuracy_over_random_entries():
     a = random_matrix(n, 0.3, seed=63)
     b = random_matrix(n, 0.3, seed=64)
     want = max_witness_oracle(a, b)
-    rng = py_stream(5, 963)
+    rng = np_stream(5, 963)
     wrong = 0
     for i in range(n):
         w, _ = max_wit(a, b, i, i, beta=2.0, rng=rng)
