@@ -20,6 +20,7 @@ from .boolmat import (
     transpose,
     witness_count,
     witness_mask,
+    witness_rank_matrix,
     witness_violations,
 )
 from .graphs import (
@@ -61,7 +62,6 @@ from .witness import (
     exact_max_witness_strips,
     k_witness,
     single_witness_product,
-    witness_rank_matrix,
 )
 
 __version__ = "0.1.0"

@@ -31,6 +31,7 @@ __all__ = [
     "witness_mask",
     "witness_count",
     "rank_of",
+    "witness_rank_matrix",
     "random_matrix",
     "witness_violations",
 ]
@@ -266,15 +267,20 @@ def product_dims(
     """Check that a x b is defined and return (a.rows, a.cols).
 
     ``square`` also requires an n x n product, as every witness matrix is;
-    a given ``wm`` must then have that n.
+    a given ``wm`` must then have that n and witnesses below a.cols.
     """
     shapes = f"{a.rows}x{a.cols} times {b.rows}x{b.cols}"
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions differ: {shapes}")
     if (square or wm is not None) and a.rows != b.cols:
         raise ValueError(f"witness matrix requires a square product: {shapes}")
-    if wm is not None and wm.n != a.rows:
-        raise ValueError(f"witness matrix has n={wm.n} but the product is {a.rows}x{b.cols}")
+    if wm is not None:
+        if wm.n != a.rows:
+            raise ValueError(f"witness matrix has n={wm.n} but the product is {a.rows}x{b.cols}")
+        over = np.argwhere(wm.array >= a.cols)
+        if over.size:
+            i, j = over[0].tolist()
+            raise ValueError(f"entry ({i}, {j}) has witness {wm.array[i, j]} outside [0, {a.cols})")
     return a.rows, a.cols
 
 
@@ -352,6 +358,33 @@ def rank_of(a: BoolMatrix, b: BoolMatrix, i: int, j: int, k: int) -> int:
     return 1 + (mask >> (k + 1)).bit_count()
 
 
+def _ranks(a: BoolMatrix, b: BoolMatrix, w: np.ndarray) -> np.ndarray:
+    """Rank of each witness w[i, j]: -1 where w < 0, -2 where it is not a witness.
+
+    One AND of packed rows per reported entry, as in rank_of; rows are
+    handled one at a time so temporaries stay O(n). Witnesses must lie in
+    [0, a.cols), which product_dims checks.
+    """
+    bt = transpose(b).row_bits
+    ranks = np.full(w.shape, -1, dtype=np.int64)
+    for i, ra in enumerate(a.row_bits):
+        js = np.flatnonzero(w[i] >= 0)
+        ranks[i, js] = [
+            1 + (m >> (k + 1)).bit_count() if ((m := ra & bt[j]) >> k) & 1 else -2
+            for j, k in zip(js.tolist(), w[i, js].tolist())
+        ]
+    return ranks
+
+
+def witness_rank_matrix(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> np.ndarray:
+    """Rank of every reported witness: -1 where absent, -2 where invalid.
+
+    O(n^2) memory: one packed-row AND per reported entry.
+    """
+    product_dims(a, b, wm=wm)
+    return _ranks(a, b, wm.array)
+
+
 def random_matrix(n: int, density: float, seed: int) -> BoolMatrix:
     """n x n matrix with i.i.d. Bernoulli(density) entries, reproducible by seed."""
     if n < 1:
@@ -370,24 +403,16 @@ def witness_violations(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> dict:
     witness reported), spurious (product is 0 but a witness is reported).
     """
     product_dims(a, b, wm=wm)
-    pattern = bool_product(a, b)
-    bt = transpose(b).row_bits
-    invalid: list[tuple[int, int, int]] = []
-    missing: list[tuple[int, int]] = []
-    spurious: list[tuple[int, int]] = []
-    warr = wm.array
-    for i, ra in enumerate(a.row_bits):
-        prow = pattern.row_bits[i]
-        for j in range(wm.n):
-            k = int(warr[i, j])
-            present = (prow >> j) & 1
-            if k < 0:
-                if present:
-                    missing.append((i, j))
-            elif not present:
-                spurious.append((i, j))
-            elif not (ra >> k) & 1 or not (bt[j] >> k) & 1:
-                invalid.append((i, j, k))
+    present = bool_product(a, b).to_dense().astype(bool)
+    w = wm.array
+    ranks = _ranks(a, b, w)
+
+    def entries(mask: np.ndarray) -> list[tuple[int, ...]]:
+        return [tuple(e) for e in np.argwhere(mask).tolist()]  # row-major, Python ints
+
+    invalid = [(i, j, int(w[i, j])) for i, j in entries((ranks == -2) & present)]
+    missing = entries((w < 0) & present)
+    spurious = entries((w >= 0) & ~present)
     return {
         "invalid": invalid,
         "missing": missing,

@@ -31,6 +31,7 @@ from .boolmat import (
     WitnessMatrix,
     max_witness_oracle,
     random_matrix,
+    witness_rank_matrix,
     witness_violations,
 )
 from .graphs import (
@@ -59,7 +60,6 @@ from .witness import (
     approx_rank_bounded,
     default_strip_width,
     k_witness,
-    witness_rank_matrix,
 )
 
 __all__ = ["main", "build_parser", "RunConfig", "ConfigError"]
@@ -453,8 +453,8 @@ def _parse_q_grid(text: str) -> list[int]:
         qs = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--q-grid must be comma-separated integers, got {text!r}") from None
-    if not qs or any(q < 2 for q in qs) or len(set(qs)) != len(qs):
-        raise ConfigError("--q-grid entries must be distinct and at least 2")
+    if len(qs) < 2 or any(q < 2 for q in qs) or len(set(qs)) != len(qs):
+        raise ConfigError("--q-grid needs at least two distinct entries, each at least 2")
     return qs
 
 
@@ -487,9 +487,7 @@ def _campaign_durr_hoyer(args) -> dict:
     for q in qs:
         means = [c["mean_queries"] for c in results if c["q"] == q]
         pooled.append(float(np.mean(means)))
-    slope = None
-    if len(qs) >= 2:
-        slope = float(np.polyfit(np.log(np.asarray(qs, np.float64)), np.log(pooled), 1)[0])
+    slope = float(np.polyfit(np.log(np.asarray(qs, np.float64)), np.log(pooled), 1)[0])
     return {
         "target": "durr-hoyer",
         "cells": results,

@@ -90,10 +90,6 @@ class QueryLog:
         if self.succeeded and self.result is None:
             raise ValueError("succeeded without a result")
 
-    def absorb(self, other: "QueryLog") -> None:
-        self.oracle_queries += other.oracle_queries
-        self.grover_iterations += other.grover_iterations
-
 
 class VirtualMinTable:
     """Length-q integer table addressed through a counting query interface.

@@ -29,6 +29,9 @@ from .boolmat import (
     set_bits,
     transpose,
 )
+# The rank check lives in boolmat; it stays bound here because callers and
+# perfbench/trace_job.py look it up as maxwit.witness.witness_rank_matrix.
+from .boolmat import witness_rank_matrix  # noqa: F401
 from .rng import np_stream
 
 __all__ = [
@@ -43,7 +46,6 @@ __all__ = [
     "approx_rank_bounded",
     "approx_multiwitness",
     "approx_multiwitness_boosted",
-    "witness_rank_matrix",
 ]
 
 # Stream tags keep the seed spaces of the different solvers disjoint.
@@ -374,34 +376,3 @@ def approx_multiwitness_boosted(a: BoolMatrix, b: BoolMatrix, params: ApproxPara
     for rep in range(params.reps):
         wit = np.maximum(wit, _multiwitness_run(a, b, params.k, params.seed, rep))
     return WitnessMatrix(n, wit)
-
-
-# ---------------------------------------------------------------------------
-# Rank checking
-# ---------------------------------------------------------------------------
-
-
-def witness_rank_matrix(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> np.ndarray:
-    """Rank of every reported witness: -1 where absent, -2 where invalid.
-
-    Vectorized over all entries via suffix counts of the witness tensor;
-    meant for verifying rank bounds over many runs quickly.
-    """
-    n, q = product_dims(a, b, wm=wm)
-    ad = a.to_dense()
-    bd = b.to_dense()
-    t = ad[:, :, None] & bd[None, :, :]  # (n, q, n); t[i,k,j] = 1 iff k witnesses (i,j)
-    padded = np.concatenate([t, np.zeros((n, 1, n), dtype=np.uint8)], axis=1)
-    suffix = padded[:, ::-1, :].cumsum(axis=1, dtype=np.int32)[:, ::-1, :]
-    ranks = np.full((n, n), -1, dtype=np.int64)
-    w = wm.array
-    ii, jj = np.nonzero(w >= 0)
-    if ii.size == 0:
-        return ranks
-    kk = w[ii, jj]
-    if (kk >= q).any():
-        raise ValueError("witness index out of range")
-    valid = t[ii, kk, jj] == 1
-    greater = suffix[ii, kk + 1, jj].astype(np.int64)
-    ranks[ii, jj] = np.where(valid, greater + 1, -2)
-    return ranks

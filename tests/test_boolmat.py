@@ -1,6 +1,8 @@
 """Bit-packed matrices and brute-force witness oracles vs scalar loops."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from maxwit.boolmat import (
     transpose,
     witness_count,
     witness_mask,
+    witness_rank_matrix,
     witness_violations,
 )
 from maxwit.rng import np_stream
@@ -24,6 +27,7 @@ from scalar_oracles import (
     max_witness_dense,
     rank_of_entry,
     witness_count_entry,
+    witness_list_entry,
 )
 
 
@@ -216,3 +220,56 @@ def test_witness_violations_classes():
     extra = WitnessMatrix(12, arr)
     extra.set(zi, zj, 0)
     assert witness_violations(a, b, extra)["spurious"] == [(zi, zj)]
+
+
+@pytest.mark.parametrize("n, q", [(1, 1), (1, 7), (5, 3), (4, 9), (12, 12), (9, 70)])
+def test_rank_checks_match_scalar_ranks(n, q):
+    rng = np_stream(n, q)
+    for density in (0.2, 0.6):
+        a = BoolMatrix.from_dense(rng.random((n, q)) < density)
+        b = BoolMatrix.from_dense(rng.random((q, n)) < density)
+        da, db = _dense(a), _dense(b)
+        w = np.full((n, n), -1, dtype=np.int64)
+        want = np.full((n, n), -1, dtype=np.int64)
+        invalid, missing, spurious = [], [], []
+        for i in range(n):
+            for j in range(n):
+                wits = witness_list_entry(da, db, i, j)
+                others = [k for k in range(q) if k not in wits]
+                pick = rng.integers(3)
+                if pick == 0 and wits:  # any witness, not only the maximum
+                    w[i, j] = wits[rng.integers(len(wits))]
+                    want[i, j] = rank_of_entry(da, db, i, j, int(w[i, j]))
+                elif pick == 1 and others:
+                    w[i, j] = others[rng.integers(len(others))]
+                    want[i, j] = -2
+                    if wits:
+                        invalid.append((i, j, int(w[i, j])))
+                    else:
+                        spurious.append((i, j))
+                elif wits:
+                    missing.append((i, j))
+        wm = WitnessMatrix(n, w)
+        assert witness_rank_matrix(a, b, wm).tolist() == want.tolist()
+        rep = witness_violations(a, b, wm)
+        assert (rep["invalid"], rep["missing"], rep["spurious"]) == (invalid, missing, spurious)
+
+        w[n - 1, 0] = q  # one past the inner dimension
+        for check in (witness_rank_matrix, witness_violations):
+            with pytest.raises(ValueError, match=rf"entry \({n - 1}, 0\) has witness {q} outside"):
+                check(a, b, WitnessMatrix(n, w))
+
+
+def test_rank_checks_use_quadratic_memory():
+    # an (n, q, n) uint8 tensor alone is 16 MiB at n = q = 256
+    a = random_matrix(256, 0.3, seed=71)
+    b = random_matrix(256, 0.3, seed=72)
+    wm = max_witness_oracle(a, b)
+    for check in (witness_rank_matrix, witness_violations):
+        tracemalloc.start()
+        try:
+            check(a, b, wm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (check.__name__, peak)

@@ -189,6 +189,7 @@ def test_campaign_reports(tmp_path, capsys):
     assert main(["campaign", "--target", "durr-hoyer", "--q-grid", "4,nope"]) == 1
     assert main(["campaign", "--target", "durr-hoyer", "--q-grid", "1,4"]) == 1
     assert main(["campaign", "--target", "durr-hoyer", "--q-grid", "8,8"]) == 1
+    assert main(["campaign", "--target", "durr-hoyer", "--q-grid", "64"]) == 1
 
 
 def test_campaign_rerun_is_byte_identical(tmp_path):
@@ -289,8 +290,9 @@ def test_report_out_file_matches_stdout_format(tmp_path, capsys):
         (lambda r: r["entries"].append({"i": -1, "j": 0, "witness": -7}), "(-1, 0) lies outside an n=10 matrix"),
         (lambda r: r["entries"][0].update(witness=-3), "negative witness -3"),
         (lambda r: r.update(n=11), "witness matrix has n=11 but the product is 10x10"),
+        (lambda r: r["entries"][0].update(witness=10), "has witness 10 outside [0, 10)"),
     ],
-    ids=["negative-index", "negative-witness", "size-mismatch"],
+    ids=["negative-index", "negative-witness", "size-mismatch", "witness-out-of-range"],
 )
 def test_verify_rejects_malformed_results(tmp_path, capsys, corrupt, message):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -15,6 +15,7 @@ from maxwit.graphs import (
     brute_force_two_edge_paths,
     demo_dag,
     heaviest_triangle_per_edge,
+    lca_errors,
     max_weight_two_edge_paths,
     random_dag,
     random_weighted_graph,
@@ -72,6 +73,34 @@ def test_lca_membership_against_brute_force():
                     assert lca[u, v] in want
                 else:
                     assert lca[u, v] == -1
+
+
+def test_lca_errors_counts_each_planted_error():
+    dags = [demo_dag()] + [random_dag(12 + seed, 0.2, seed=seed) for seed in range(6)]
+    for dag in dags:
+        assert lca_errors(dag, all_pairs_lca(dag)) == 0
+
+    # demo_dag: (0, 1) has the common ancestors 3 and 5, (0, 2) only 5,
+    # and (4, 5) none
+    planted = [
+        (0, 1, 5),  # a common ancestor that is not lowest
+        (1, 0, 4),  # not a common ancestor
+        (0, 2, -1),  # -1 although a common ancestor exists
+        (4, 5, 4),  # a vertex where no common ancestor exists
+    ]
+    dag = demo_dag()
+    good = all_pairs_lca(dag)
+    for u, v, w in planted:
+        lcas = brute_force_lca_set(dag, u, v)
+        assert w not in lcas and (w >= 0 or lcas)
+        assert good[u, v] in lcas or (good[u, v] == -1 and not lcas)
+        bad = good.copy()
+        bad[u, v] = w
+        assert lca_errors(dag, bad) == 1, (u, v, w)
+    bad = good.copy()
+    for u, v, w in planted:
+        bad[u, v] = w
+    assert lca_errors(dag, bad) == len(planted)
 
 
 def test_tree_lca_matches_upward_walk():

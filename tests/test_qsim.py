@@ -13,7 +13,6 @@ from maxwit.qsim import (
     AlgoStats,
     ColumnIndexTables,
     MaxWitnessIndex,
-    QueryLog,
     VirtualMinTable,
     algorithm1,
     algorithm2,
@@ -69,12 +68,6 @@ def test_virtual_table_counts_queries_not_peeks():
         VirtualMinTable.from_values([1, 2, 1])
     with pytest.raises(ValueError):
         VirtualMinTable(0, lambda k: k)
-
-
-def test_query_log_absorb():
-    a = QueryLog(oracle_queries=3, grover_iterations=2)
-    a.absorb(QueryLog(oracle_queries=4, grover_iterations=1))
-    assert (a.oracle_queries, a.grover_iterations) == (7, 3)
 
 
 def test_grover_success_probability_exact_points():
