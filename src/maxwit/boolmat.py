@@ -15,6 +15,7 @@ strictly greater witnesses (the maximum witness has rank 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -233,16 +234,31 @@ class WitnessLists:
         return self.lists[i][j]
 
     def lengths(self) -> np.ndarray:
-        return np.array([[len(c) for c in row] for row in self.lists], dtype=np.int64)
+        cells = chain.from_iterable(self.lists)
+        return np.fromiter(map(len, cells), np.int64, self.n * self.n).reshape(self.n, self.n)
 
-    def validate(self) -> None:
-        """Check sortedness and distinctness; raises ValueError on violation."""
-        for row in self.lists:
-            for cell in row:
-                if len(cell) > self.k:
-                    raise ValueError("list longer than k")
-                if any(a <= b for a, b in zip(cell, cell[1:])):
-                    raise ValueError("list not strictly decreasing")
+    def validate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check length, sortedness and distinctness; raises ValueError on violation.
+
+        The first offending list in row-major order decides the error, and a
+        list longer than k is reported as such. Returns what was checked:
+        the (n, n) lengths and every witness in row-major order.
+        """
+        cells = list(chain.from_iterable(self.lists))
+        lengths = np.fromiter(map(len, cells), np.int64, len(cells))
+        wits = np.fromiter(chain.from_iterable(cells), np.int64, int(lengths.sum()))
+        ends = np.cumsum(lengths)
+        first = np.zeros(wits.size, dtype=bool)
+        first[(ends - lengths)[lengths > 0]] = True
+        # witness t breaks the order when it is not first in its list and t-1 is not above it
+        rising = np.flatnonzero((wits[1:] >= wits[:-1]) & ~first[1:]) + 1
+        too_long = np.flatnonzero(lengths > self.k)
+        bad_order = int(np.searchsorted(ends, rising[0], side="right")) if rising.size else len(cells)
+        if too_long.size and too_long[0] <= bad_order:
+            raise ValueError("list longer than k")
+        if rising.size:
+            raise ValueError("list not strictly decreasing")
+        return lengths.reshape(self.n, self.n), wits
 
     def to_json_dict(self, one_based: bool = False) -> dict:
         off = 1 if one_based else 0
@@ -398,10 +414,15 @@ def random_matrix(n: int, density: float, seed: int) -> BoolMatrix:
 def witness_violations(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> dict:
     """Compare a witness matrix against ground truth.
 
-    Returns counts and small samples of three defect classes:
-    invalid (reported k is not a witness), missing (product is 1 but no
-    witness reported), spurious (product is 0 but a witness is reported).
+    Returns the lists of three defect classes: invalid (reported k is not a
+    witness), missing (product is 1 but no witness reported), spurious
+    (product is 0 but a witness is reported).
     """
+    return _violations_and_ranks(a, b, wm)[0]
+
+
+def _violations_and_ranks(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> tuple[dict, np.ndarray]:
+    """witness_violations(a, b, wm) and witness_rank_matrix(a, b, wm) from one rank pass."""
     product_dims(a, b, wm=wm)
     present = bool_product(a, b).to_dense().astype(bool)
     w = wm.array
@@ -413,9 +434,10 @@ def witness_violations(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> dict:
     invalid = [(i, j, int(w[i, j])) for i, j in entries((ranks == -2) & present)]
     missing = entries((w < 0) & present)
     spurious = entries((w >= 0) & ~present)
-    return {
+    report = {
         "invalid": invalid,
         "missing": missing,
         "spurious": spurious,
         "ok": not (invalid or missing or spurious),
     }
+    return report, ranks

@@ -238,18 +238,23 @@ def lca_errors(dag: Dag, lca: np.ndarray) -> int:
 
     An entry of -1 is correct exactly when the pair has no common ancestor.
     """
-    anc = dag.ancestor_bitsets()
-    desc = dag.descendant_bitsets()
+    n = dag.n
+    anc = ancestor_matrix(dag).to_dense()
+    below = BoolMatrix(n, n, tuple(dag.descendant_bitsets())).to_dense()
+    np.fill_diagonal(below, 0)  # proper descendants
+    packed_anc = np.packbits(anc, axis=1)
+    packed_below = np.packbits(below, axis=1)
+    vs = np.arange(n)
     wrong = 0
-    for u in range(dag.n):
-        for v in range(dag.n):
-            common = anc[u] & anc[v]
-            w = int(lca[u, v])
-            if w < 0:
-                ok = common == 0
-            else:
-                ok = bool((common >> w) & 1) and (desc[w] & common) == (1 << w)
-            wrong += not ok
+    for u in range(n):  # one row of pairs at a time: temporaries of n * n/8 bytes
+        common = packed_anc[u] & packed_anc  # row v: common ancestors of (u, v)
+        w = lca[u]
+        given = (w >= 0) & (w < n)
+        wc = np.where(given, w, 0)
+        # w is an LCA when it is common and none of its proper descendants is
+        lowest = anc[u, wc] & anc[vs, wc] & ~(common & packed_below[wc]).any(axis=1)
+        ok = np.where(given, lowest, (w < 0) & ~common.any(axis=1))
+        wrong += n - int(ok.sum())
     return wrong
 
 

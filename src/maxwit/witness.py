@@ -179,6 +179,10 @@ def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = Non
 # ---------------------------------------------------------------------------
 
 
+# bytes of the uint8 (entries, q) AND block the few-witness branch holds at once
+_CHUNK_BYTES = 4 << 20
+
+
 def _sample_rounds(n_scale: int, k: int) -> int:
     # enough rounds that the fallback rarely fires when W is near k
     return 2 * math.ceil(math.log2(max(n_scale, 2))) + 2 * k
@@ -220,14 +224,17 @@ def _collect_witnesses(
     few = (wcount > 1) & (wcount <= k)
     if few.any():
         ii, jj = np.nonzero(few)
-        sub = (a_dense[ii] & b_dense[:, jj].T).astype(np.int32)  # (m, q)
-        score = sub * (np.arange(q, dtype=np.int32) + 1)
-        rows = np.arange(len(ii))
-        for s in range(min(k, q)):
-            top = score.argmax(axis=1)
-            ok = score[rows, top] > 0
-            found[ii[ok], jj[ok], s] = top[ok]
-            score[rows, top] = 0
+        bt = np.ascontiguousarray(b_dense.T)
+        step = max(1, _CHUNK_BYTES // q)
+        for s in range(0, ii.size, step):
+            ci, cj = ii[s : s + step], jj[s : s + step]
+            sub = a_dense[ci] & bt[cj]  # (entries, q): row e is the witness set of entry e
+            # row-major order lists each entry's witnesses ascending, so a
+            # witness's slot is its offset from the start of the entry's run
+            e, col = np.nonzero(sub)
+            w = wcount[ci, cj]
+            slot = np.arange(e.size) - (np.cumsum(w) - w)[e]
+            found[ci[e], cj[e], slot] = col
         cnt[ii, jj] = wcount[ii, jj]
 
     active = wcount > k
@@ -276,9 +283,12 @@ def _collect_witnesses(
                 found[i, j, cnt[i, j]] = kk
                 cnt[i, j] += 1
 
-    found = np.sort(found, axis=2)[:, :, ::-1]  # descending, -1 padding last
+    # descending with the -1 padding last, in place: sort the negated values
+    np.negative(found, out=found)
+    found.sort(axis=2)
+    np.negative(found, out=found)
     assert (cnt == target).all()
-    return np.ascontiguousarray(found), cnt, wcount
+    return found, cnt, wcount
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +316,12 @@ def k_witness(a: BoolMatrix, b: BoolMatrix, k: int, seed: int = 0) -> WitnessLis
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     found, cnt, _ = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))
-    lists = [
-        [found[i, j, : cnt[i, j]].tolist() for j in range(n)]
-        for i in range(n)
-    ]
+    lists = []
+    # row by row, so Python temporaries stay O(nk): entry j lists the first c[j] slots of f
+    for f, c in zip(found, cnt):
+        flat = f[np.arange(k) < c[:, None]].tolist()
+        ends = np.cumsum(c).tolist()
+        lists.append([flat[s:e] for s, e in zip([0, *ends[:-1]], ends)])
     return WitnessLists(n, k, lists)
 
 

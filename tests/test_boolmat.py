@@ -186,14 +186,22 @@ def test_witness_matrix_agreement_and_hash():
 
 def test_witness_lists_validate():
     good = WitnessLists(2, 2, [[[3, 1], []], [[2], [0]]])
-    good.validate()
-    assert good.lengths().tolist() == [[2, 0], [1, 1]]
-    bad = WitnessLists(1, 2, [[[1, 2]]])
-    with pytest.raises(ValueError):
-        bad.validate()
-    toolong = WitnessLists(1, 1, [[[5, 3, 1]]])
-    with pytest.raises(ValueError):
-        toolong.validate()
+    lengths, wits = good.validate()
+    assert lengths.tolist() == good.lengths().tolist() == [[2, 0], [1, 1]]
+    assert wits.tolist() == [3, 1, 2, 0]
+    # a list that rises across its neighbour's boundary is still fine
+    WitnessLists(2, 2, [[[1], [2]], [[3], [4]]]).validate()
+    for lists, k, message in [
+        ([[[1, 2]]], 2, "not strictly decreasing"),
+        ([[[2, 2]]], 2, "not strictly decreasing"),
+        ([[[5, 3, 1]]], 1, "longer than k"),
+        # the first offending list in row-major order decides
+        ([[[1], [2, 2]], [[3, 2, 1], []]], 2, "not strictly decreasing"),
+        ([[[], [3, 2, 1]], [[1, 1], []]], 2, "longer than k"),
+        ([[[1, 1, 1], []], [[], []]], 2, "longer than k"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            WitnessLists(len(lists), k, lists).validate()
 
 
 def test_witness_violations_classes():

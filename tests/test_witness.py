@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from maxwit import witness
 from maxwit.boolmat import (
     BoolMatrix,
     bool_product,
@@ -27,6 +29,7 @@ from maxwit.witness import (
     strip_decomposition,
     witness_rank_matrix,
 )
+from maxwit.rng import np_stream
 
 from scalar_oracles import witness_list_entry
 
@@ -119,6 +122,52 @@ def test_k_witness_lengths_and_order():
                     assert set(cell) <= set(full)
                     if len(full) <= k:
                         assert cell == full  # W <= k forces the complete list
+
+
+def test_collect_witnesses_lists_every_few_witness_entry():
+    # (p, q, r, k, chunk bytes): n=256 at d=0.11 spans several default chunks
+    # (61% of its entries have 1 < W <= 4); the small shapes use tiny chunks
+    cases = [
+        (256, 256, 256, 4, None),
+        (7, 1, 5, 2, 8),
+        (5, 3, 9, 3, 3),
+        (30, 70, 11, 5, 100),
+        (12, 40, 12, 40, 41),
+    ]
+    for seed, (p, q, r, k, chunk) in enumerate(cases):
+        rng = np.random.default_rng(seed)
+        density = 0.11 if p == 256 else 0.3
+        ad = (rng.random((p, q)) < density).astype(np.uint8)
+        bd = (rng.random((q, r)) < density).astype(np.uint8)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(witness, "_CHUNK_BYTES", chunk)
+            found, cnt, _ = witness._collect_witnesses(ad, bd, k, np_stream(seed, 2))
+        da, db = ad.tolist(), bd.tolist()
+        for i in range(p):
+            for j in range(r):
+                full = witness_list_entry(da, db, i, j)
+                assert cnt[i, j] == min(k, len(full))
+                got = found[i, j].tolist()
+                assert got[cnt[i, j] :] == [-1] * (k - cnt[i, j])
+                if len(full) <= k:
+                    assert got[: len(full)] == full, (p, q, r, i, j)
+                else:
+                    assert len(set(got)) == k and set(got) <= set(full)
+
+
+def test_collect_witnesses_memory_is_bounded():
+    # an (entries, q) int32 block over all few-witness entries at once
+    # would alone take about 80 MiB here
+    ad = random_matrix(256, 0.11, seed=61).to_dense()
+    bd = random_matrix(256, 0.11, seed=62).to_dense()
+    tracemalloc.start()
+    try:
+        witness._collect_witnesses(ad, bd, 4, np_stream(0, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_k_witness_rejects_bad_k():
