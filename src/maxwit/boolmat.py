@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -186,31 +187,72 @@ class WitnessMatrix:
     def __hash__(self) -> int:  # mutable content; not hashable
         raise TypeError("WitnessMatrix is not hashable")
 
+    def columns(self, one_based: bool = False) -> dict[str, np.ndarray]:
+        """The present entries in row-major order as "i", "j", "witness" arrays."""
+        off = int(one_based)
+        i, j = np.nonzero(self._w >= 0)
+        return {"i": i + off, "j": j + off, "witness": self._w[i, j] + off}
+
     def to_json_dict(self, one_based: bool = False) -> dict:
-        entries = [{"i": i, "j": j, "witness": w} for i, j, w in self.to_csv_rows(one_based)]
-        return {"n": self.n, "entries": entries}
+        return {"n": self.n, "entries": _dict_rows(self.columns(one_based))}
 
     @classmethod
     def from_json_dict(cls, obj: dict, one_based: bool = False) -> "WitnessMatrix":
-        off = 1 if one_based else 0
-        n = int(obj["n"])
+        """Read {"n": n, "entries": [{"i", "j", "witness"}, ...]}; later entries win.
+
+        Every number must be an int (not a bool). The first entry in
+        document order that lies outside the matrix or has a negative
+        witness is the one reported.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("a witness document must be a JSON object")
+        n, entries = obj["n"], obj["entries"]
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if not isinstance(entries, list) or any(type(e) is not dict for e in entries):
+            raise ValueError("entries must be a list of objects")
         wm = cls(n)
-        for e in obj["entries"]:
-            i, j, w = int(e["i"]) - off, int(e["j"]) - off, int(e["witness"]) - off
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"entry ({i + off}, {j + off}) lies outside an n={n} matrix")
-            if w < 0:
-                raise ValueError(f"entry ({i + off}, {j + off}) has negative witness {w + off}")
-            wm.set(i, j, w)
+        fields = chain.from_iterable(map(itemgetter("i", "j", "witness"), entries))
+        values = np.fromiter(fields, object, 3 * len(entries))
+        if set(map(type, values)) - {int}:
+            first = next(t for t, v in enumerate(values) if type(v) is not int) // 3
+            raise ValueError(f"entry {entries[first]} must have integer i, j and witness")
+        try:
+            values = values.astype(np.int64)
+        except OverflowError:  # kept as Python ints, so the message can name the value
+            pass
+        i, j, w = values.reshape(-1, 3).T
+        off = 1 if one_based else 0
+        outside = (i < off) | (i >= n + off) | (j < off) | (j >= n + off)
+        bad = outside | (w < off) | (w > np.iinfo(np.int64).max)
+        if bad.any():
+            k = int(np.argmax(bad))  # the first offending entry in document order
+            where = f"entry ({i[k]}, {j[k]})"
+            if outside[k]:
+                raise ValueError(f"{where} lies outside an n={n} matrix")
+            if w[k] < off:
+                raise ValueError(f"{where} has negative witness {w[k]}")
+            raise ValueError(f"{where} has witness {w[k]} outside the int64 range")
+        # an entry repeated for one cell: the last one wins
+        last = np.full(n * n, -1)
+        np.maximum.at(last, (i - off) * n + (j - off), np.arange(len(entries)))
+        cells = np.flatnonzero(last >= 0)
+        wm._w.ravel()[cells] = w[last[cells]] - off
         return wm
 
     def to_csv_rows(self, one_based: bool = False) -> list[tuple[int, int, int]]:
-        off = 1 if one_based else 0
-        ii, jj = np.nonzero(self._w >= 0)
-        return [
-            (int(i) + off, int(j) + off, int(self._w[i, j]) + off)
-            for i, j in zip(ii.tolist(), jj.tolist())
-        ]
+        return list(zip(*(c.tolist() for c in self.columns(one_based).values())))
+
+
+def _dict_rows(columns: dict[str, np.ndarray], list_key=None, lengths=None, flat=None) -> list[dict]:
+    """One dict per row of equal-length columns, keys in columns order; with
+    list_key, row r also gets the next lengths[r] values of flat."""
+    rows = [dict(zip(columns, vals)) for vals in zip(*(c.tolist() for c in columns.values()))]
+    if list_key is not None:
+        ends, flat = np.cumsum(lengths).tolist(), flat.tolist()
+        for row, start, end in zip(rows, [0, *ends], ends):
+            row[list_key] = flat[start:end]
+    return rows
 
 
 class WitnessLists:
@@ -218,24 +260,40 @@ class WitnessLists:
 
     Produced by the k-witness solver: entry (i, j) holds min(k, W) distinct
     witnesses where W is that entry's witness count, so the list is empty
-    exactly where the Boolean product is 0.
+    exactly where the Boolean product is 0. Stored flat: the (n, n) list
+    lengths and one array of every witness in row-major order.
     """
 
-    __slots__ = ("n", "k", "lists")
+    __slots__ = ("n", "k", "_lengths", "witnesses", "_starts")
 
-    def __init__(self, n: int, k: int, lists: list[list[list[int]]]):
-        if len(lists) != n or any(len(row) != n for row in lists):
-            raise ValueError("lists must be n x n")
+    def __init__(self, n: int, k: int, lengths: np.ndarray, witnesses: np.ndarray):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        witnesses = np.asarray(witnesses, dtype=np.int64)
+        if lengths.shape != (n, n) or (lengths < 0).any():
+            raise ValueError("lengths must be an n x n array of nonnegative counts")
+        if witnesses.shape != (int(lengths.sum()),):
+            raise ValueError("witnesses must hold lengths.sum() values")
         self.n = n
         self.k = k
-        self.lists = lists
+        self._lengths = lengths
+        self.witnesses = witnesses
+        self._starts = np.cumsum(lengths.ravel()) - lengths.ravel()
+
+    @classmethod
+    def from_lists(cls, n: int, k: int, lists: list[list[list[int]]]) -> "WitnessLists":
+        """Build from nested lists: lists[i][j] is the list of entry (i, j)."""
+        if len(lists) != n or any(len(row) != n for row in lists):
+            raise ValueError("lists must be n x n")
+        cells = list(chain.from_iterable(lists))
+        lengths = np.fromiter(map(len, cells), np.int64, n * n).reshape(n, n)
+        return cls(n, k, lengths, np.fromiter(chain.from_iterable(cells), np.int64, int(lengths.sum())))
 
     def get(self, i: int, j: int) -> list[int]:
-        return self.lists[i][j]
+        start = self._starts[i * self.n + j]
+        return self.witnesses[start : start + self._lengths[i, j]].tolist()
 
     def lengths(self) -> np.ndarray:
-        cells = chain.from_iterable(self.lists)
-        return np.fromiter(map(len, cells), np.int64, self.n * self.n).reshape(self.n, self.n)
+        return self._lengths.copy()
 
     def validate(self) -> tuple[np.ndarray, np.ndarray]:
         """Check length, sortedness and distinctness; raises ValueError on violation.
@@ -244,32 +302,30 @@ class WitnessLists:
         list longer than k is reported as such. Returns what was checked:
         the (n, n) lengths and every witness in row-major order.
         """
-        cells = list(chain.from_iterable(self.lists))
-        lengths = np.fromiter(map(len, cells), np.int64, len(cells))
-        wits = np.fromiter(chain.from_iterable(cells), np.int64, int(lengths.sum()))
+        lengths, wits = self._lengths.ravel(), self.witnesses
         ends = np.cumsum(lengths)
         first = np.zeros(wits.size, dtype=bool)
         first[(ends - lengths)[lengths > 0]] = True
         # witness t breaks the order when it is not first in its list and t-1 is not above it
         rising = np.flatnonzero((wits[1:] >= wits[:-1]) & ~first[1:]) + 1
         too_long = np.flatnonzero(lengths > self.k)
-        bad_order = int(np.searchsorted(ends, rising[0], side="right")) if rising.size else len(cells)
+        bad_order = int(np.searchsorted(ends, rising[0], side="right")) if rising.size else lengths.size
         if too_long.size and too_long[0] <= bad_order:
             raise ValueError("list longer than k")
         if rising.size:
             raise ValueError("list not strictly decreasing")
-        return lengths.reshape(self.n, self.n), wits
+        return self.lengths(), wits
+
+    def columns(self, one_based: bool = False) -> tuple:
+        """The nonempty entries in row-major order: their "i" and "j" arrays,
+        the list key "witnesses", their list lengths and all their
+        witnesses, flat (the arguments of ``io.RowBlock``)."""
+        off = int(one_based)
+        i, j = np.nonzero(self._lengths)
+        return {"i": i + off, "j": j + off}, "witnesses", self._lengths[i, j], self.witnesses + off
 
     def to_json_dict(self, one_based: bool = False) -> dict:
-        off = 1 if one_based else 0
-        entries = []
-        for i, row in enumerate(self.lists):
-            for j, cell in enumerate(row):
-                if cell:
-                    entries.append(
-                        {"i": i + off, "j": j + off, "witnesses": [w + off for w in cell]}
-                    )
-        return {"n": self.n, "k": self.k, "entries": entries}
+        return {"n": self.n, "k": self.k, "entries": _dict_rows(*self.columns(one_based))}
 
 
 # ---------------------------------------------------------------------------

@@ -217,11 +217,11 @@ class Pipeline:
 
     load(args) -> x; solve(args, x) -> r; check(args, x, r) -> the
     verification dict, whose "passed" key sets exit code 3; rows(args, x, r,
-    off) -> CSV rows under ``header`` with indices shifted by off; and
-    report(args, x, r, verification) -> the JSON fields besides
-    "verification" and "timing". ``time.perf_counter`` is read exactly at
-    the start and after load, solve and verify: those are the --timing
-    intervals.
+    off) -> the result's ``io.RowBlock`` with indices shifted by off, written
+    as CSV under ``header``; and report(args, x, r, rows, verification) ->
+    the JSON fields besides "verification" and "timing", rows among them.
+    ``time.perf_counter`` is read exactly at the start and after load, solve
+    and verify: those are the --timing intervals.
     """
 
     load: Callable
@@ -240,10 +240,11 @@ class Pipeline:
         verification = self.check(args, x, r) if args.verify else None
         t3 = time.perf_counter()
 
+        rows = self.rows(args, x, r, int(args.one_based))
         if args.format == "csv":
-            _emit(args, io.csv_text(self.header, self.rows(args, x, r, int(args.one_based))))
+            _emit(args, io.csv_text(self.header, rows))
         else:
-            payload = self.report(args, x, r, verification)
+            payload = self.report(args, x, r, rows, verification)
             if verification is not None:
                 payload["verification"] = verification
             if args.timing:
@@ -253,8 +254,12 @@ class Pipeline:
         return EXIT_VERIFY if verification is not None and not verification["passed"] else EXIT_OK
 
 
-def _witness_rows(args, ab, r, off):
-    return r[0].to_csv_rows(args.one_based)
+def _witness_rows(args, ab, r, off) -> io.RowBlock:
+    return io.RowBlock(r[0].columns(off))
+
+
+def _witness_report(args, ab, r, rows, verification) -> dict:
+    return {"result": {"n": r[0].n, "entries": rows}}
 
 
 def _check_maxwit(args, ab, r) -> dict:
@@ -277,9 +282,9 @@ def _check_maxwit(args, ab, r) -> dict:
     }
 
 
-def _report_maxwit(args, ab, r, verification) -> dict:
-    wm, stats = r
-    payload = {"result": wm.to_json_dict(args.one_based)}
+def _report_maxwit(args, ab, r, rows, verification) -> dict:
+    stats = r[1]
+    payload = _witness_report(args, ab, r, rows, verification)
     if stats is not None:
         if verification is not None:
             stats = replace(stats, error_rate_vs_oracle=verification["disagreement_rate"])
@@ -327,7 +332,7 @@ APPROX = Pipeline(
     check=_check_approx,
     header="i,j,witness",
     rows=_witness_rows,
-    report=lambda args, ab, r, verification: {"result": r[0].to_json_dict(args.one_based)},
+    report=_witness_report,
 )
 
 
@@ -360,20 +365,16 @@ KWITNESS = Pipeline(
     solve=_solve_kwitness,
     check=_check_kwitness,
     header="i,j,witness",
-    rows=lambda args, ab, wl, off: (
-        (i + off, j + off, w + off) for i, row in enumerate(wl.lists) for j, cell in enumerate(row) for w in cell
-    ),
-    report=lambda args, ab, wl, verification: {"result": wl.to_json_dict(args.one_based)},
+    rows=lambda args, ab, wl, off: io.RowBlock(*wl.columns(off)),
+    report=lambda args, ab, wl, rows, verification: {"result": {"n": wl.n, "k": wl.k, "entries": rows}},
 )
 
 
 def _graph_pipeline(load, solve, check, header, rows, key="entries") -> Pipeline:
-    """A graph command, whose JSON entries are its CSV rows keyed by the header."""
+    """A graph command, whose JSON result lists its rows under ``key``."""
 
-    def report(args, g, r, verification):
-        keys = header.split(",")
-        entries = [dict(zip(keys, row)) for row in rows(args, g, r, int(args.one_based))]
-        return {"result": {"n": g.n, key: entries}}
+    def report(args, g, r, block, verification):
+        return {"result": {"n": g.n, key: block}}
 
     return Pipeline(load, solve, check, header, rows, report)
 
@@ -385,9 +386,9 @@ def _check_lca(args, dag, lca) -> dict:
     return {"wrong_pairs": wrong, "rate": rate, "tolerance": tolerance, "passed": rate <= tolerance}
 
 
-def _lca_rows(args, dag, lca, off):
+def _lca_rows(args, dag, lca, off) -> io.RowBlock:
     u, v = np.nonzero(lca >= 0)
-    return list(zip((u + off).tolist(), (v + off).tolist(), (lca[u, v] + off).tolist()))
+    return io.RowBlock({"u": u + off, "v": v + off, "lca": lca[u, v] + off})
 
 
 LCA = _graph_pipeline(
@@ -405,8 +406,10 @@ def _check_triangle(args, g, apex) -> dict:
     return {"wrong_edges": wrong, "passed": wrong == 0}
 
 
-def _triangle_rows(args, g, apex, off):
-    return [(u + off, v + off, w + off) for (u, v), w in sorted(apex.items()) if w is not None]
+def _triangle_rows(args, g, apex, off) -> io.RowBlock:
+    found = sorted((*e, w) for e, w in apex.items() if w is not None)
+    u, v, w = np.array(found, np.int64).reshape(-1, 3).T + off
+    return io.RowBlock({"u": u, "v": v, "apex": w})
 
 
 TRIANGLE = _graph_pipeline(
@@ -427,12 +430,10 @@ def _check_two_edge(args, g, r) -> dict:
     return {"wrong_pairs": wrong, "passed": wrong == 0}
 
 
-def _two_edge_rows(args, g, r, off):
+def _two_edge_rows(args, g, r, off) -> io.RowBlock:
     mid, weight = r
-    return [
-        (int(i) + off, int(j) + off, int(mid[i, j]) + off, float(weight[i, j]))
-        for i, j in zip(*np.nonzero(mid >= 0))
-    ]
+    i, j = np.nonzero(mid >= 0)
+    return io.RowBlock({"i": i + off, "j": j + off, "mid": mid[i, j] + off, "weight": weight[i, j]})
 
 
 TWO_EDGE = _graph_pipeline(
@@ -582,7 +583,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_verify(args) -> int:
     a, b = _load_pair(args)
     doc = json.loads(Path(args.result).read_text())
-    if "result" in doc:  # full report; unwrap to the witness payload
+    if isinstance(doc, dict) and "result" in doc:  # full report; unwrap to the witness payload
         doc = doc["result"]
     wm = WitnessMatrix.from_json_dict(doc)
     ref = max_witness_oracle(a, b)

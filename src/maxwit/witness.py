@@ -316,13 +316,8 @@ def k_witness(a: BoolMatrix, b: BoolMatrix, k: int, seed: int = 0) -> WitnessLis
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     found, cnt, _ = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))
-    lists = []
-    # row by row, so Python temporaries stay O(nk): entry j lists the first c[j] slots of f
-    for f, c in zip(found, cnt):
-        flat = f[np.arange(k) < c[:, None]].tolist()
-        ends = np.cumsum(c).tolist()
-        lists.append([flat[s:e] for s, e in zip([0, *ends[:-1]], ends)])
-    return WitnessLists(n, k, lists)
+    # entry (i, j) lists the first cnt[i, j] slots of found[i, j]
+    return WitnessLists(n, k, cnt, found[np.arange(k) < cnt[..., None]])
 
 
 def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -> WitnessMatrix:

@@ -171,6 +171,9 @@ def test_witness_matrix_json_csv_roundtrip():
     assert WitnessMatrix.from_json_dict(doc1, one_based=True) == wm
     assert wm.to_csv_rows(one_based=True) == [(1, 2, 3), (3, 3, 1)]
     assert wm.present_count() == 2
+    # a cell listed twice takes its last entry, whatever the order of cells
+    doc["entries"] = [{"i": 0, "j": 1, "witness": 0}, *doc["entries"], {"i": 2, "j": 2, "witness": 1}]
+    assert WitnessMatrix.from_json_dict(doc).array.tolist() == [[-1, 2, -1], [-1, -1, -1], [-1, -1, 1]]
 
 
 def test_witness_matrix_agreement_and_hash():
@@ -185,12 +188,12 @@ def test_witness_matrix_agreement_and_hash():
 
 
 def test_witness_lists_validate():
-    good = WitnessLists(2, 2, [[[3, 1], []], [[2], [0]]])
+    good = WitnessLists.from_lists(2, 2, [[[3, 1], []], [[2], [0]]])
     lengths, wits = good.validate()
     assert lengths.tolist() == good.lengths().tolist() == [[2, 0], [1, 1]]
     assert wits.tolist() == [3, 1, 2, 0]
     # a list that rises across its neighbour's boundary is still fine
-    WitnessLists(2, 2, [[[1], [2]], [[3], [4]]]).validate()
+    WitnessLists.from_lists(2, 2, [[[1], [2]], [[3], [4]]]).validate()
     for lists, k, message in [
         ([[[1, 2]]], 2, "not strictly decreasing"),
         ([[[2, 2]]], 2, "not strictly decreasing"),
@@ -201,7 +204,31 @@ def test_witness_lists_validate():
         ([[[1, 1, 1], []], [[], []]], 2, "longer than k"),
     ]:
         with pytest.raises(ValueError, match=message):
-            WitnessLists(len(lists), k, lists).validate()
+            WitnessLists.from_lists(len(lists), k, lists).validate()
+
+
+def test_witness_lists_are_stored_flat():
+    lists = [[[3, 1], [], [2]], [[], [], []], [[0], [4, 2, 1], []]]
+    wl = WitnessLists.from_lists(3, 3, lists)
+    assert [[wl.get(i, j) for j in range(3)] for i in range(3)] == lists
+    assert wl.lengths().tolist() == [[2, 0, 1], [0, 0, 0], [1, 3, 0]]
+    assert wl.witnesses.tolist() == [3, 1, 2, 0, 4, 2, 1]
+    same = WitnessLists(3, 3, wl.lengths(), wl.witnesses)
+    assert [[same.get(i, j) for j in range(3)] for i in range(3)] == lists
+    assert wl.to_json_dict(one_based=True)["entries"][-1] == {"i": 3, "j": 2, "witnesses": [5, 3, 2]}
+    # the flat form is checked exactly as the nested one
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        WitnessLists(1, 2, np.array([[2]]), np.array([1, 2])).validate()
+    with pytest.raises(ValueError, match="longer than k"):
+        WitnessLists(2, 1, np.array([[0, 2], [2, 0]]), np.array([5, 6, 3, 1])).validate()
+    for bad in (
+        lambda: WitnessLists(2, 2, np.zeros((2, 3)), np.zeros(0)),
+        lambda: WitnessLists(1, 2, np.array([[2]]), np.array([1])),
+        lambda: WitnessLists(1, 2, np.array([[-1]]), np.zeros(0)),
+        lambda: WitnessLists.from_lists(2, 2, [[[1], []]]),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_witness_violations_classes():

@@ -3,13 +3,26 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from maxwit.boolmat import BoolMatrix, max_witness_oracle, random_matrix
-from maxwit.graphs import Dag, VertexWeightedGraph, demo_dag, random_weighted_graph
+from maxwit.cli import main
+from maxwit.graphs import (
+    Dag,
+    VertexWeightedGraph,
+    all_pairs_lca,
+    demo_dag,
+    heaviest_triangle_per_edge,
+    max_weight_two_edge_paths,
+    random_dag,
+    random_weighted_graph,
+)
 from maxwit.io import (
     MATRIX_MAGIC,
+    RowBlock,
     canonical_json,
+    csv_text,
     load_dag,
     load_graph,
     load_matrix,
@@ -153,3 +166,181 @@ def test_canonical_json_is_stable():
     assert s1 == s2
     assert s1.endswith("\n")
     assert json.loads(s1) == {"a": [2, 3], "b": 1}
+
+
+# ---------------------------------------------------------------------------
+# Row blocks against json.dumps and the "%s,..." CSV line format
+# ---------------------------------------------------------------------------
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header: str, rows: list[tuple]) -> str:
+    line = ",".join(["%s"] * len(header.split(",")))
+    return "\n".join([header, *(line % row for row in rows)]) + "\n"
+
+
+# more rows than one template chunk, so chunk joins are covered
+BIG = 80
+
+
+def test_row_block_floats_and_nesting_match_json_dumps():
+    floats = np.array([1e-05, 0.1, 2.5, 1e16, -0.0, 5e-324, 1 / 3, 1.7976931348623157e308])
+    ints = np.arange(floats.size) - 3
+    block = RowBlock({"x": floats, "k": ints, "a%s": ints * 7})
+    plain = [{"x": x, "k": k, "a%s": 7 * k} for x, k in zip(floats.tolist(), ints.tolist())]
+    doc = {"stats": {"rate": 1e-05, "p": 0.1}, "rows": block, "deep": [{"more": block}, block]}
+    want = {"stats": {"rate": 1e-05, "p": 0.1}, "rows": plain, "deep": [{"more": plain}, plain]}
+    assert canonical_json(doc) == _dumps(want)
+    assert canonical_json(block) == _dumps(plain)
+    assert csv_text("x,k,a", block) == _csv("x,k,a", [(r["x"], r["k"], r["a%s"]) for r in plain])
+
+
+def test_row_block_lists_match_json_dumps():
+    lengths = np.array([0, 1, 3, 0, 2])
+    flat = np.array([9, 8, 7, 6, 5, 4])
+    block = RowBlock({"i": np.arange(5), "j": np.arange(5)[::-1]}, "ws", lengths, flat)
+    plain = [{"i": 0, "j": 4, "ws": []}, {"i": 1, "j": 3, "ws": [9]}, {"i": 2, "j": 2, "ws": [8, 7, 6]},
+             {"i": 3, "j": 1, "ws": []}, {"i": 4, "j": 0, "ws": [5, 4]}]
+    assert canonical_json({"entries": block, "n": 5}) == _dumps({"entries": plain, "n": 5})
+    rows = [(r["i"], r["j"], w) for r in plain for w in r["ws"]]
+    assert csv_text("i,j,w", block) == _csv("i,j,w", rows)
+    empty = RowBlock({"i": np.zeros(0, np.int64)}, "ws", np.zeros(0, np.int64), np.zeros(0, np.int64))
+    assert canonical_json({"entries": empty}) == _dumps({"entries": []})
+    assert csv_text("i,w", empty) == "i,w\n"
+
+
+def test_row_block_rejects_malformed_columns():
+    for bad in (
+        lambda: RowBlock({"i": np.arange(3), "j": np.arange(4)}),
+        lambda: RowBlock({"i": np.zeros((2, 2))}),
+        lambda: RowBlock({"i": np.array([True, False])}),
+        lambda: RowBlock({"i": np.arange(2)}, "w", np.array([1, 1]), np.arange(3)),
+        lambda: RowBlock({"x": np.array([1.0, float("nan")])}),
+        lambda: RowBlock({"i": np.arange(1)}, "w", np.array([1]), np.array([float("inf")])),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    with pytest.raises(ValueError, match="does not name 2 columns"):
+        csv_text("i", RowBlock({"i": np.arange(2), "j": np.arange(2)}))
+    with pytest.raises(TypeError):
+        canonical_json({"x": object()})
+    with pytest.raises(ValueError, match="stand-in"):
+        canonical_json({"a": "\x00rows0\x00", "b": RowBlock({"i": np.arange(2)})})
+
+
+def _report(tmp_path, capsys, *argv: str) -> str:
+    """The command's stdout, checked to equal the bytes its --out file gets
+    apart from the "out" option a JSON report records."""
+    assert main(list(argv)) in (0, 3)
+    out = capsys.readouterr().out
+    path = tmp_path / "report.out"
+    assert main([*argv, "--out", str(path)]) in (0, 3)
+    assert path.read_text().replace(f'"out": {json.dumps(str(path))}', '"out": null') == out
+    return out
+
+
+def _matrix_pair(tmp_path, n, density, seed):
+    a, b = random_matrix(n, density, seed), random_matrix(n, density, seed + 1)
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_matrix_text(pa, a)
+    save_matrix_binary(pb, b)
+    return a, b, ["--a", str(pa), "--b", str(pb)]
+
+
+@pytest.mark.parametrize(
+    "n, density, one_based",
+    [(1, 1.0, False), (1, 0.0, False), (6, 0.0, True), (12, 0.4, True), (BIG, 0.5, False)],
+    ids=["n1", "n1-zero", "zero-product", "one-based", "chunks"],
+)
+def test_maxwit_report_matches_json_dumps(tmp_path, capsys, n, density, one_based):
+    a, b, files = _matrix_pair(tmp_path, n, density, seed=n)
+    o = int(one_based)
+    w = max_witness_oracle(a, b).array
+    plain = [{"i": i + o, "j": j + o, "witness": int(w[i, j]) + o}
+             for i in range(n) for j in range(n) if w[i, j] >= 0]
+    flags = [*files, *(["--one-based"] if one_based else [])]
+    out = _report(tmp_path, capsys, "maxwit", *flags, "--verify")
+    doc = json.loads(out)
+    assert doc["result"] == {"n": n, "entries": plain}
+    assert out == _dumps(doc)
+    csv = _report(tmp_path, capsys, "maxwit", *flags, "--format", "csv")
+    assert csv == _csv("i,j,witness", [(e["i"], e["j"], e["witness"]) for e in plain])
+
+
+@pytest.mark.parametrize("n, k, one_based", [(1, 1, False), (12, 1, True), (12, 12, False), (BIG, 2, True)],
+                         ids=["n1", "k1", "k-is-n", "chunks"])
+def test_kwitness_report_matches_json_dumps(tmp_path, capsys, n, k, one_based):
+    a, b, files = _matrix_pair(tmp_path, n, 0.4, seed=3 * n)
+    o = int(one_based)
+    flags = [*files, "--k", str(k), "--seed", "4", *(["--one-based"] if one_based else [])]
+    out = _report(tmp_path, capsys, "kwitness", *flags, "--verify")
+    doc = json.loads(out)
+    assert out == _dumps(doc)
+    entries = doc["result"]["entries"]
+    ad, bd = a.to_dense(), b.to_dense()
+    full = {(i, j): np.flatnonzero(ad[i] & bd[:, j])[::-1].tolist() for i in range(n) for j in range(n)}
+    assert [(e["i"] - o, e["j"] - o) for e in entries] == [c for c in full if full[c]]
+    for e in entries:
+        wits = full[e["i"] - o, e["j"] - o]
+        assert len(e["witnesses"]) == min(k, len(wits))
+        if len(wits) <= k:
+            assert e["witnesses"] == [x + o for x in wits]
+    if k == n > 1:  # entries with 1 and with several witnesses
+        assert {len(e["witnesses"]) for e in entries} > {1}
+    csv = _report(tmp_path, capsys, "kwitness", *flags, "--format", "csv")
+    assert csv == _csv("i,j,witness", [(e["i"], e["j"], x) for e in entries for x in e["witnesses"]])
+
+
+def test_graph_reports_match_json_dumps(tmp_path, capsys):
+    dag = random_dag(BIG, 0.1, seed=5)
+    dag_path = tmp_path / "dag.txt"
+    save_dag(dag_path, dag)
+    lca = all_pairs_lca(dag, "oracle")
+    lca_rows = [(u + 1, v + 1, int(lca[u, v]) + 1) for u in range(dag.n) for v in range(dag.n) if lca[u, v] >= 0]
+    assert len(lca_rows) > 4096
+
+    # weights such as 1e-05 and 0.1 must keep their repr in both formats
+    und = VertexWeightedGraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)), (1e-05, 0.1, 2.5, 0.3, 7.0))
+    g_path = tmp_path / "g.txt"
+    save_graph(g_path, und)
+    apex = heaviest_triangle_per_edge(und)
+    tri_rows = [(u + 1, v + 1, w + 1) for (u, v), w in sorted(apex.items()) if w is not None]
+
+    dig = VertexWeightedGraph(5, ((0, 1), (1, 2), (3, 2), (2, 4), (4, 0)), und.weights, directed=True)
+    d_path = tmp_path / "d.txt"
+    save_graph(d_path, dig)
+    mid, weight = max_weight_two_edge_paths(dig)
+    two_rows = [(i + 1, j + 1, int(mid[i, j]) + 1, float(weight[i, j]))
+                for i in range(5) for j in range(5) if mid[i, j] >= 0]
+    assert {r[3] for r in two_rows} >= {1e-05, 0.1}
+
+    for argv, key, keys, rows in [
+        (["lca", "--graph", str(dag_path)], "entries", ("u", "v", "lca"), lca_rows),
+        (["triangle", "--graph", str(g_path)], "edges", ("u", "v", "apex"), tri_rows),
+        (["two-edge", "--graph", str(d_path)], "entries", ("i", "j", "mid", "weight"), two_rows),
+    ]:
+        argv += ["--one-based", "--verify"]
+        out = _report(tmp_path, capsys, *argv)
+        doc = json.loads(out)
+        assert doc["result"][key] == [dict(zip(keys, r)) for r in rows], argv[0]
+        assert out == _dumps(doc), argv[0]
+        assert _report(tmp_path, capsys, *argv, "--format", "csv") == _csv(",".join(keys), rows), argv[0]
+
+
+def test_other_reports_match_json_dumps(tmp_path, capsys):
+    _, _, files = _matrix_pair(tmp_path, 10, 0.4, seed=8)
+    result = tmp_path / "r.json"
+    assert main(["maxwit", *files, "--algo", "alg1", "--seed", "2", "--out", str(result)]) == 0
+    for argv in (
+        ["approx", *files, "--method", "rank-bounded", "--ell", "3", "--verify"],
+        ["approx", *files, "--method", "multiwitness", "--k", "4", "--reps", "2", "--one-based"],
+        ["verify", *files, "--result", str(result), "--max-rank", "2"],
+        ["campaign", "--target", "durr-hoyer", "--trials", "10", "--q-grid", "16,64"],
+        ["campaign", "--target", "multiwitness", "--n", "8", "--trials", "2", "--k", "4"],
+        ["campaign", "--target", "maxwit-accuracy", "--n", "8", "--trials", "2"],
+    ):
+        out = _report(tmp_path, capsys, *argv)
+        assert out == _dumps(json.loads(out)), argv[0]
