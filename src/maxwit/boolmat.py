@@ -197,18 +197,23 @@ class WitnessMatrix:
         return {"n": self.n, "entries": _dict_rows(self.columns(one_based))}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, one_based: bool = False) -> "WitnessMatrix":
+    def from_json_dict(
+        cls, obj: dict, one_based: bool = False, expect_n: int | None = None
+    ) -> "WitnessMatrix":
         """Read {"n": n, "entries": [{"i", "j", "witness"}, ...]}; later entries win.
 
         Every number must be an int (not a bool). The first entry in
         document order that lies outside the matrix or has a negative
-        witness is the one reported.
+        witness is the one reported. A given ``expect_n`` (the product's n)
+        is checked before anything of size n is allocated.
         """
         if not isinstance(obj, dict):
             raise ValueError("a witness document must be a JSON object")
         n, entries = obj["n"], obj["entries"]
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
+        if expect_n is not None and n != expect_n:
+            raise ValueError(f"witness matrix has n={n} but the product is {expect_n}x{expect_n}")
         if not isinstance(entries, list) or any(type(e) is not dict for e in entries):
             raise ValueError("entries must be a list of objects")
         wm = cls(n)

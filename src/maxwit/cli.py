@@ -31,6 +31,7 @@ from .boolmat import (
     WitnessMatrix,
     _violations_and_ranks,
     max_witness_oracle,
+    product_dims,
     random_matrix,
     witness_rank_matrix,
     witness_violations,
@@ -101,6 +102,18 @@ class RunConfig:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for I/O errors
         raise ConfigError(message)
+
+
+# Above this, n^-beta is below 2^-64 for every n >= 2: no run can get more accurate.
+_BETA_MAX = 64.0
+
+
+def _beta(text: str) -> float:
+    """The --beta value: a float in (0, _BETA_MAX]; inf and nan are rejected too."""
+    beta = float(text)
+    if not 0 < beta <= _BETA_MAX:
+        raise argparse.ArgumentTypeError(f"must be in (0, {_BETA_MAX:g}], got {text}")
+    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +598,10 @@ def _cmd_verify(args) -> int:
     doc = json.loads(Path(args.result).read_text())
     if isinstance(doc, dict) and "result" in doc:  # full report; unwrap to the witness payload
         doc = doc["result"]
-    wm = WitnessMatrix.from_json_dict(doc)
+    n, _ = product_dims(a, b, square=True)
+    wm = WitnessMatrix.from_json_dict(doc, expect_n=n)
     ref = max_witness_oracle(a, b)
-    viol, ranks = _violations_and_ranks(a, b, wm)  # rejects a result whose n is not the product's
+    viol, ranks = _violations_and_ranks(a, b, wm)  # rejects witnesses outside [0, inner dimension)
     counts = _violation_counts(viol)
     diff = {
         "entries": wm.n * wm.n,
@@ -643,7 +657,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--algo", choices=tuple(SOLVERS), default="oracle")
     p.add_argument("--ell", type=int, default=None, help="strip width (strips, alg4)")
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--beta", type=_beta, default=2.0)
     p.set_defaults(func=MAXWIT)
 
     p = sub.add_parser("approx", help="approximate maximum witnesses")
@@ -663,7 +677,7 @@ def build_parser() -> _Parser:
     _add_common(p, matrices=False, graph=True)
     p.add_argument("--solver", choices=tuple(LCA_SOLVERS), default="oracle")
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--beta", type=_beta, default=2.0)
     p.set_defaults(func=LCA)
 
     p = sub.add_parser("triangle", help="extreme-weight triangle through every edge")
@@ -681,7 +695,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q-grid", dest="q_grid", type=str, default="64,256,1024,4096")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--beta", type=_beta, default=2.0)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)

@@ -16,11 +16,12 @@ The minimum-finding loop only ever compares table values, so its trajectory
 depends on the table through the sorted order of the values alone. The
 simulator exploits that: it runs the search on sorted positions (physics known
 globally, queries still charged per the convention above) and translates the
-final position back to an index. One vectorized engine, ``_dh_position_batch``,
-runs every search in the library: ``durr_hoyer_batch`` on explicit tables,
-``max_wit`` on one product entry and ``algorithm1``-``algorithm4`` on whole
-products. ``durr_hoyer_min`` is the one-run-at-a-time scalar reference the
-engine is tested against.
+final position back to an index. One engine, ``_dh_position_batch``, runs every
+search in the library: ``durr_hoyer_batch`` on explicit tables, ``max_wit`` on
+one product entry and ``algorithm1``-``algorithm4`` on whole products. It steps
+runs in fixed-size, cache-sized blocks, and a run that has reached the minimum
+no longer computes a success probability. ``durr_hoyer_min`` is the
+one-run-at-a-time scalar reference whose law the engine is tested against.
 """
 from __future__ import annotations
 
@@ -260,8 +261,8 @@ def durr_hoyer_min(table: VirtualMinTable, rng: random.Random) -> tuple[int, Que
 
 def boost_reps(beta: float, n: int) -> int:
     """Number of independent minimum-finding runs for error at most n^-beta."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return max(1, math.ceil(beta * math.log2(max(n, 2))))
 
 
@@ -325,64 +326,61 @@ def max_wit(
 # ---------------------------------------------------------------------------
 
 
+# Runs the engine steps together. A block's (8, runs) float64 state is 2 MiB, so it
+# stays in L2 cache; a fixed size keeps sample paths the same on every machine.
+_BLOCK_RUNS = 1 << 15
+
+
 def _dh_position_batch(
     qs: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one minimum-finding process per entry of qs, in vectorized lockstep.
+    """Run one minimum-finding process per entry of qs, _BLOCK_RUNS runs at a time.
 
     Positions replace values: a run over a length-q table starts at a uniform
     sorted position and each verified hit moves to a uniform position below
     the current one. Returns (final_pos, queries, grover_iterations); a final
-    position of 0 means the run found the true minimum. Matches the scalar
-    durr_hoyer_min law run for run, only the sample paths differ.
+    position of 0 means the run found the true minimum. Each run is an
+    independent draw from the law of one scalar durr_hoyer_min run; the
+    sample paths depend only on rng and the order of qs.
     """
     qs = np.asarray(qs, np.int64)
-    total = qs.size
-    out_pos = np.zeros(total, np.int64)
-    out_q = np.zeros(total, np.int64)
-    out_it = np.zeros(total, np.int64)
-    if total == 0:
-        return out_pos, out_q, out_it
     if (qs < 1).any():
         raise ValueError("table lengths must be at least 1")
-    pos_all = (rng.random(total) * qs).astype(np.int64)
-    ids = np.flatnonzero(qs > 1)  # length-1 tables finish with zero queries
-    out_pos[ids] = pos_all[ids]
-    pos = pos_all[ids]
-    q = qs[ids].astype(np.float64)
-    budget = DH_BUDGET_FACTOR * np.sqrt(q)
-    spent = np.ones(ids.size, np.int64)  # initial threshold evaluation
-    iters = np.zeros(ids.size, np.int64)
-    m = np.ones(ids.size, np.float64)
-    mcap = np.sqrt(q)
-    while ids.size:
-        j = (rng.random(ids.size) * m).astype(np.int64)
-        iters += j
-        spent += j + 1
-        p = np.sin((2 * j + 1) * np.arcsin(np.sqrt(pos / q))) ** 2
-        succ = rng.random(ids.size) < p
-        if succ.any():
-            sp = pos[succ]
-            pos[succ] = (rng.random(sp.size) * sp).astype(np.int64)
-            m[succ] = 1.0
-        fail = ~succ
-        m[fail] = np.minimum(m[fail] * BBHT_GROWTH, mcap[fail])
-        done = spent >= budget
-        if done.any():
-            d = ids[done]
-            out_pos[d] = pos[done]
-            out_q[d] = spent[done]
-            out_it[d] = iters[done]
-            keep = ~done
-            ids = ids[keep]
-            pos = pos[keep]
-            q = q[keep]
-            budget = budget[keep]
-            spent = spent[keep]
-            iters = iters[keep]
-            m = m[keep]
-            mcap = mcap[keep]
-    return out_pos, out_q, out_it
+    out = np.zeros((3, qs.size), np.int64)  # length-1 tables finish with zero queries
+    for s in range(0, qs.size, _BLOCK_RUNS):
+        ids = s + np.flatnonzero(qs[s : s + _BLOCK_RUNS] > 1)
+        q = qs[ids].astype(np.float64)
+        pos = np.floor(rng.random(ids.size) * q)
+        sq = np.sqrt(q)
+        # rows: position, iterations, BBHT step m, asin(sqrt(pos/q)), sqrt(q), q,
+        # iteration limit, run index. After k steps a run has spent 1 + iterations
+        # + k queries (the +1 is the initial threshold evaluation).
+        state = np.stack([pos, np.zeros_like(q), np.ones_like(q), np.arcsin(np.sqrt(pos / q)),
+                          sq, q, DH_BUDGET_FACTOR * sq - 1, ids])
+        k, left = 0, ids.size
+        while left:
+            pos, iters, m, theta, sq, q, limit, _ = state
+            k += 1
+            j = np.floor(rng.random(pos.size) * m)
+            iters += j
+            # a run at position 0 cannot hit, so only the others pay for the Grover math
+            live = np.flatnonzero(pos > 0)
+            hit = live[rng.random(live.size) < np.sin((2 * j[live] + 1) * theta[live]) ** 2]
+            np.minimum(m * BBHT_GROWTH, sq, out=m)
+            if hit.size:
+                pos[hit] = np.floor(rng.random(hit.size) * pos[hit])
+                theta[hit] = np.arcsin(np.sqrt(pos[hit] / q[hit]))
+                m[hit] = 1.0
+            done = np.flatnonzero(iters + k >= limit)
+            if done.size:
+                out[:, state[7, done].astype(np.int64)] = pos[done], iters[done] + k + 1, iters[done]
+                # finished runs idle at position 0 with no limit until half the block is done
+                limit[done] = np.inf
+                pos[done] = 0
+                left -= done.size
+                if 2 * left <= pos.size:
+                    state = state[:, limit < np.inf]
+    return out[0], out[1], out[2]
 
 
 def durr_hoyer_batch(
@@ -418,22 +416,25 @@ def _run_entry_searches(
 ) -> tuple[WitnessMatrix, int]:
     """Boosted witness search on each (i, j, witness_mask, table_length) target.
 
-    All reps runs of every target go through one engine call; the best
+    Targets go to the engine one block at a time, reps runs each; the best
     (minimum) final sorted position r of a target maps to the (r+1)-th largest
     witness when r < popcount(mask); anything at or beyond the witness count
-    verifies as a non-witness and the entry reports no witness.
+    verifies as a non-witness and the entry reports no witness. Only the
+    witness matrix and the query total outlive a block.
     """
     w = np.full((n, n), -1, dtype=np.int64)
-    if not targets:
-        return WitnessMatrix(n, w), 0
-    qs = np.fromiter((t[3] for t in targets), np.int64, len(targets))
-    pos, queries, _ = _dh_position_batch(np.repeat(qs, reps), rng)
-    best = pos.reshape(len(targets), reps).min(axis=1)
-    for idx, (i, j, mask, _qlen) in enumerate(targets):
-        r = int(best[idx])
-        if r < mask.bit_count():
-            w[i, j] = _kth_highest_bit(mask, r)
-    return WitnessMatrix(n, w), int(queries.sum())
+    total = 0
+    step = max(1, _BLOCK_RUNS // reps)
+    for s in range(0, len(targets), step):
+        block = targets[s : s + step]
+        qs = np.fromiter((t[3] for t in block), np.int64, len(block))
+        pos, queries, _ = _dh_position_batch(np.repeat(qs, reps), rng)
+        total += int(queries.sum())
+        best = pos.reshape(len(block), reps).min(axis=1)
+        for (i, j, mask, _qlen), r in zip(block, best.tolist()):
+            if r < mask.bit_count():
+                w[i, j] = _kth_highest_bit(mask, r)
+    return WitnessMatrix(n, w), total
 
 
 # ---------------------------------------------------------------------------

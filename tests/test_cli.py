@@ -318,6 +318,35 @@ def test_verify_rejects_malformed_results(tmp_path, capsys, corrupt, message):
     assert message in captured.err
 
 
+def test_verify_rejects_huge_n_before_allocating(tmp_path, capsys):
+    # an (n, n) array for this n would take 6.94 EiB
+    a = tmp_path / "a.txt"
+    save_matrix_text(a, random_matrix(8, 0.4, seed=232))
+    res = tmp_path / "w.json"
+    res.write_text(json.dumps({"n": 1_000_000_000, "entries": []}))
+    assert main(["verify", "--a", str(a), "--b", str(a), "--result", str(res)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: witness matrix has n=1000000000 but the product is 8x8\n"
+
+
+@pytest.mark.parametrize("beta", ["inf", "1e12", "nan", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("maxwit", "--algo", "alg1", "--n", "4"),
+        ("lca", "--solver", "qsim-algorithm4", "--n", "4"),
+        ("campaign", "--target", "maxwit-accuracy", "--n", "4", "--trials", "1"),
+    ],
+    ids=["maxwit", "lca", "campaign"],
+)
+def test_beta_out_of_range_is_a_config_error(capsys, argv, beta):
+    assert main([*argv, "--beta", beta]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument --beta: must be in (0, 64], got {beta}\n"
+
+
 def test_graph_commands_reject_non_finite_weights(tmp_path, capsys):
     g = tmp_path / "g.txt"
     g.write_text("3 3 weighted\n0 1\n1 2\n0 2\n1.0 nan 2.0\n")

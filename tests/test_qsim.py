@@ -2,11 +2,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from maxwit.boolmat import BoolMatrix, max_witness_oracle, random_matrix, witness_mask
+from maxwit.boolmat import (
+    BoolMatrix,
+    max_witness_oracle,
+    random_matrix,
+    transpose,
+    witness_mask,
+    witness_violations,
+)
 from maxwit.qsim import (
     DH_BUDGET_FACTOR,
     TABLE_SHAPES,
@@ -139,6 +147,100 @@ def test_scalar_and_batch_engines_agree_distributionally():
     se = math.sqrt(scalar_q.var() / runs + batch_q.var() / runs)
     assert abs(scalar_q.mean() - batch_q.mean()) <= 4 * se
     assert abs(scalar_ok.mean() - batch_ok.mean()) <= 0.05
+
+
+def _joint_cells(ok: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    return 2 * np.asarray(queries, np.int64) + np.asarray(ok, np.int64)
+
+
+def _tv_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Total-variation distance between the empirical laws of two samples."""
+    _, inv = np.unique(np.concatenate([x, y]), return_inverse=True)
+    px = np.bincount(inv[: x.size], minlength=inv.max() + 1) / x.size
+    py = np.bincount(inv[x.size :], minlength=inv.max() + 1) / y.size
+    return 0.5 * float(np.abs(px - py).sum())
+
+
+def _tv_bound(cells: int, nx: int, ny: int, delta: float = 1e-6) -> float:
+    """TV between two samples of one law with at most ``cells`` outcomes
+    exceeds this with probability at most delta: E[TV] <= sqrt(cells*s)/2 by
+    Cauchy-Schwarz, s = 1/nx + 1/ny, and McDiarmid adds sqrt(s*ln(1/delta)/2)."""
+    s = 1 / nx + 1 / ny
+    return 0.5 * math.sqrt(cells * s) + math.sqrt(s * math.log(1 / delta) / 2)
+
+
+def test_engine_law_matches_scalar_reference():
+    from maxwit.qsim import _BLOCK_RUNS, _dh_position_batch
+
+    # A run stops on the first step that reaches the budget, and one step costs
+    # at most isqrt(q) + 1 queries, so a run's queries take at most isqrt(q) + 1
+    # values: with success, 2 * (isqrt(q) + 1) cells of the joint law. The
+    # number of searches per run (queries - iterations - 1) depends on every
+    # hit; its mean is compared at 5 standard errors.
+    grid = (2, 41, 64)
+    scalar_runs, engine_runs = 4000, 200_000
+    scalar = {}
+    for q in grid:
+        table = VirtualMinTable.from_values(np.arange(q))
+        rng = py_stream(0, 969, q)
+        logs = [durr_hoyer_min(table, rng)[1] for _ in range(scalar_runs)]
+        ok = np.array([log.succeeded for log in logs])
+        queries = np.array([log.oracle_queries for log in logs])
+        searches = queries - np.array([log.grover_iterations for log in logs]) - 1
+        lo = math.ceil(DH_BUDGET_FACTOR * math.sqrt(q))
+        assert lo <= queries.min() and queries.max() <= lo + math.isqrt(q), q
+        scalar[q] = _joint_cells(ok, queries), searches
+
+    def check(q, pos, queries, iters):
+        cells = 2 * (math.isqrt(q) + 1)
+        assert np.unique(queries).size <= cells // 2, q
+        joint, searches = scalar[q]
+        tv = _tv_distance(joint, _joint_cells(pos == 0, queries))
+        assert tv <= _tv_bound(cells, scalar_runs, pos.size), (q, tv)
+        steps = queries - iters - 1
+        se = math.sqrt(searches.var() / searches.size + steps.var() / steps.size)
+        assert abs(searches.mean() - steps.mean()) <= 5 * se + 1e-12, q
+
+    for q in grid:
+        pos, queries, iters = _dh_position_batch(np.full(engine_runs, q), np_stream(0, 970, q))
+        check(q, pos, queries, iters)
+
+    # a mixed batch spanning three blocks, with free length-1 tables in it
+    qs = np_stream(0, 971).choice(np.array((1,) + grid), 2 * _BLOCK_RUNS + 1000)
+    pos, queries, iters = _dh_position_batch(qs, np_stream(0, 972))
+    one = qs == 1
+    assert not pos[one].any() and not queries[one].any() and not iters[one].any()
+    for q in grid:
+        sel = qs == q
+        check(q, pos[sel], queries[sel], iters[sel])
+
+
+def test_entry_searches_memory_is_bounded():
+    from maxwit.qsim import _run_entry_searches
+
+    # 9216 entries x 14 reps: stepping all 129k runs in one block peaks at
+    # about 19 MiB here
+    n = 96
+    a = random_matrix(n, 0.3, seed=67)
+    b = random_matrix(n, 0.3, seed=68)
+    bt = transpose(b).row_bits
+    targets = [(i, j, a.row_bits[i] & bt[j], n) for i in range(n) for j in range(n)]
+    tracemalloc.start()
+    try:
+        wm, total = _run_entry_searches(n, targets, boost_reps(2.0, n), np_stream(0, 973))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+    viol = witness_violations(a, b, wm)
+    assert not viol["invalid"] and not viol["spurious"]
+    assert total >= n * n * boost_reps(2.0, n) * DH_BUDGET_FACTOR * math.sqrt(n)
+
+
+def test_boost_reps_rejects_non_finite_beta():
+    for beta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            boost_reps(beta, 64)
 
 
 def test_boost_reps():
