@@ -723,6 +723,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError, KeyError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # numpy names the failed allocation
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

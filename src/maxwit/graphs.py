@@ -186,16 +186,9 @@ def lca_matrix(dag: Dag, method: str = "traversal") -> tuple[BoolMatrix, tuple[i
     The maximum witness of M x M^T at (x, y) is then the renumbered deepest
     common ancestor of order[x] and order[y].
     """
-    anc = dag.ancestor_bitsets(method)
     order = tuple(dag.topo_order)
-    rank = dag.rank
-    rows = []
-    for x in range(dag.n):
-        bits = 0
-        for k in set_bits(anc[order[x]]):
-            bits |= 1 << rank[k]
-        rows.append(bits)
-    return BoolMatrix(dag.n, dag.n, tuple(rows)), order
+    perm = np.asarray(order, np.int64)
+    return BoolMatrix.from_dense(ancestor_matrix(dag, method).to_dense()[np.ix_(perm, perm)]), order
 
 
 def all_pairs_lca(
@@ -376,41 +369,55 @@ def max_weight_two_edge_paths(g: VertexWeightedGraph) -> tuple[np.ndarray, np.nd
     return mid, weight
 
 
+# bytes of the (edges, n) candidate block the triangle check holds at once
+_CHUNK_BYTES = 4 << 20
+
+
+def _extreme_key(cand: np.ndarray, ids: np.ndarray, w: np.ndarray, lightest: bool = False) -> np.ndarray:
+    """Per row of cand, the marked id with the largest (smallest) key (weight, id),
+    as Python compares tuples, so 0.0 ties with -0.0; -1 where none is marked.
+    Columns hold ids ascending, with weights w."""
+    wk = np.where(cand, w, np.inf if lightest else -np.inf)
+    best = wk.min(axis=1) if lightest else wk.max(axis=1)
+    tie = cand & (w == best[:, None])
+    col = np.argmax(tie, axis=1) if lightest else ids.size - 1 - np.argmax(tie[:, ::-1], axis=1)
+    return np.where(cand.any(axis=1), ids[col], -1)
+
+
 def brute_force_heaviest_triangles(
     g: VertexWeightedGraph, lightest: bool = False
 ) -> dict[tuple[int, int], int | None]:
-    adj = g.adjacency()
-    out: dict[tuple[int, int], int | None] = {}
-    for u, v in g.edges:
-        best = None
-        for k in range(g.n):
-            if k in (u, v) or not (adj.get(u, k) and adj.get(v, k)):
-                continue
-            key = (g.weights[k], k)
-            if best is None:
-                best = (key, k)
-            elif lightest and key < best[0]:
-                best = (key, k)
-            elif not lightest and key > best[0]:
-                best = (key, k)
-        out[(u, v)] = None if best is None else best[1]
-    return out
+    """Triangle apexes by definition, for checking heaviest_triangle_per_edge.
+
+    Every vertex k adjacent to both ends of an edge is a candidate; the
+    apex has the largest (smallest) key (weight, id). Edges are scanned in
+    blocks, with no witness solver involved.
+    """
+    adj = g.adjacency().to_dense().astype(bool)
+    ids = np.arange(g.n)
+    w = np.asarray(g.weights, np.float64)
+    edges = np.asarray(g.edges, np.int64).reshape(-1, 2)
+    apex = np.empty(len(edges), np.int64)
+    step = max(1, _CHUNK_BYTES // g.n)
+    for s in range(0, len(edges), step):
+        u, v = edges[s : s + step].T
+        apex[s : s + step] = _extreme_key(adj[u] & adj[v], ids, w, lightest)
+    return {e: (k if k >= 0 else None) for e, k in zip(g.edges, apex.tolist())}
 
 
 def brute_force_two_edge_paths(g: VertexWeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    adj = g.adjacency()
-    n = g.n
-    mid = np.full((n, n), -1, np.int64)
-    weight = np.full((n, n), np.nan, np.float64)
-    for u in range(n):
-        for v in range(n):
-            best = None
-            for k in range(n):
-                if adj.get(u, k) and adj.get(k, v):
-                    key = (g.weights[k], k)
-                    if best is None or key > best[0]:
-                        best = (key, k)
-            if best is not None:
-                mid[u, v] = best[1]
-                weight[u, v] = g.weights[best[1]]
+    """Two-edge paths by definition, for checking max_weight_two_edge_paths.
+
+    Every k with arcs u -> k -> v is a candidate middle vertex; the best has
+    the largest key (weight, id). One source row u is scanned at a time,
+    with no witness solver involved.
+    """
+    adj = g.adjacency().to_dense().astype(bool)
+    w = np.asarray(g.weights, np.float64)
+    mid = np.full((g.n, g.n), -1, np.int64)
+    for u in range(g.n):
+        ks = np.flatnonzero(adj[u])
+        if ks.size:
+            mid[u] = _extreme_key(adj[ks].T, ks, w[ks])
+    weight = np.where(mid >= 0, w[mid], np.nan)
     return mid, weight

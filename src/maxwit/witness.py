@@ -3,8 +3,10 @@
 Three families live here:
 
 * an exact solver that splits the inner dimension into strips, finds the
-  highest strip whose partial product is 1 for each entry, and scans only
-  that strip (identical output to the brute-force oracle for every input);
+  highest strip whose partial product is 1 for each entry from one BLAS
+  strip product per strip, and reads the top set bit inside that strip off
+  packed uint64 words with a byte table (identical output to the
+  brute-force oracle for every input);
 * single-witness / k-witness solvers built on random column sampling: where
   exactly one sampled column survives, the integer products count(i,j) and
   sum(i,j) pin that witness down; a deterministic fallback scan tops up any
@@ -24,10 +26,7 @@ from .boolmat import (
     BoolMatrix,
     WitnessLists,
     WitnessMatrix,
-    or_rows,
     product_dims,
-    set_bits,
-    transpose,
 )
 # The rank check lives in boolmat; it stays bound here because callers and
 # perfbench/trace_job.py look it up as maxwit.witness.witness_rank_matrix.
@@ -126,51 +125,67 @@ class ApproxParams:
 def largest_nonzero_strip(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition) -> np.ndarray:
     """For each entry, the highest strip p whose partial product is 1, else -1.
 
-    Scans strips from the top; per row a bitset of still-unassigned columns
-    shrinks as strips claim entries, so total OR work matches one Boolean
-    product.
+    One BLAS product per strip gives the witness counts of the (rows, ell)
+    by (ell, cols) strip product; an entry keeps the largest p + 1 over the
+    strips where its count is nonzero.
     """
     product_dims(a, b)
     if dec.n != a.cols:
         raise ValueError("decomposition does not cover the inner dimension")
-    out = np.full((a.rows, b.cols), -1, dtype=np.int64)
-    rows_b = b.row_bits
-    full = (1 << b.cols) - 1
-    for i, ra in enumerate(a.row_bits):
-        if ra == 0:
-            continue
-        remaining = full
-        oi = out[i]
-        for p in range(len(dec.masks) - 1, -1, -1):
-            newly = or_rows(ra & dec.masks[p], rows_b) & remaining
-            if not newly:
-                continue
-            for j in set_bits(newly):
-                oi[j] = p
-            remaining &= ~newly
-            if not remaining:
-                break
-    return out
+    ad, bd = a.to_dense(), b.to_dense()
+    best = np.zeros((a.rows, b.cols), np.min_scalar_type(len(dec)))
+    for p, (s, e) in enumerate(dec.ranges):
+        # a float32 sum of 0/1 products is positive exactly where the count is
+        counts = ad[:, s:e].astype(np.float32) @ bd[s:e].astype(np.float32)
+        np.maximum(best, (counts > 0) * best.dtype.type(p + 1), out=best)
+    return np.subtract(best, 1, dtype=np.int64)
+
+
+# highest set bit of each byte value; -1 for zero
+_TOP_BIT = np.array([x.bit_length() - 1 for x in range(256)], np.int64)
+# entries the strip scan handles per block of whole rows
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _packed_words(dense: np.ndarray, words: int) -> np.ndarray:
+    """Rows of a 0/1 array as little-endian uint64 words: bit k of a row is bit
+    k % 64 of word k // 64; rows are zero-padded to ``words`` words."""
+    packed = np.zeros((dense.shape[0], 8 * words), np.uint8)
+    packed[:, : (dense.shape[1] + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
+    return packed.view("<u8")
 
 
 def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = None) -> WitnessMatrix:
     """Exact maximum witnesses via strip decomposition.
 
-    The maximum witness lives in the highest strip whose partial product is
-    nonzero, so only that strip is scanned per entry. Output is identical to
-    max_witness_oracle for every input and every strip width.
+    The maximum witness is the highest set bit of A[i] & B[:, j], and it lies
+    in the highest strip whose partial product is nonzero, so only that
+    strip's packed words are ANDed per entry; a byte table reads off the top
+    bit. Output is identical to max_witness_oracle for every input and every
+    strip width.
     """
     n, q = product_dims(a, b, square=True)
     if ell is None:
         ell = default_strip_width(q)
-    dec = StripDecomposition.build(q, ell)
-    parr = largest_nonzero_strip(a, b, dec)
-    bt = transpose(b).row_bits
+    parr = largest_nonzero_strip(a, b, StripDecomposition.build(q, ell))
+    span = (ell + 62) // 64 + 1  # most words one strip can touch
+    words = -(-q // 64) + span  # the padding keeps every strip's words in range
+    wa = _packed_words(a.to_dense(), words).ravel()
+    wb = _packed_words(b.to_dense().T, words).ravel()
     w = np.full((n, n), -1, dtype=np.int64)
-    masks = dec.masks
-    arows = a.row_bits
-    for i, j in zip(*np.nonzero(parr >= 0)):
-        w[i, j] = (arows[i] & bt[j] & masks[parr[i, j]]).bit_length() - 1
+    step = n * max(1, _CHUNK_ENTRIES // n)  # whole rows of entries
+    for s in range(0, n * n, step):
+        e = s + np.flatnonzero(parr.ravel()[s : s + step] >= 0)  # flat ids of the nonzero entries
+        lo = parr.ravel()[e] * ell // 64  # the first word of each entry's strip
+        ia, ib = e // n * words + lo, e % n * words + lo
+        top, off = np.zeros(e.size, np.uint64), np.zeros(e.size, np.int64)
+        for t in range(span):  # no witness lies above the strip, so the last nonzero word wins
+            x = wa[ia + t] & wb[ib + t]
+            nz = x != 0
+            top, off = np.where(nz, x, top), np.where(nz, t, off)
+        # the top nonzero byte of each word, then that byte's top bit
+        k = 8 * sum((top >> np.uint64(8 * byte) != 0).view(np.uint8) for byte in range(1, 8)).astype(np.int64)
+        w.ravel()[e] = 64 * (lo + off) + k + _TOP_BIT[(top >> k.astype(np.uint64)) & np.uint64(255)]
     return WitnessMatrix(n, w)
 
 

@@ -35,6 +35,7 @@ from maxwit.graphs import (
 from maxwit.qsim import (
     TABLE_SHAPES,
     VirtualMinTable,
+    _dh_position_batch,
     algorithm1,
     algorithm2,
     algorithm3,
@@ -146,6 +147,29 @@ def test_criterion_03_query_scaling_slope():
     _report(
         f"[PASS] criterion 3: log-log query slope {slope:.4f} in [0.4, 0.6] "
         f"(pooled means {[round(float(p), 1) for p in pooled]})"
+    )
+
+
+def test_criteria_02_03_hold_for_the_batch_engine():
+    # the engine behind every library search and the durr-hoyer campaign; its
+    # position law does not depend on table shape, so no tables are built
+    t0 = time.perf_counter()
+    floor = 0.50 - 3 * _binomial_sigma(0.5, _DH_TRIALS)
+    rates, means = [], []
+    for qi, q in enumerate(_DH_QS):
+        pos, queries, _ = _dh_position_batch(np.full(_DH_TRIALS, q), np_stream(0, 32, qi))
+        rates.append(float((pos == 0).mean()))
+        means.append(float(queries.mean()))
+    slope = float(np.polyfit(np.log(np.asarray(_DH_QS, float)), np.log(means), 1)[0])
+    elapsed = time.perf_counter() - t0
+    for q, rate in zip(_DH_QS, rates):
+        assert rate >= floor, f"q={q}: rate {rate:.3f} < {floor:.4f}"
+    assert 0.4 <= slope <= 0.6, f"slope {slope:.4f} outside [0.4, 0.6]"
+    assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 1 minute"
+    _report(
+        f"[PASS] criteria 2-3 on the batch engine: argmin hit rate >= {floor:.4f} at "
+        f"q in {list(_DH_QS)} x {_DH_TRIALS} runs (worst {min(rates):.3f}), "
+        f"query slope {slope:.4f} in [0.4, 0.6], {elapsed:.1f}s"
     )
 
 

@@ -424,3 +424,19 @@ def test_report_emission_memory(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20, (argv[0], peak / 2**20)
+
+
+@pytest.mark.parametrize(
+    "argv", [("maxwit", "--n", "1000000"), ("gen", "--kind", "matrix", "--n", "1000000", "--out", "m.txt")]
+)
+def test_failed_allocation_is_one_error_line(monkeypatch, tmp_path, capsys, argv):
+    # stands in for the 7 TiB array a real run would request; nothing that large is allocated
+    def refuse(n, density, seed):
+        raise MemoryError(f"Unable to allocate an ({n}, {n}) array")
+
+    monkeypatch.setattr("maxwit.cli.random_matrix", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate an (1000000, 1000000) array\n"

@@ -242,6 +242,38 @@ def test_triangle_tie_breaking():
     assert heaviest_triangle_per_edge(g, lightest=True)[(0, 1)] == 2  # smaller id
 
 
+def test_brute_force_checks_break_many_weight_ties_by_id():
+    # two or three distinct weights, 0.0 and -0.0 among them: the (weight, id)
+    # keys compare as Python tuples, so 0.0 and -0.0 tie and the id decides
+    pools = ((0.0, -0.0), (-0.0, 0.0, 1.0), (0.0, 2.5, -0.0))
+    for seed in range(6):
+        rng = np.random.default_rng(990 + seed)
+        n = 18
+        weights = tuple(float(w) for w in rng.choice(pools[seed % 3], size=n))
+        base = random_weighted_graph(n, 0.4, seed=seed + 40)
+        g = VertexWeightedGraph(n, base.edges, weights)
+        eset = set(g.edges)
+        for lightest in (False, True):
+            got = brute_force_heaviest_triangles(g, lightest=lightest)
+            assert set(got) == eset
+            for (u, v), k in got.items():
+                assert k == heaviest_triangle_apex(n, eset, list(weights), u, v, lightest)
+
+        directed = bool(seed % 2)
+        g = VertexWeightedGraph(n, random_weighted_graph(n, 0.3, seed=seed + 50, directed=directed).edges,
+                                weights, directed)
+        arcs = set(g.edges) | (set() if directed else {(v, u) for u, v in g.edges})
+        mid, weight = brute_force_two_edge_paths(g)
+        for i in range(n):
+            for j in range(n):
+                want = best_two_edge_path(n, arcs, list(weights), i, j)
+                if want is None:
+                    assert mid[i, j] == -1 and np.isnan(weight[i, j])
+                else:
+                    assert (mid[i, j], weight[i, j]) == want
+                    assert np.signbit(weight[i, j]) == np.signbit(want[1])  # the middle vertex's own zero
+
+
 def test_triangle_rejects_directed_graphs():
     g = random_weighted_graph(6, 0.5, seed=0, directed=True)
     with pytest.raises(ValueError):

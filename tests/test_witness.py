@@ -31,7 +31,7 @@ from maxwit.witness import (
 )
 from maxwit.rng import np_stream
 
-from scalar_oracles import witness_list_entry
+from scalar_oracles import max_witness_dense, witness_list_entry
 
 
 def _dense(m: BoolMatrix) -> list[list[int]]:
@@ -58,20 +58,33 @@ def test_default_strip_width():
     assert default_strip_width(100) == math.ceil(100 ** (2 / 3))
 
 
+def _word_boundary_pairs(p: int, r: int):
+    """p x q by q x r factor pairs with q around the 64-bit word boundaries:
+    sparse random factors with all-zero rows, then all-ones factors."""
+    for t, q in enumerate((63, 64, 65, 127, 129)):
+        rng = np.random.default_rng(880 + t)
+        a, b = rng.random((p, q)) < 0.06, rng.random((q, r)) < 0.06
+        a[::3] = False
+        b[::5] = False
+        yield q, BoolMatrix.from_dense(a), BoolMatrix.from_dense(b)
+        yield q, BoolMatrix.ones(p, q), BoolMatrix.ones(q, r)
+
+
 def test_largest_nonzero_strip_matches_direct_scan():
-    for seed in range(6):
-        n = 20
-        a = random_matrix(n, 0.25, seed=seed)
-        b = random_matrix(n, 0.25, seed=seed + 60)
-        for ell in (1, 4, 7, n):
-            dec = strip_decomposition(n, ell)
+    cases = [(20, random_matrix(20, 0.25, seed=s), random_matrix(20, 0.25, seed=s + 60)) for s in range(6)]
+    for q, a, b in cases + list(_word_boundary_pairs(9, 13)):
+        da, db = _dense(a), _dense(b)
+        for ell in (1, 4, 7, 64, q):
+            if ell > q:
+                continue
+            dec = strip_decomposition(q, ell)
             got = largest_nonzero_strip(a, b, dec)
-            da, db = _dense(a), _dense(b)
-            for i in range(n):
-                for j in range(n):
+            assert got.shape == (a.rows, b.cols)
+            for i in range(a.rows):
+                for j in range(b.cols):
                     wits = witness_list_entry(da, db, i, j)
                     want = dec.strip_of(wits[0]) if wits else -1
-                    assert got[i, j] == want
+                    assert got[i, j] == want, (q, ell, i, j)
 
 
 def test_exact_strips_equals_oracle_over_widths():
@@ -83,6 +96,11 @@ def test_exact_strips_equals_oracle_over_widths():
         want = max_witness_oracle(a, b)
         for ell in (1, 5, 10, n, None):
             assert exact_max_witness_strips(a, b, ell) == want
+    for q, a, b in _word_boundary_pairs(11, 11):
+        want = max_witness_dense(_dense(a), _dense(b))
+        for ell in (1, 7, 64, q, None):
+            if ell is None or ell <= q:
+                assert exact_max_witness_strips(a, b, ell).array.tolist() == want, (q, ell)
 
 
 def test_exact_strips_trivial_inputs():
