@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,19 +119,15 @@ class Dag:
             rows[u] |= 1 << v
         return BoolMatrix(self.n, self.n, tuple(rows))
 
-    def ancestor_bitsets(self, method: str = "traversal") -> list[int]:
+    def ancestor_bitsets(self, method: str = "traversal") -> tuple[int, ...]:
         """Per-vertex reflexive ancestor sets as bit masks over vertex ids.
 
-        "traversal" accumulates along the topological order; "squaring"
-        closes the adjacency matrix by repeated Boolean squaring. Both
-        produce identical sets.
+        "traversal" accumulates along the topological order, once per dag;
+        "squaring" closes the adjacency matrix by repeated Boolean squaring.
+        Both produce identical sets.
         """
         if method == "traversal":
-            anc = [1 << v for v in range(self.n)]
-            for v in self.topo_order:
-                for p in self.parents[v]:
-                    anc[v] |= anc[p]
-            return anc
+            return self._ancestors
         if method == "squaring":
             m = self.adjacency()
             rows = [r | (1 << i) for i, r in enumerate(m.row_bits)]
@@ -138,16 +135,29 @@ class Dag:
             steps = max(1, (self.n - 1).bit_length())
             for _ in range(steps):
                 m = bool_product(m, m)
-            mt = transpose(m)  # reach[u, v]: ancestors of v sit in column v
-            return list(mt.row_bits)
+            return transpose(m).row_bits  # reach[u, v]: ancestors of v sit in column v
         raise ValueError(f"unknown closure method {method!r}")
 
-    def descendant_bitsets(self) -> list[int]:
+    def descendant_bitsets(self) -> tuple[int, ...]:
+        """Per-vertex reflexive descendant sets as bit masks, built once per dag."""
+        return self._descendants
+
+    # the bitsets are tuples, so callers cannot change the cached copies
+    @cached_property
+    def _ancestors(self) -> tuple[int, ...]:
+        anc = [1 << v for v in range(self.n)]
+        for v in self.topo_order:
+            for p in self.parents[v]:
+                anc[v] |= anc[p]
+        return tuple(anc)
+
+    @cached_property
+    def _descendants(self) -> tuple[int, ...]:
         desc = [1 << v for v in range(self.n)]
         for v in reversed(self.topo_order):
             for c in self.children[v]:
                 desc[v] |= desc[c]
-        return desc
+        return tuple(desc)
 
 
 def random_dag(n: int, density: float, seed: int) -> Dag:
@@ -175,8 +185,7 @@ def demo_dag() -> Dag:
 
 def ancestor_matrix(dag: Dag, method: str = "traversal") -> BoolMatrix:
     """Reflexive ancestor relation: entry (u, v) is 1 iff v is an ancestor of u."""
-    anc = dag.ancestor_bitsets(method)
-    return BoolMatrix(dag.n, dag.n, tuple(anc))
+    return BoolMatrix(dag.n, dag.n, dag.ancestor_bitsets(method))
 
 
 def lca_matrix(dag: Dag, method: str = "traversal") -> tuple[BoolMatrix, tuple[int, ...]]:
@@ -233,7 +242,7 @@ def lca_errors(dag: Dag, lca: np.ndarray) -> int:
     """
     n = dag.n
     anc = ancestor_matrix(dag).to_dense()
-    below = BoolMatrix(n, n, tuple(dag.descendant_bitsets())).to_dense()
+    below = BoolMatrix(n, n, dag.descendant_bitsets()).to_dense()
     np.fill_diagonal(below, 0)  # proper descendants
     packed_anc = np.packbits(anc, axis=1)
     packed_below = np.packbits(below, axis=1)

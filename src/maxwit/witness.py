@@ -7,13 +7,19 @@ Three families live here:
   strip product per strip, and reads the top set bit inside that strip off
   packed uint64 words with a byte table (identical output to the
   brute-force oracle for every input);
-* single-witness / k-witness solvers built on random column sampling: where
-  exactly one sampled column survives, the integer products count(i,j) and
-  sum(i,j) pin that witness down; a deterministic fallback scan tops up any
-  entry the sampling missed, so the advertised contract holds for every seed;
+* single-witness / k-witness solvers built on random column sampling: a
+  float32 count product (exact while the inner dimension is below 2^24)
+  finds the entries where exactly one sampled column survives, and that lone
+  witness is the one set bit of the entry's packed uint64 rows ANDed with
+  the sample's column mask; entries with at most k witnesses read all of
+  them off the same packed words, and a deterministic fallback scan tops up
+  any entry the sampling missed, so the advertised contract holds for every
+  seed;
 * two approximation schemes: a rank-bounded solver (reported witness always
-  has rank at most the strip width) and a multiwitness scheme that repeatedly
-  halves the second factor and keeps the best witness seen per entry.
+  has rank at most the strip width; each strip samples only the entries
+  whose highest nonzero strip it is) and a multiwitness scheme that
+  repeatedly halves the second factor and keeps the best witness seen per
+  entry.
 """
 from __future__ import annotations
 
@@ -155,6 +161,15 @@ def _packed_words(dense: np.ndarray, words: int) -> np.ndarray:
     return packed.view("<u8")
 
 
+def _top_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the highest set bit of each uint64 word; -1 for zero."""
+    # halve the window onto the top nonzero byte, then read that byte's top bit
+    k = np.zeros(x.shape, np.uint64)
+    for s in (32, 16, 8):
+        k += (x >> (k + np.uint64(s)) != 0) * np.uint64(s)
+    return k.astype(np.int64) + _TOP_BIT[(x >> k) & np.uint64(255)]
+
+
 def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = None) -> WitnessMatrix:
     """Exact maximum witnesses via strip decomposition.
 
@@ -183,9 +198,7 @@ def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = Non
             x = wa[ia + t] & wb[ib + t]
             nz = x != 0
             top, off = np.where(nz, x, top), np.where(nz, t, off)
-        # the top nonzero byte of each word, then that byte's top bit
-        k = 8 * sum((top >> np.uint64(8 * byte) != 0).view(np.uint8) for byte in range(1, 8)).astype(np.int64)
-        w.ravel()[e] = 64 * (lo + off) + k + _TOP_BIT[(top >> k.astype(np.uint64)) & np.uint64(255)]
+        w.ravel()[e] = 64 * (lo + off) + _top_bit(top)
     return WitnessMatrix(n, w)
 
 
@@ -194,7 +207,7 @@ def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = Non
 # ---------------------------------------------------------------------------
 
 
-# bytes of the uint8 (entries, q) AND block the few-witness branch holds at once
+# bytes of the (entries, words) uint64 AND block the few-witness branch holds at once
 _CHUNK_BYTES = 4 << 20
 
 
@@ -204,106 +217,125 @@ def _sample_rounds(n_scale: int, k: int) -> int:
 
 
 def _collect_witnesses(
-    a_dense: np.ndarray, b_dense: np.ndarray, k: int, rng: np.random.Generator
+    a_dense: np.ndarray, b_dense: np.ndarray, k: int, rng: np.random.Generator, want: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Find min(k, W) distinct witnesses per entry of the product of 0/1 arrays.
 
     Returns (found, counts, wcount): found is (p, r, k) int64 sorted
     descending per entry and padded with -1; counts equals min(k, wcount)
-    for every entry, unconditionally.
+    for every entry, unconditionally. Where the optional (p, r) bool mask
+    ``want`` is False the entry is left out: its wcount and count are 0, its
+    slots stay -1, and it takes no part in the sampling.
 
-    Entries with a single witness are read off the full integer products
-    count(i,j) and sum(i,j). Entries with at most k witnesses take their
-    complete witness set directly. Entries with more than k witnesses draw
-    random column subsets at rate 2^-t near t = log2(W); each subset where
-    exactly one witness survives contributes that witness. A final
-    deterministic scan fills whatever the sampling missed.
+    Entries with 1 <= W <= k take their complete witness set from the AND of
+    their packed uint64 rows, peeled top bit first. Entries with more than k
+    witnesses draw random column subsets at rate 2^-t near t = log2(W); a
+    subset where exactly one witness survives hits, and that witness is the
+    one set bit of the packed rows ANDed with the subset's column mask, so no
+    index-sum product is needed. After each round's count product only the
+    entries that hit are read, and only those that finish leave the masks.
+    A final deterministic scan fills whatever the sampling missed. Counts are
+    float32 products, exact while q < 2^24 (float64 above).
     """
     p, q = a_dense.shape
     r = b_dense.shape[1]
-    af = a_dense.astype(np.float64)
-    bf = b_dense.astype(np.float64)
-    # counts and index sums stay far below 2^53, so float64 products are exact
+    ftype = np.float32 if q < 1 << 24 else np.float64
+    af = a_dense.astype(ftype)
+    bf = b_dense.astype(ftype)
     wcount = (af @ bf).astype(np.int64)
-    target = np.minimum(wcount, k)
-    found = np.full((p, r, k), -1, dtype=np.int64)
-    cnt = np.zeros((p, r), dtype=np.int64)
+    if want is not None:
+        wcount[~want] = 0
+    # entries are addressed by flat index i * r + j from here on
+    wc = wcount.ravel()
+    target = np.minimum(wc, k)
+    found = np.full((p * r, k), -1, dtype=np.int64)
+    cnt = np.zeros(p * r, dtype=np.int64)
+    few = np.flatnonzero((wc > 0) & (wc <= k))
+    unfinished = wcount > k  # the sampling serves these until each has k witnesses
+    left = int(np.count_nonzero(unfinished))
+    words = -(-q // 64)
+    wa = _packed_words(a_dense, words)
+    wb = _packed_words(b_dense.T, words)
 
-    weights = np.arange(q, dtype=np.float64)
-    sum0 = ((af * weights) @ bf).astype(np.int64)
-    one = wcount == 1
-    if one.any():
-        found[:, :, 0][one] = sum0[one]
-        cnt[one] = 1
+    step = max(1, _CHUNK_BYTES // (8 * words))
+    for s in range(0, few.size, step):
+        e = few[s : s + step]
+        x = wa[e // r] & wb[e % r]  # (entries, words): row m is the witness set of entry e[m]
+        w = wc[e]
+        rows = np.arange(e.size)
+        for slot in range(int(w.max())):  # peel each entry's top bit, largest first
+            last = words - 1 - np.argmax(x[:, ::-1] != 0, axis=1)  # its top nonzero word
+            top = x[rows, last]
+            bit = _top_bit(top)
+            found[e, slot] = np.where(w > slot, 64 * last + bit, -1)
+            x[rows, last] = top & ~(np.uint64(1) << np.maximum(bit, 0).astype(np.uint64))
+    cnt[few] = wc[few]
 
-    few = (wcount > 1) & (wcount <= k)
-    if few.any():
-        ii, jj = np.nonzero(few)
-        bt = np.ascontiguousarray(b_dense.T)
-        step = max(1, _CHUNK_BYTES // q)
-        for s in range(0, ii.size, step):
-            ci, cj = ii[s : s + step], jj[s : s + step]
-            sub = a_dense[ci] & bt[cj]  # (entries, q): row e is the witness set of entry e
-            # row-major order lists each entry's witnesses ascending, so a
-            # witness's slot is its offset from the start of the entry's run
-            e, col = np.nonzero(sub)
-            w = wcount[ci, cj]
-            slot = np.arange(e.size) - (np.cumsum(w) - w)[e]
-            found[ci[e], cj[e], slot] = col
-        cnt[ii, jj] = wcount[ii, jj]
-
-    active = wcount > k
-    if active.any():
+    if left:
         rounds = _sample_rounds(max(p, q, r), k)
-        unfinished = active & (cnt < target)
+        wa, wb = wa.T.copy(), wb.T.copy()  # word-major: one word of every row is contiguous
+        pick = np.zeros(64 * words, dtype=bool)  # a round's sampled columns, padded to whole words
         for t in range(1, math.ceil(math.log2(max(q, 2))) + 1):
             band = unfinished & (wcount >= (1 << (t - 1))) & (wcount <= (4 << t))
-            if not band.any():
+            in_band = int(np.count_nonzero(band))
+            if not in_band:
                 continue
             rate = 2.0**-t
             for _ in range(rounds):
-                cols = np.flatnonzero(rng.random(q) < rate)
+                np.less(rng.random(q), rate, out=pick[:q])
+                cols = np.flatnonzero(pick)
                 if cols.size == 0:
                     continue
-                asub = af[:, cols]
-                bsub = bf[cols, :]
-                cnt_s = asub @ bsub
-                hit = (cnt_s == 1.0) & unfinished
-                if hit.any():
-                    sums = (asub * cols.astype(np.float64)) @ bsub
-                    ii, jj = np.nonzero(hit)
-                    w = sums[ii, jj].astype(np.int64)
-                    fresh = ~(found[ii, jj, :] == w[:, None]).any(axis=1)
-                    if fresh.any():
-                        ii, jj, w = ii[fresh], jj[fresh], w[fresh]
-                        slots = cnt[ii, jj]
-                        found[ii, jj, slots] = w
-                        cnt[ii, jj] = slots + 1
-                        unfinished = active & (cnt < target)
-                        band = band & unfinished
-                        if not band.any():
-                            break
-            if not unfinished.any():
+                e = np.flatnonzero((af[:, cols] @ bf[cols, :] == 1) & unfinished)
+                if e.size == 0:
+                    continue
+                # the lone survivor is the one set bit of the masked AND; a power
+                # of two converts to float64 exactly, so frexp gives its index
+                ii, jj = np.divmod(e, r)
+                mask = np.packbits(pick, bitorder="little").view("<u8")
+                w = np.full(e.size, -1, dtype=np.int64)
+                for word in np.flatnonzero(mask).tolist():
+                    x = wa[word, ii]
+                    x &= wb[word, jj]
+                    x &= mask[word]
+                    bit = np.frexp(x.astype(np.float64))[1]  # 1 + the bit's index; 0 if no bit
+                    w += bit
+                    if word:
+                        w += (bit > 0) * (64 * word)
+                fresh = ~(found[e] == w[:, None]).any(axis=1)
+                e, w = e[fresh], w[fresh]
+                if e.size == 0:
+                    continue
+                slots = cnt[e]
+                found[e, slots] = w
+                cnt[e] = slots + 1
+                e = e[slots + 1 == k]
+                if e.size:  # only the entries that just finished leave the masks
+                    unfinished.ravel()[e] = False
+                    left -= e.size
+                    in_band -= int(np.count_nonzero(band.ravel()[e]))
+                    band.ravel()[e] = False
+                    if not in_band:
+                        break
+            if not left:
                 break
 
-    shortfall = np.nonzero(cnt < target)
-    for i, j in zip(*shortfall):
-        have = set(found[i, j, : cnt[i, j]].tolist())
-        ks = np.flatnonzero(a_dense[i] & b_dense[:, j])
-        for kk in ks[::-1]:
-            if cnt[i, j] >= target[i, j]:
+    for e in np.flatnonzero(cnt < target).tolist():
+        have = set(found[e, : cnt[e]].tolist())
+        i, j = divmod(e, r)
+        for kk in np.flatnonzero(a_dense[i] & b_dense[:, j])[::-1].tolist():
+            if cnt[e] >= target[e]:
                 break
-            kk = int(kk)
             if kk not in have:
-                found[i, j, cnt[i, j]] = kk
-                cnt[i, j] += 1
+                found[e, cnt[e]] = kk
+                cnt[e] += 1
 
     # descending with the -1 padding last, in place: sort the negated values
     np.negative(found, out=found)
-    found.sort(axis=2)
+    found.sort(axis=1)
     np.negative(found, out=found)
     assert (cnt == target).all()
-    return found, cnt, wcount
+    return found.reshape(p, r, k), cnt.reshape(p, r), wcount
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +370,24 @@ def k_witness(a: BoolMatrix, b: BoolMatrix, k: int, seed: int = 0) -> WitnessLis
 def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -> WitnessMatrix:
     """Witness of rank at most ell per nonzero entry.
 
-    Runs the single-witness solver on each strip pair and keeps, per entry,
-    the witness from the highest strip whose partial product is nonzero. All
-    greater witnesses then lie inside that strip, so the rank is at most its
-    width. ell=1 degenerates to exact maximum witnesses.
+    Each entry takes one witness of the single-witness solver from the
+    highest strip whose partial product is nonzero (``largest_nonzero_strip``);
+    all greater witnesses lie inside that strip, so the rank is at most its
+    width. Strip p samples only the entries whose highest nonzero strip is p,
+    and strips that are no entry's highest are skipped. ell=1 degenerates to
+    exact maximum witnesses.
     """
     n, q = product_dims(a, b, square=True)
     dec = StripDecomposition.build(q, ell)
+    top = largest_nonzero_strip(a, b, dec)
     ad = a.to_dense()
     bd = b.to_dense()
     wit = np.full((n, n), -1, dtype=np.int64)
-    for p in range(len(dec.ranges) - 1, -1, -1):
+    for p in np.unique(top[top >= 0]).tolist():
         s, e = dec.ranges[p]
-        found, _, _ = _collect_witnesses(
-            ad[:, s:e], bd[s:e, :], 1, np_stream(seed, _TAG_RANK, p)
-        )
-        wp = found[:, :, 0]
-        newly = (wp >= 0) & (wit < 0)
-        if newly.any():
-            wit[newly] = wp[newly] + s
+        want = top == p
+        found, _, _ = _collect_witnesses(ad[:, s:e], bd[s:e, :], 1, np_stream(seed, _TAG_RANK, p), want)
+        wit[want] = found[:, :, 0][want] + s
     return WitnessMatrix(n, wit)
 
 

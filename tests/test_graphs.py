@@ -193,6 +193,17 @@ def test_ancestor_matrix_routes_agree():
         ancestor_matrix(demo_dag(), method="bogus")
 
 
+def test_dag_bitsets_are_built_once_and_immutable():
+    dag = random_dag(20, 0.3, seed=64)
+    anc, desc = dag.ancestor_bitsets(), dag.descendant_bitsets()
+    assert isinstance(anc, tuple) and isinstance(desc, tuple)
+    assert dag.ancestor_bitsets() is anc and dag.descendant_bitsets() is desc
+    assert anc == dag.ancestor_bitsets("squaring")
+    for u in range(dag.n):
+        for v in range(dag.n):
+            assert bool(anc[u] >> v & 1) == bool(desc[v] >> u & 1)
+
+
 def test_vertex_weighted_graph_validation():
     with pytest.raises(ValueError):
         VertexWeightedGraph(2, ((0, 0),), (1.0, 2.0))

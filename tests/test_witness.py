@@ -174,6 +174,137 @@ def test_collect_witnesses_lists_every_few_witness_entry():
                     assert len(set(got)) == k and set(got) <= set(full)
 
 
+def _collect_witnesses_dense_gemm(a_dense, b_dense, k, rng):
+    """Frozen copy of the sampling core as it was before it ran on packed
+    words: float64 count and index-sum products, the lone survivor read off
+    sum/count, and the full unfinished mask recomputed after every hit."""
+    p, q = a_dense.shape
+    r = b_dense.shape[1]
+    af = a_dense.astype(np.float64)
+    bf = b_dense.astype(np.float64)
+    wcount = (af @ bf).astype(np.int64)
+    target = np.minimum(wcount, k)
+    found = np.full((p, r, k), -1, dtype=np.int64)
+    cnt = np.zeros((p, r), dtype=np.int64)
+
+    weights = np.arange(q, dtype=np.float64)
+    sum0 = ((af * weights) @ bf).astype(np.int64)
+    one = wcount == 1
+    found[:, :, 0][one] = sum0[one]
+    cnt[one] = 1
+
+    few = (wcount > 1) & (wcount <= k)
+    for i, j in zip(*np.nonzero(few)):
+        found[i, j, : wcount[i, j]] = np.flatnonzero(a_dense[i] & b_dense[:, j])
+        cnt[i, j] = wcount[i, j]
+
+    active = wcount > k
+    if active.any():
+        rounds = witness._sample_rounds(max(p, q, r), k)
+        unfinished = active & (cnt < target)
+        for t in range(1, math.ceil(math.log2(max(q, 2))) + 1):
+            band = unfinished & (wcount >= (1 << (t - 1))) & (wcount <= (4 << t))
+            if not band.any():
+                continue
+            rate = 2.0**-t
+            for _ in range(rounds):
+                cols = np.flatnonzero(rng.random(q) < rate)
+                if cols.size == 0:
+                    continue
+                asub = af[:, cols]
+                bsub = bf[cols, :]
+                cnt_s = asub @ bsub
+                hit = (cnt_s == 1.0) & unfinished
+                if hit.any():
+                    sums = (asub * cols.astype(np.float64)) @ bsub
+                    ii, jj = np.nonzero(hit)
+                    w = sums[ii, jj].astype(np.int64)
+                    fresh = ~(found[ii, jj, :] == w[:, None]).any(axis=1)
+                    if fresh.any():
+                        ii, jj, w = ii[fresh], jj[fresh], w[fresh]
+                        slots = cnt[ii, jj]
+                        found[ii, jj, slots] = w
+                        cnt[ii, jj] = slots + 1
+                        unfinished = active & (cnt < target)
+                        band = band & unfinished
+                        if not band.any():
+                            break
+            if not unfinished.any():
+                break
+
+    for i, j in zip(*np.nonzero(cnt < target)):
+        have = set(found[i, j, : cnt[i, j]].tolist())
+        for kk in np.flatnonzero(a_dense[i] & b_dense[:, j])[::-1].tolist():
+            if cnt[i, j] >= target[i, j]:
+                break
+            if kk not in have:
+                found[i, j, cnt[i, j]] = kk
+                cnt[i, j] += 1
+    found = -np.sort(-found, axis=2)
+    return found, cnt, wcount
+
+
+def test_collect_witnesses_keeps_the_dense_gemm_sample_path():
+    # q on both sides of the word boundaries; the densities put entries in
+    # every branch (W = 0, 1 <= W <= k, W > k); p != r; and the tiny chunks
+    # cross chunk boundaries inside the few-witness branch
+    shapes = [(5, q, 9) for q in (1, 63, 64, 65, 128, 129)] + [(17, 96, 6), (40, 200, 33)]
+    for case, (p, q, r) in enumerate(shapes):
+        for density in (0.08, 0.35, 0.8):
+            rng = np.random.default_rng(case * 10 + int(density * 100))
+            ad = (rng.random((p, q)) < density).astype(np.uint8)
+            bd = (rng.random((q, r)) < density).astype(np.uint8)
+            for k in (1, 2, 4, 9):
+                for chunk in (None, 3, 64):
+                    with pytest.MonkeyPatch.context() as mp:
+                        if chunk is not None:
+                            mp.setattr(witness, "_CHUNK_BYTES", chunk)
+                        got = witness._collect_witnesses(ad, bd, k, np_stream(case, k, 5))
+                    want = _collect_witnesses_dense_gemm(ad, bd, k, np_stream(case, k, 5))
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w), (p, q, r, density, k, chunk)
+
+
+def test_collect_witnesses_leaves_unwanted_entries_out():
+    rng = np.random.default_rng(31)
+    ad = (rng.random((23, 90)) < 0.3).astype(np.uint8)
+    bd = (rng.random((90, 17)) < 0.3).astype(np.uint8)
+    want = rng.random((23, 17)) < 0.4
+    full = ad.astype(np.int64) @ bd.astype(np.int64)
+    for k in (1, 3, 6):
+        found, cnt, wcount = witness._collect_witnesses(ad, bd, k, np_stream(3, k), want)
+        assert np.all(found[~want] == -1)
+        assert np.all(cnt[~want] == 0) and np.all(wcount[~want] == 0)
+        assert np.array_equal(wcount[want], full[want])
+        assert np.array_equal(cnt[want], np.minimum(full[want], k))
+        for i, j in zip(*np.nonzero(want)):
+            got = found[i, j, : cnt[i, j]]
+            assert np.all(ad[i, got] & bd[got, j]) and len(set(got.tolist())) == got.size
+
+
+def test_rank_bounded_samples_each_entry_in_its_own_strip_only():
+    n, ell = 128, 8
+    a = random_matrix(n, 0.3, seed=71)
+    b = random_matrix(n, 0.3, seed=72)
+    dec = strip_decomposition(n, ell)
+    top = largest_nonzero_strip(a, b, dec)
+    calls = []
+    inner = witness._collect_witnesses
+
+    def counting(ad, bd, k, rng, want=None):
+        calls.append(want.copy())
+        return inner(ad, bd, k, rng, want)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "_collect_witnesses", counting)
+        wm = approx_rank_bounded(a, b, ell, seed=5)
+    # every nonzero entry is sampled in exactly one strip, the one that owns it
+    assert np.array_equal(np.sum(calls, axis=0), top >= 0)
+    assert all(want.any() for want in calls)  # strips that own no entry are skipped
+    assert len(calls) == np.unique(top[top >= 0]).size < len(dec)
+    assert np.array_equal(wm.array // ell, np.where(top >= 0, top, -1))
+
+
 def test_collect_witnesses_memory_is_bounded():
     # an (entries, q) int32 block over all few-witness entries at once
     # would alone take about 80 MiB here
