@@ -19,12 +19,16 @@ globally, queries still charged per the convention above) and translates the
 final position back to an index. One engine, ``_dh_position_batch``, runs every
 search in the library: ``durr_hoyer_batch`` on explicit tables, ``max_wit`` on
 one product entry and ``algorithm1``-``algorithm4`` on whole products. It steps
-runs in fixed-size, cache-sized blocks, and a run that has reached the minimum
-no longer computes a success probability. ``durr_hoyer_min`` is the
+runs in fixed-size, cache-sized blocks. A run that has reached the minimum needs
+no success probability; the others look theirs up in a per-length table, which
+holds the same float64 bits as the closed form (lengths above 4096 compute it
+inline). The solvers hand the engine their targets as (i, j, q) arrays and read
+each witness off packed uint64 words. ``durr_hoyer_min`` is the
 one-run-at-a-time scalar reference whose law the engine is tested against.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -37,12 +41,17 @@ from .boolmat import (
     WitnessMatrix,
     bool_product,
     product_dims,
-    set_bits,
     transpose,
     witness_mask,
 )
 from .rng import np_stream
-from .witness import StripDecomposition, default_strip_width, largest_nonzero_strip
+from .witness import (
+    StripDecomposition,
+    _packed_words,
+    _top_bit,
+    default_strip_width,
+    largest_nonzero_strip,
+)
 
 __all__ = [
     "DH_BUDGET_FACTOR",
@@ -160,9 +169,9 @@ class ColumnIndexTables:
     def validate(self, b: BoolMatrix) -> None:
         if len(self.columns) != b.cols:
             raise ValueError("column count mismatch")
+        counts = b.to_dense().sum(axis=0)
         for j, col in enumerate(self.columns):
-            expect = sum((b.row_bits[k] >> j) & 1 for k in range(b.rows))
-            if len(col) != expect:
+            if len(col) != counts[j]:
                 raise ValueError(f"column {j} length differs from popcount")
             if np.any(np.diff(col) >= 0):
                 raise ValueError(f"column {j} is not strictly decreasing")
@@ -277,17 +286,24 @@ def max_wit_table(
     when one exists. The -(k+1) shift keeps all values pairwise distinct with
     0-based indices. Returns (table, n).
     """
-    wit = witness_mask(a, b, i, j)
-    hi = a.cols if hi is None else hi
-    if not (0 <= lo < hi <= a.cols):
-        raise ValueError(f"bad index range [{lo}, {hi})")
-    nbase = max(a.rows, a.cols, b.cols)
+    wit, hi, nbase = _entry_range(a, b, i, j, lo, hi)
 
     def evaluate(s: int) -> int:
         k = lo + s
         return 2 * nbase - nbase * ((wit >> k) & 1) - (k + 1)
 
     return VirtualMinTable(hi - lo, evaluate), nbase
+
+
+def _entry_range(
+    a: BoolMatrix, b: BoolMatrix, i: int, j: int, lo: int, hi: int | None
+) -> tuple[int, int, int]:
+    """Witness mask of entry (i, j), the checked range end and the table base n."""
+    wit = witness_mask(a, b, i, j)
+    hi = a.cols if hi is None else hi
+    if not (0 <= lo < hi <= a.cols):
+        raise ValueError(f"bad index range [{lo}, {hi})")
+    return wit, hi, max(a.rows, a.cols, b.cols)
 
 
 def max_wit(
@@ -309,10 +325,10 @@ def max_wit(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    table, nbase = max_wit_table(a, b, i, j, lo, hi)
+    wit, hi, nbase = _entry_range(a, b, i, j, lo, hi)
     # the table's sorted order lists the in-range witnesses first, largest first
-    mask = witness_mask(a, b, i, j) & ((1 << (lo + table.length)) - (1 << lo))
-    pos, queries, iters = _dh_position_batch(np.full(boost_reps(beta, nbase), table.length), rng)
+    mask = wit & ((1 << hi) - (1 << lo))
+    pos, queries, iters = _dh_position_batch(np.full(boost_reps(beta, nbase), hi - lo), rng)
     log = QueryLog(int(queries.sum()), int(iters.sum()))
     r = int(pos.min())
     if r < mask.bit_count():
@@ -326,9 +342,44 @@ def max_wit(
 # ---------------------------------------------------------------------------
 
 
-# Runs the engine steps together. A block's (8, runs) float64 state is 2 MiB, so it
+# Runs the engine steps together. A block's (7, runs) float64 state is 1.75 MiB, so it
 # stays in L2 cache; a fixed size keeps sample paths the same on every machine.
 _BLOCK_RUNS = 1 << 15
+# A table length q gets a success-probability table only while q * ceil(sqrt(q)) cells
+# fit in one block's worth of state (2 MiB, so q <= 4096); longer tables compute the
+# same values inline.
+_TABLE_CELLS = 8 * _BLOCK_RUNS
+
+
+def _success_probability(pos: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """sin^2((2j+1) asin(sqrt(pos/q))) elementwise: a Grover run with j iterations
+    over q items of which pos are marked succeeds with this probability."""
+    return np.sin((2 * j + 1) * np.arcsin(np.sqrt(pos / q))) ** 2
+
+
+@functools.lru_cache(maxsize=8)
+def _success_table(q: int) -> np.ndarray:
+    """Flat read-only table of _success_probability over a length-q table: cell
+    pos * (isqrt(q) + 1) + j, for every position and every BBHT iteration count j
+    (j < m <= sqrt(q)). Each cell is bit-identical to the inline expression."""
+    pos = np.arange(q, dtype=np.float64)[:, None]
+    j = np.arange(math.isqrt(q) + 1, dtype=np.float64)
+    table = _success_probability(pos, np.float64(q), j).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _block_table(q: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The success tables of a block's distinct lengths laid end to end, and each
+    run's offset of its table; None when a length is too long to tabulate."""
+    longest = int(q.max())
+    if longest * (math.isqrt(longest - 1) + 1) > _TABLE_CELLS:
+        return None
+    lengths = np.flatnonzero(np.bincount(q))
+    tables = [_success_table(x) for x in lengths.tolist()]
+    start = np.zeros(longest + 1)
+    start[lengths[1:]] = np.cumsum([t.size for t in tables[:-1]])
+    return np.concatenate(tables), start[q]
 
 
 def _dh_position_batch(
@@ -342,6 +393,11 @@ def _dh_position_batch(
     position of 0 means the run found the true minimum. Each run is an
     independent draw from the law of one scalar durr_hoyer_min run; the
     sample paths depend only on rng and the order of qs.
+
+    A run's success probability is looked up in a per-length table (see
+    _success_table) unless its block holds a length too long to tabulate; then
+    the whole block computes it inline, with the same bits. Each run keeps its
+    remaining budget, so a step tests one row to find the runs that are done.
     """
     qs = np.asarray(qs, np.int64)
     if (qs < 1).any():
@@ -349,37 +405,54 @@ def _dh_position_batch(
     out = np.zeros((3, qs.size), np.int64)  # length-1 tables finish with zero queries
     for s in range(0, qs.size, _BLOCK_RUNS):
         ids = s + np.flatnonzero(qs[s : s + _BLOCK_RUNS] > 1)
+        if not ids.size:
+            continue
         q = qs[ids].astype(np.float64)
         pos = np.floor(rng.random(ids.size) * q)
         sq = np.sqrt(q)
-        # rows: position, iterations, BBHT step m, asin(sqrt(pos/q)), sqrt(q), q,
-        # iteration limit, run index. After k steps a run has spent 1 + iterations
-        # + k queries (the +1 is the initial threshold evaluation).
-        state = np.stack([pos, np.zeros_like(q), np.ones_like(q), np.arcsin(np.sqrt(pos / q)),
-                          sq, q, DH_BUDGET_FACTOR * sq - 1, ids])
+        tabulated = _block_table(qs[ids])
+        table, start = tabulated if tabulated else (None, np.zeros_like(q))
+        # rows: position, budget (iteration limit minus iterations), BBHT step m,
+        # table cell of (position, j = 0), sqrt(q), q, run index. After k steps a
+        # run has spent 1 + iterations + k queries (the +1 is the initial threshold
+        # evaluation) and stops once that reaches the limit, i.e. once budget <= k.
+        state = np.stack([pos, DH_BUDGET_FACTOR * sq - 1, np.ones_like(q),
+                          start + pos * (np.floor(sq) + 1), sq, q, ids])
         k, left = 0, ids.size
         while left:
-            pos, iters, m, theta, sq, q, limit, _ = state
+            pos, budget, m, cell, sq, q, _ = state
             k += 1
-            j = np.floor(rng.random(pos.size) * m)
-            iters += j
-            # a run at position 0 cannot hit, so only the others pay for the Grover math
+            j = rng.random(pos.size)
+            j *= m
+            np.floor(j, out=j)
+            budget -= j
+            # a run at position 0 cannot hit, so only the others need a success probability
             live = np.flatnonzero(pos > 0)
-            hit = live[rng.random(live.size) < np.sin((2 * j[live] + 1) * theta[live]) ** 2]
-            np.minimum(m * BBHT_GROWTH, sq, out=m)
+            if table is None:
+                p = _success_probability(pos[live], q[live], j[live])
+            else:
+                at = cell[live]
+                at += j[live]
+                p = table[at.astype(np.intp)]
+            hit = live[rng.random(live.size) < p]
+            m *= BBHT_GROWTH
+            np.minimum(m, sq, out=m)
             if hit.size:
-                pos[hit] = np.floor(rng.random(hit.size) * pos[hit])
-                theta[hit] = np.arcsin(np.sqrt(pos[hit] / q[hit]))
+                old = pos[hit]
+                pos[hit] = new = np.floor(rng.random(hit.size) * old)
+                cell[hit] -= (old - new) * (np.floor(sq[hit]) + 1)
                 m[hit] = 1.0
-            done = np.flatnonzero(iters + k >= limit)
+            done = np.flatnonzero(budget <= k)
             if done.size:
-                out[:, state[7, done].astype(np.int64)] = pos[done], iters[done] + k + 1, iters[done]
+                # budget is the limit minus the iterations, both exact in float64
+                iters = DH_BUDGET_FACTOR * sq[done] - 1 - budget[done]
+                out[:, state[6, done].astype(np.int64)] = pos[done], iters + k + 1, iters
                 # finished runs idle at position 0 with no limit until half the block is done
-                limit[done] = np.inf
+                budget[done] = np.inf
                 pos[done] = 0
                 left -= done.size
                 if 2 * left <= pos.size:
-                    state = state[:, limit < np.inf]
+                    state = state[:, budget < np.inf]
     return out[0], out[1], out[2]
 
 
@@ -408,33 +481,77 @@ def _kth_highest_bit(mask: int, r: int) -> int:
     return mask.bit_length() - 1
 
 
+# the low k bits of a word, k = 0..64
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
+
+
+def _read_witnesses(
+    wa: np.ndarray,
+    wb: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    r: np.ndarray,
+) -> np.ndarray:
+    """Witness of each target from its best final sorted position r.
+
+    wa and wb hold the packed uint64 rows of A and of B's transpose. Target t's
+    witness is the (r[t]+1)-th highest set bit of A[i[t]] & B[:, j[t]] within
+    [lo[t], hi[t]), or -1 when r[t] is at or beyond the count of those bits.
+    For r = 0, nearly every target, that is the top bit of the masked words,
+    read off with a byte table; the rare other targets peel bits one at a time.
+    """
+    words = wa.shape[1]
+    first = 64 * np.arange(words)
+    x = wa[i] & wb[j]
+    x &= _LOW_BITS[np.clip(hi[:, None] - first, 0, 64)]
+    x &= ~_LOW_BITS[np.clip(lo[:, None] - first, 0, 64)]
+    last = words - 1 - np.argmax(x[:, ::-1] != 0, axis=1)  # the top nonzero word
+    top = x[np.arange(x.shape[0]), last]
+    w = np.where(top != 0, 64 * last + _top_bit(top), -1)
+    for e in np.flatnonzero(r > 0).tolist():
+        mask = sum(v << 64 * t for t, v in enumerate(x[e].tolist()))
+        w[e] = _kth_highest_bit(mask, int(r[e])) if r[e] < mask.bit_count() else -1
+    return w
+
+
 def _run_entry_searches(
-    n: int,
-    targets: list[tuple[int, int, int, int]],
+    a: BoolMatrix,
+    b: BoolMatrix,
+    i: np.ndarray,
+    j: np.ndarray,
+    q: np.ndarray,
     reps: int,
     rng: np.random.Generator,
+    lo: np.ndarray | int = 0,
+    hi: np.ndarray | int | None = None,
 ) -> tuple[WitnessMatrix, int]:
-    """Boosted witness search on each (i, j, witness_mask, table_length) target.
+    """Boosted witness search on entry (i[t], j[t]) over a length-q[t] table, per target t.
 
-    Targets go to the engine one block at a time, reps runs each; the best
-    (minimum) final sorted position r of a target maps to the (r+1)-th largest
-    witness when r < popcount(mask); anything at or beyond the witness count
-    verifies as a non-witness and the entry reports no witness. Only the
-    witness matrix and the query total outlive a block.
+    A target's table lists its witnesses in [lo[t], hi[t]) first, largest
+    first (the range defaults to the whole inner dimension). Targets go to the
+    engine one block at a time, reps runs each; the best (minimum) final
+    sorted position r of a target maps to the (r+1)-th largest of those
+    witnesses, and anything at or beyond their count verifies as a
+    non-witness, so the entry reports no witness. Only the witness matrix and
+    the query total outlive a block.
     """
-    w = np.full((n, n), -1, dtype=np.int64)
+    words = -(-a.cols // 64)
+    wa = _packed_words(a.to_dense(), words)
+    wb = _packed_words(b.to_dense().T, words)
+    lo = np.broadcast_to(lo, q.shape)
+    hi = np.broadcast_to(a.cols if hi is None else hi, q.shape)
+    w = np.full((a.rows, b.cols), -1, dtype=np.int64)
     total = 0
     step = max(1, _BLOCK_RUNS // reps)
-    for s in range(0, len(targets), step):
-        block = targets[s : s + step]
-        qs = np.fromiter((t[3] for t in block), np.int64, len(block))
-        pos, queries, _ = _dh_position_batch(np.repeat(qs, reps), rng)
+    for s in range(0, q.size, step):
+        t = slice(s, s + step)
+        pos, queries, _ = _dh_position_batch(np.repeat(q[t], reps), rng)
         total += int(queries.sum())
-        best = pos.reshape(len(block), reps).min(axis=1)
-        for (i, j, mask, _qlen), r in zip(block, best.tolist()):
-            if r < mask.bit_count():
-                w[i, j] = _kth_highest_bit(mask, r)
-    return WitnessMatrix(n, w), total
+        best = pos.reshape(-1, reps).min(axis=1)
+        w[i[t], j[t]] = _read_witnesses(wa, wb, i[t], j[t], lo[t], hi[t], best)
+    return WitnessMatrix(a.rows, w), total
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +579,9 @@ def algorithm1(
 ) -> tuple[WitnessMatrix, AlgoStats]:
     """Boosted maximum-witness search on every entry of the product."""
     n, q = product_dims(a, b, square=True)
-    bt = transpose(b).row_bits
-    targets = [(i, j, a.row_bits[i] & bt[j], q) for i in range(n) for j in range(n)]
+    i, j = np.divmod(np.arange(n * n), n)
     rng = np_stream(seed, _TAG_ALG, 1)
-    wm, total = _run_entry_searches(n, targets, boost_reps(beta, n), rng)
+    wm, total = _run_entry_searches(a, b, i, j, np.full(n * n, q), boost_reps(beta, n), rng)
     return wm, _stats(n, "alg1", beta, None, n * n, total, seed)
 
 
@@ -479,14 +595,10 @@ def algorithm2(
     nonzero entries.
     """
     n, q = product_dims(a, b, square=True)
-    pattern = bool_product(a, b)
-    bt = transpose(b).row_bits
-    targets = [
-        (i, j, a.row_bits[i] & bt[j], q) for i in range(n) for j in set_bits(pattern.row_bits[i])
-    ]
+    i, j = np.nonzero(bool_product(a, b).to_dense())
     rng = np_stream(seed, _TAG_ALG, 2)
-    wm, total = _run_entry_searches(n, targets, boost_reps(beta, n), rng)
-    return wm, _stats(n, "alg2", beta, None, len(targets), total, seed)
+    wm, total = _run_entry_searches(a, b, i, j, np.full(i.size, q), boost_reps(beta, n), rng)
+    return wm, _stats(n, "alg2", beta, None, i.size, total, seed)
 
 
 def algorithm3(
@@ -510,18 +622,12 @@ def algorithm3(
 
 def _algorithm3_core(a, b, beta, seed) -> tuple[WitnessMatrix, AlgoStats]:
     n, _ = product_dims(a, b, square=True)
-    tables = ColumnIndexTables.from_matrix(b)
-    bt = transpose(b).row_bits
-    targets = []
-    for j, col in enumerate(tables.columns):
-        qlen = len(col)
-        if qlen == 0:
-            continue  # empty candidate list: immediate no-witness, no queries
-        cb = bt[j]
-        for i in range(n):
-            targets.append((i, j, a.row_bits[i] & cb, qlen))
+    counts = b.to_dense().sum(axis=0, dtype=np.int64)  # column j's candidate-list length
+    cols = np.flatnonzero(counts)  # an empty list is an immediate no-witness, with no queries
+    j = np.repeat(cols, n)  # column by column
+    i = np.tile(np.arange(n), cols.size)
     rng = np_stream(seed, _TAG_ALG, 3)
-    wm, total = _run_entry_searches(n, targets, boost_reps(beta, n), rng)
+    wm, total = _run_entry_searches(a, b, i, j, counts[j], boost_reps(beta, n), rng)
     return wm, _stats(n, "alg3", beta, None, n * n, total, seed)
 
 
@@ -539,14 +645,10 @@ def algorithm4(
         ell = default_strip_width(q)
     dec = StripDecomposition.build(q, ell)
     parr = largest_nonzero_strip(a, b, dec)
-    bt = transpose(b).row_bits
-    targets = []
-    for i, j in zip(*np.nonzero(parr >= 0)):
-        p = int(parr[i, j])
-        s, e = dec.ranges[p]
-        targets.append((int(i), int(j), a.row_bits[i] & bt[j] & dec.masks[p], e - s))
+    i, j = np.nonzero(parr >= 0)
+    lo, hi = np.array(dec.ranges).T[:, parr[i, j]]  # each entry's highest nonzero strip
     rng = np_stream(seed, _TAG_ALG, 4)
-    wm, total = _run_entry_searches(n, targets, boost_reps(beta, n), rng)
+    wm, total = _run_entry_searches(a, b, i, j, hi - lo, boost_reps(beta, n), rng, lo, hi)
     return wm, _stats(n, "alg4", beta, ell, n * n, total, seed)
 
 

@@ -9,8 +9,10 @@ import pytest
 
 from maxwit.boolmat import (
     BoolMatrix,
+    bool_product,
     max_witness_oracle,
     random_matrix,
+    set_bits,
     transpose,
     witness_mask,
     witness_violations,
@@ -35,6 +37,7 @@ from maxwit.qsim import (
     table_values,
 )
 from maxwit.rng import np_stream, py_stream
+from maxwit.witness import StripDecomposition, largest_nonzero_strip
 
 
 def test_max_wit_table_hand_example():
@@ -215,6 +218,119 @@ def test_engine_law_matches_scalar_reference():
         check(q, pos[sel], queries[sel], iters[sel])
 
 
+def test_success_table_matches_inline_formula():
+    from maxwit.qsim import _TABLE_CELLS, _block_table, _success_table
+
+    for q in (2, 3, 4, 63, 64, 65, 4096):
+        width = math.isqrt(q) + 1  # j < m <= sqrt(q), so j <= isqrt(q)
+        table = _success_table(q)
+        assert table.shape == (q * width,) and not table.flags.writeable
+        # the engine's inline expression, evaluated cell by cell in shuffled order
+        cells = np_stream(q, 974).permutation(q * width)
+        pos, j = np.divmod(cells, width)
+        theta = np.arcsin(np.sqrt(pos.astype(np.float64) / np.full(cells.size, float(q))))
+        inline = np.sin((2 * j.astype(np.float64) + 1) * theta) ** 2
+        assert np.array_equal(table[cells], inline), q
+    assert 4096 * 64 <= _TABLE_CELLS < 4097 * 65
+    assert _block_table(np.array([2, 4096])) is not None
+    assert _block_table(np.array([2, 4097])) is None
+
+
+def test_table_and_inline_paths_agree(monkeypatch):
+    from maxwit import qsim
+
+    # the first block tabulates its lengths; the second holds a length above the
+    # bound, so it computes every success probability inline
+    gen = np_stream(0, 975)
+    qs = np.concatenate([gen.choice(np.array([1, 2, 3, 41, 64]), qsim._BLOCK_RUNS),
+                         gen.choice(np.array([1, 2, 41, 5000]), 1500)])
+    table = qsim._dh_position_batch(qs, np_stream(0, 976))
+    monkeypatch.setattr(qsim, "_TABLE_CELLS", 0)
+    inline = qsim._dh_position_batch(qs, np_stream(0, 976))
+    for x, y in zip(table, inline):
+        assert np.array_equal(x, y)
+    assert (table[1][qs == 5000] > 0).all()
+
+
+def _kth_highest_bit_ref(mask, r):
+    for _ in range(r):
+        mask ^= 1 << (mask.bit_length() - 1)
+    return mask.bit_length() - 1
+
+
+def _per_entry_searches(n, targets, reps, rng):
+    """Frozen copy of the per-entry read-off over (i, j, witness_mask, q) tuples."""
+    from maxwit import qsim
+
+    w = np.full((n, n), -1, dtype=np.int64)
+    total = 0
+    step = max(1, qsim._BLOCK_RUNS // reps)
+    for s in range(0, len(targets), step):
+        block = targets[s : s + step]
+        qs = np.fromiter((t[3] for t in block), np.int64, len(block))
+        pos, queries, _ = qsim._dh_position_batch(np.repeat(qs, reps), rng)
+        total += int(queries.sum())
+        best = pos.reshape(len(block), reps).min(axis=1)
+        for (i, j, mask, _qlen), r in zip(block, best.tolist()):
+            if r < mask.bit_count():
+                w[i, j] = _kth_highest_bit_ref(mask, r)
+    return w, total
+
+
+def _per_entry_targets(algo, a, b, ell):
+    """Frozen copy of the tuple targets of algorithm1-algorithm4 (algorithm3's core)."""
+    n = a.rows
+    bt = transpose(b).row_bits
+    if algo == 1:
+        return [(i, j, a.row_bits[i] & bt[j], n) for i in range(n) for j in range(n)]
+    if algo == 2:
+        rows = bool_product(a, b).row_bits
+        return [(i, j, a.row_bits[i] & bt[j], n) for i in range(n) for j in set_bits(rows[i])]
+    if algo == 3:
+        columns = ColumnIndexTables.from_matrix(b).columns
+        return [(i, j, a.row_bits[i] & bt[j], len(col))
+                for j, col in enumerate(columns) if len(col) for i in range(n)]
+    dec = StripDecomposition.build(n, ell)
+    parr = largest_nonzero_strip(a, b, dec)
+    targets = []
+    for i, j in zip(*np.nonzero(parr >= 0)):
+        p = int(parr[i, j])
+        s, e = dec.ranges[p]
+        targets.append((int(i), int(j), a.row_bits[i] & bt[j] & dec.masks[p], e - s))
+    return targets
+
+
+def test_solvers_match_per_entry_read_off(monkeypatch):
+    from maxwit import qsim
+
+    def uniform_positions(qs, rng):
+        # best positions of r >= 1 are rare in real searches; force many of them
+        qs = np.asarray(qs, np.int64)
+        return rng.integers(0, qs), qs.copy(), np.zeros_like(qs)
+
+    solvers = {
+        1: lambda a, b, ell, seed: qsim.algorithm1(a, b, 2.0, seed),
+        2: lambda a, b, ell, seed: qsim.algorithm2(a, b, 2.0, seed),
+        3: lambda a, b, ell, seed: qsim._algorithm3_core(a, b, 2.0, seed),
+        4: lambda a, b, ell, seed: qsim.algorithm4(a, b, ell, 2.0, seed),
+    }
+    cases = [(16, 0.3, 5), (40, 0.05, 7), (70, 0.3, 64), (70, 0.1, 9)]
+    for engine in ("real", "uniform"):
+        if engine == "uniform":
+            monkeypatch.setattr(qsim, "_dh_position_batch", uniform_positions)
+        for n, d, ell in cases:
+            a = random_matrix(n, d, seed=n + 1)
+            b = random_matrix(n, d / 2, seed=n + 2)
+            for algo, solve in solvers.items():
+                seed = n + algo
+                wm, stats = solve(a, b, ell, seed)
+                reps = boost_reps(2.0, n)
+                rng = np_stream(seed, qsim._TAG_ALG, algo)
+                w, total = _per_entry_searches(n, _per_entry_targets(algo, a, b, ell), reps, rng)
+                assert np.array_equal(wm.array, w), (engine, n, d, algo)
+                assert stats.total_queries == total, (engine, n, d, algo)
+
+
 def test_entry_searches_memory_is_bounded():
     from maxwit.qsim import _run_entry_searches
 
@@ -223,11 +339,10 @@ def test_entry_searches_memory_is_bounded():
     n = 96
     a = random_matrix(n, 0.3, seed=67)
     b = random_matrix(n, 0.3, seed=68)
-    bt = transpose(b).row_bits
-    targets = [(i, j, a.row_bits[i] & bt[j], n) for i in range(n) for j in range(n)]
+    i, j = np.divmod(np.arange(n * n), n)
     tracemalloc.start()
     try:
-        wm, total = _run_entry_searches(n, targets, boost_reps(2.0, n), np_stream(0, 973))
+        wm, total = _run_entry_searches(a, b, i, j, np.full(n * n, n), boost_reps(2.0, n), np_stream(0, 973))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
