@@ -360,8 +360,9 @@ def _success_probability(pos: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.nd
 @functools.lru_cache(maxsize=8)
 def _success_table(q: int) -> np.ndarray:
     """Flat read-only table of _success_probability over a length-q table: cell
-    pos * (isqrt(q) + 1) + j, for every position and every BBHT iteration count j
-    (j < m <= sqrt(q)). Each cell is bit-identical to the inline expression."""
+    pos * (isqrt(q) + 1) + j, for every position and every BBHT iteration count
+    j = floor(u * m) <= m <= sqrt(q). Each cell is bit-identical to the inline
+    expression."""
     pos = np.arange(q, dtype=np.float64)[:, None]
     j = np.arange(math.isqrt(q) + 1, dtype=np.float64)
     table = _success_probability(pos, np.float64(q), j).ravel()

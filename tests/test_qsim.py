@@ -222,7 +222,7 @@ def test_success_table_matches_inline_formula():
     from maxwit.qsim import _TABLE_CELLS, _block_table, _success_table
 
     for q in (2, 3, 4, 63, 64, 65, 4096):
-        width = math.isqrt(q) + 1  # j < m <= sqrt(q), so j <= isqrt(q)
+        width = math.isqrt(q) + 1  # j = floor(u * m) <= m <= sqrt(q), so j <= isqrt(q)
         table = _success_table(q)
         assert table.shape == (q * width,) and not table.flags.writeable
         # the engine's inline expression, evaluated cell by cell in shuffled order
