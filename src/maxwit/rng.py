@@ -5,7 +5,10 @@ integer seed plus a path of integer tags (round number, repetition index,
 strip index, ...). Streams are backed by Philox, a counter-based generator,
 so any (seed, *path) key yields the same sequence regardless of how many
 other streams were opened before it. That is what makes reports reproducible
-under any scheduling of independent trials.
+under any scheduling of independent trials. The minimum-finding engine
+(``qsim._dh_position_batch``) draws its many uniforms from an SFC64 generator
+seeded from the Philox stream it is given, once per call, so its draws are
+keyed by (seed, *path) too.
 """
 from __future__ import annotations
 
