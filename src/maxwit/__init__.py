@@ -40,7 +40,6 @@ from .graphs import (
 )
 from .qsim import (
     AlgoStats,
-    ColumnIndexTables,
     QueryLog,
     VirtualMinTable,
     algorithm1,
@@ -90,7 +89,6 @@ __all__ = [
     "witness_rank_matrix",
     "VirtualMinTable",
     "QueryLog",
-    "ColumnIndexTables",
     "AlgoStats",
     "grover_success_probability",
     "durr_hoyer_min",

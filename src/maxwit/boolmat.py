@@ -477,13 +477,20 @@ def witness_violations(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> dict:
 
     Returns the lists of three defect classes: invalid (reported k is not a
     witness), missing (product is 1 but no witness reported), spurious
-    (product is 0 but a witness is reported).
+    (product is 0 but a witness is reported); "ok" when all three are
+    empty; and "disagreements", the number of entries that differ from the
+    maximum witness matrix.
     """
     return _violations_and_ranks(a, b, wm)[0]
 
 
 def _violations_and_ranks(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> tuple[dict, np.ndarray]:
-    """witness_violations(a, b, wm) and witness_rank_matrix(a, b, wm) from one rank pass."""
+    """witness_violations(a, b, wm) and witness_rank_matrix(a, b, wm) from one rank pass.
+
+    The maximum witness is the witness of rank 1, so an entry differs from
+    it exactly when its rank is not 1 and it is either in the product or
+    holds anything but the absence marker -1.
+    """
     product_dims(a, b, wm=wm)
     present = bool_product(a, b).to_dense().astype(bool)
     w = wm.array
@@ -500,5 +507,6 @@ def _violations_and_ranks(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> tu
         "missing": missing,
         "spurious": spurious,
         "ok": not (invalid or missing or spurious),
+        "disagreements": int(((ranks != 1) & (present | (w != -1))).sum()),
     }
     return report, ranks

@@ -61,7 +61,6 @@ __all__ = [
     "PREPROCESSING_LEVELS",
     "QueryLog",
     "VirtualMinTable",
-    "ColumnIndexTables",
     "AlgoStats",
     "grover_success_probability",
     "durr_hoyer_min",
@@ -151,31 +150,6 @@ class VirtualMinTable:
                 if seen.get(v, k) != k:
                     raise ValueError("table values are not pairwise distinct")
                 seen[v] = k
-
-
-@dataclass(frozen=True)
-class ColumnIndexTables:
-    """Per-column candidate lists: indices k with B[k, j] = 1, decreasing."""
-
-    columns: tuple[np.ndarray, ...]
-
-    @classmethod
-    def from_matrix(cls, b: BoolMatrix) -> "ColumnIndexTables":
-        dense = b.to_dense()
-        cols = tuple(
-            np.flatnonzero(dense[:, j])[::-1].astype(np.int64).copy() for j in range(b.cols)
-        )
-        return cls(cols)
-
-    def validate(self, b: BoolMatrix) -> None:
-        if len(self.columns) != b.cols:
-            raise ValueError("column count mismatch")
-        counts = b.to_dense().sum(axis=0)
-        for j, col in enumerate(self.columns):
-            if len(col) != counts[j]:
-                raise ValueError(f"column {j} length differs from popcount")
-            if np.any(np.diff(col) >= 0):
-                raise ValueError(f"column {j} is not strictly decreasing")
 
 
 @dataclass(frozen=True)

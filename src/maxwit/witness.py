@@ -43,7 +43,6 @@ __all__ = [
     "StripDecomposition",
     "ApproxParams",
     "default_strip_width",
-    "strip_decomposition",
     "largest_nonzero_strip",
     "exact_max_witness_strips",
     "single_witness_product",
@@ -94,10 +93,6 @@ class StripDecomposition:
 
     def __len__(self) -> int:
         return len(self.ranges)
-
-
-def strip_decomposition(n: int, ell: int) -> StripDecomposition:
-    return StripDecomposition.build(n, ell)
 
 
 def default_strip_width(n: int) -> int:

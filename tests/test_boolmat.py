@@ -288,6 +288,8 @@ def test_rank_checks_match_scalar_ranks(n, q):
         assert witness_rank_matrix(a, b, wm).tolist() == want.tolist()
         rep = witness_violations(a, b, wm)
         assert (rep["invalid"], rep["missing"], rep["spurious"]) == (invalid, missing, spurious)
+        best = max_witness_dense(da, db)
+        assert rep["disagreements"] == sum(w[i, j] != best[i][j] for i in range(n) for j in range(n))
 
         w[n - 1, 0] = q  # one past the inner dimension
         for check in (witness_rank_matrix, witness_violations):

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from maxwit.boolmat import max_witness_oracle, random_matrix
+from maxwit.boolmat import WitnessMatrix, max_witness_oracle, random_matrix
 from maxwit.cli import _thread_count, main
 from maxwit.graphs import LCA_SOLVERS, VertexWeightedGraph
 from maxwit.io import load_matrix, save_matrix_text, write_witness_json
@@ -193,6 +196,15 @@ def test_campaign_reports(tmp_path, capsys):
     assert main(["campaign", "--target", "durr-hoyer", "--q-grid", "64"]) == 1
 
 
+@pytest.mark.parametrize("target", ["multiwitness", "maxwit-accuracy"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_campaign_rejects_n_below_one(capsys, target, n):
+    assert main(["campaign", "--target", target, "--n", n, "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n must be at least 1, got {n}\n"
+
+
 def test_campaign_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "c.json"
     argv = ["campaign", "--target", "durr-hoyer", "--trials", "15", "--q-grid", "16,64",
@@ -236,8 +248,6 @@ def test_verify_subcommand(tmp_path, capsys):
     assert json.loads(out)["diff"]["passed"] is True
 
     # corrupt deterministically: replace one witness with a k where A[i,k] = 0
-    import numpy as np
-
     ii, jj = np.nonzero(wm.array >= 0)
     i, j = int(ii[0]), int(jj[0])
     bad_k = next(k for k in range(10) if not (am.row_bits[i] >> k) & 1)
@@ -271,9 +281,66 @@ def test_verify_max_rank(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["diff"]["rank_violations"] == 0
+    got = WitnessMatrix.from_json_dict(json.loads(res.read_text())["result"]).array
+    want = max_witness_oracle(load_matrix(a), load_matrix(b)).array
+    assert doc["diff"]["max_witness_disagreements"] == int((got != want).sum()) > 0
 
     code, _ = run(capsys, "verify", "--a", str(a), "--b", str(b), "--result", str(res), "--max-rank", "1")
     assert code == 3  # rank 4 answers cannot all be maxima
+
+
+def test_maxwit_verify_counts_disagreements(monkeypatch, capsys):
+    # alg1 has made no error at beta 0.01 in any instance tried, so the run is
+    # wrapped to drop some witnesses and lower others to a smaller witness
+    solver = SOLVERS["alg1"]
+    made = []
+
+    def erring(a, b, ell, beta, seed):
+        wm, stats = solver.run(a, b, ell, beta, seed)
+        ad, bd = a.to_dense(), b.to_dense()
+        w = wm.array
+        for t, (i, j) in enumerate(zip(*np.nonzero(w >= 0))):
+            if t % 5 == 0:
+                w[i, j] = -1
+            elif t % 5 == 1:
+                w[i, j] = np.flatnonzero(ad[i] & bd[:, j])[0]  # the smallest witness
+        made.append((a, b, wm))
+        return wm, stats
+
+    monkeypatch.setitem(SOLVERS, "alg1", replace(solver, run=erring))
+    code, out = run(capsys, "maxwit", "--n", "24", "--density", "0.4", "--algo", "alg1",
+                    "--beta", "0.01", "--seed", "8", "--verify")
+    assert code == 0
+    v = json.loads(out)["verification"]
+    a, b, wm = made[0]
+    want = int((wm.array != max_witness_oracle(a, b).array).sum())
+    assert v["disagreements"] == want > 0
+    assert v["disagreement_rate"] == want / 24**2
+    assert v["missing"] > 0 and v["invalid"] == v["spurious"] == 0
+
+
+def test_checks_never_run_the_oracle(monkeypatch, tmp_path, capsys):
+    a, b, res = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "w.json"
+    save_matrix_text(a, random_matrix(20, 0.3, seed=240))
+    save_matrix_text(b, random_matrix(20, 0.3, seed=241))
+    pair = ["--a", str(a), "--b", str(b)]
+    assert main(["approx", "--method", "rank-bounded", *pair, "--ell", "4", "--out", str(res)]) == 0
+
+    def refuse(a, b):
+        raise AssertionError("a check ran max_witness_oracle")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("maxwit") and hasattr(module, "max_witness_oracle"):
+            monkeypatch.setattr(module, "max_witness_oracle", refuse)
+    for argv in (
+        ["maxwit", *pair, "--algo", "strips", "--verify"],
+        ["approx", "--method", "rank-bounded", *pair, "--ell", "4", "--verify"],
+        ["verify", *pair, "--result", str(res)],
+        ["verify", *pair, "--result", str(res), "--max-rank", "4"],
+        ["campaign", "--target", "maxwit-accuracy", "--n", "16", "--trials", "2"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert json.loads(run(capsys, "verify", *pair, "--result", str(res))[1])["diff"]["max_witness_disagreements"] > 0
 
 
 def test_report_out_file_matches_stdout_format(tmp_path, capsys):

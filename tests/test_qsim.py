@@ -21,7 +21,6 @@ from maxwit.qsim import (
     DH_BUDGET_FACTOR,
     TABLE_SHAPES,
     AlgoStats,
-    ColumnIndexTables,
     MaxWitnessIndex,
     VirtualMinTable,
     algorithm1,
@@ -287,7 +286,8 @@ def _per_entry_targets(algo, a, b, ell):
         rows = bool_product(a, b).row_bits
         return [(i, j, a.row_bits[i] & bt[j], n) for i in range(n) for j in set_bits(rows[i])]
     if algo == 3:
-        columns = ColumnIndexTables.from_matrix(b).columns
+        bd = b.to_dense()
+        columns = [np.flatnonzero(bd[:, j])[::-1] for j in range(n)]
         return [(i, j, a.row_bits[i] & bt[j], len(col))
                 for j, col in enumerate(columns) if len(col) for i in range(n)]
     dec = StripDecomposition.build(n, ell)
@@ -461,13 +461,6 @@ def test_algorithm3_tracks_sparser_factor():
     wm, _ = algorithm3(dense, b0, beta=2.0, seed=5)
     assert wm == max_witness_oracle(dense, b0)
     assert not np.any(wm.array[:, 5] >= 0)
-
-
-def test_algorithm3_column_tables():
-    b = BoolMatrix.from_strings(["101", "001", "011"])
-    tabs = ColumnIndexTables.from_matrix(b)
-    assert [c.tolist() for c in tabs.columns] == [[0], [2], [2, 1, 0]]
-    tabs.validate(b)
 
 
 def test_algorithm4_strip_widths():

@@ -18,6 +18,7 @@ from maxwit.boolmat import (
 )
 from maxwit.witness import (
     ApproxParams,
+    StripDecomposition,
     approx_multiwitness,
     approx_multiwitness_boosted,
     approx_rank_bounded,
@@ -26,7 +27,6 @@ from maxwit.witness import (
     k_witness,
     largest_nonzero_strip,
     single_witness_product,
-    strip_decomposition,
     witness_rank_matrix,
 )
 from maxwit.rng import np_stream
@@ -39,7 +39,7 @@ def _dense(m: BoolMatrix) -> list[list[int]]:
 
 
 def test_strip_decomposition_shapes():
-    dec = strip_decomposition(10, 4)
+    dec = StripDecomposition.build(10, 4)
     assert dec.ranges == ((0, 4), (4, 8), (8, 10))
     assert dec.masks == (0b1111, 0b11110000, 0b1100000000)
     assert len(dec) == 3
@@ -47,9 +47,9 @@ def test_strip_decomposition_shapes():
     with pytest.raises(IndexError):
         dec.strip_of(10)
     with pytest.raises(ValueError):
-        strip_decomposition(4, 5)
+        StripDecomposition.build(4, 5)
     with pytest.raises(ValueError):
-        strip_decomposition(4, 0)
+        StripDecomposition.build(4, 0)
 
 
 def test_default_strip_width():
@@ -77,7 +77,7 @@ def test_largest_nonzero_strip_matches_direct_scan():
         for ell in (1, 4, 7, 64, q):
             if ell > q:
                 continue
-            dec = strip_decomposition(q, ell)
+            dec = StripDecomposition.build(q, ell)
             got = largest_nonzero_strip(a, b, dec)
             assert got.shape == (a.rows, b.cols)
             for i in range(a.rows):
@@ -286,7 +286,7 @@ def test_rank_bounded_samples_each_entry_in_its_own_strip_only():
     n, ell = 128, 8
     a = random_matrix(n, 0.3, seed=71)
     b = random_matrix(n, 0.3, seed=72)
-    dec = strip_decomposition(n, ell)
+    dec = StripDecomposition.build(n, ell)
     top = largest_nonzero_strip(a, b, dec)
     calls = []
     inner = witness._collect_witnesses
