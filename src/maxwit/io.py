@@ -1,4 +1,4 @@
-"""File formats: matrices (text and binary), graphs, witness reports.
+"""File formats: matrices (text and binary), graphs, canonical reports.
 
 Matrix text format: a "rows cols" header line, then one line of 0/1
 characters per row.
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boolmat import BoolMatrix, WitnessMatrix
+from .boolmat import BoolMatrix
 from .graphs import Dag, VertexWeightedGraph
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
     "save_dag",
     "load_graph",
     "load_dag",
-    "write_witness_json",
-    "read_witness_json",
-    "write_witness_csv",
     "csv_text",
 ]
 
@@ -297,18 +294,6 @@ def load_graph(path: str | Path) -> VertexWeightedGraph:
 def load_dag(path: str | Path) -> Dag:
     n, edges, _, _ = _parse_graph(path)
     return Dag(n, tuple(edges))
-
-
-def write_witness_json(path: str | Path, wm: WitnessMatrix, one_based: bool = False) -> None:
-    Path(path).write_text(canonical_json({"n": wm.n, "entries": RowBlock(wm.columns(one_based))}))
-
-
-def read_witness_json(path: str | Path) -> WitnessMatrix:
-    return WitnessMatrix.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def write_witness_csv(path: str | Path, wm: WitnessMatrix, one_based: bool = False) -> None:
-    Path(path).write_text(csv_text("i,j,witness", RowBlock(wm.columns(one_based))))
 
 
 def csv_text(header: str, block: RowBlock) -> str:

@@ -121,9 +121,9 @@ class VirtualMinTable:
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "VirtualMinTable":
         vals = [int(v) for v in values]
-        table = cls(len(vals), vals.__getitem__)
-        table.assert_distinct()
-        return table
+        if len(set(vals)) != len(vals):
+            raise ValueError("table values are not pairwise distinct")
+        return cls(len(vals), vals.__getitem__)
 
     def query(self, k: int) -> int:
         self.queries += 1
@@ -134,22 +134,6 @@ class VirtualMinTable:
 
     def materialize(self) -> np.ndarray:
         return np.fromiter((self._eval(k) for k in range(self.length)), np.int64, self.length)
-
-    def assert_distinct(self, sample_rng: random.Random | None = None) -> None:
-        """Full check up to 4096 entries, random spot checks beyond that."""
-        if self.length <= 4096:
-            vals = self.materialize()
-            if np.unique(vals).size != self.length:
-                raise ValueError("table values are not pairwise distinct")
-        else:
-            rng = sample_rng or random.Random(0)
-            seen: dict[int, int] = {}
-            for _ in range(256):
-                k = rng.randrange(self.length)
-                v = self._eval(k)
-                if seen.get(v, k) != k:
-                    raise ValueError("table values are not pairwise distinct")
-                seen[v] = k
 
 
 @dataclass(frozen=True)

@@ -132,3 +132,21 @@ def best_two_edge_path(
     if best is None:
         return None
     return best, weights[best]
+
+
+def packed_words_row(row: list[int], words: int) -> list[int]:
+    """A 0/1 row as ``words`` 64-bit words: bit k of the row is bit k % 64
+    of word k // 64, and the words past the row stay zero."""
+    out = [0] * words
+    for k, bit in enumerate(row):
+        if bit:
+            out[k // 64] |= 1 << (k % 64)
+    return out
+
+
+def top_bit(x: int) -> int:
+    """Index of the highest set bit of a 64-bit word, scanning down; -1 for 0."""
+    for k in range(63, -1, -1):
+        if (x >> k) & 1:
+            return k
+    return -1

@@ -13,7 +13,7 @@ import pytest
 from maxwit.boolmat import WitnessMatrix, max_witness_oracle, random_matrix
 from maxwit.cli import _thread_count, main
 from maxwit.graphs import LCA_SOLVERS, VertexWeightedGraph
-from maxwit.io import load_matrix, save_matrix_text, write_witness_json
+from maxwit.io import load_matrix, save_matrix_text
 from maxwit.solvers import SOLVERS
 
 
@@ -241,7 +241,7 @@ def test_verify_subcommand(tmp_path, capsys):
     save_matrix_text(b, bm)
     wm = max_witness_oracle(am, bm)
     res = tmp_path / "w.json"
-    write_witness_json(res, wm)
+    res.write_text(json.dumps(wm.to_json_dict()))
 
     code, out = run(capsys, "verify", "--a", str(a), "--b", str(b), "--result", str(res))
     assert code == 0
@@ -252,7 +252,7 @@ def test_verify_subcommand(tmp_path, capsys):
     i, j = int(ii[0]), int(jj[0])
     bad_k = next(k for k in range(10) if not (am.row_bits[i] >> k) & 1)
     wm.set(i, j, bad_k)
-    write_witness_json(res, wm)
+    res.write_text(json.dumps(wm.to_json_dict()))
     code, out = run(capsys, "verify", "--a", str(a), "--b", str(b), "--result", str(res))
     assert code == 3
     doc = json.loads(out)
@@ -287,6 +287,12 @@ def test_verify_max_rank(tmp_path, capsys):
 
     code, _ = run(capsys, "verify", "--a", str(a), "--b", str(b), "--result", str(res), "--max-rank", "1")
     assert code == 3  # rank 4 answers cannot all be maxima
+
+    for bad in ("0", "-3"):  # no witness has rank below 1
+        code = main(["verify", "--a", str(a), "--b", str(b), "--result", str(res), "--max-rank", bad])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.count("error:") == 1 and "--max-rank" in err
 
 
 def test_maxwit_verify_counts_disagreements(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""File formats: text/binary matrices, graphs, dags, witness JSON/CSV."""
+"""File formats: text/binary matrices, graphs, dags, row blocks and reports."""
 from __future__ import annotations
 
 import json
@@ -26,13 +26,10 @@ from maxwit.io import (
     load_dag,
     load_graph,
     load_matrix,
-    read_witness_json,
     save_dag,
     save_graph,
     save_matrix_binary,
     save_matrix_text,
-    write_witness_csv,
-    write_witness_json,
 )
 
 
@@ -99,25 +96,6 @@ def test_binary_padding_must_be_zero(tmp_path):
     p.write_bytes(header + (0b1011).to_bytes(8, "little"))  # bit 3 is padding for cols=3
     with pytest.raises(ValueError):
         load_matrix(p)
-
-
-def test_witness_json_and_csv(tmp_path):
-    a = random_matrix(8, 0.4, seed=31)
-    b = random_matrix(8, 0.4, seed=32)
-    wm = max_witness_oracle(a, b)
-    jp = tmp_path / "w.json"
-    write_witness_json(jp, wm)
-    assert read_witness_json(jp) == wm
-    doc = json.loads(jp.read_text())
-    assert set(doc) == {"n", "entries"}
-
-    cp = tmp_path / "w.csv"
-    write_witness_csv(cp, wm, one_based=True)
-    lines = cp.read_text().splitlines()
-    assert lines[0] == "i,j,witness"
-    assert len(lines) == 1 + wm.present_count()
-    i, j, w = map(int, lines[1].split(","))
-    assert wm.get(i - 1, j - 1) == w - 1
 
 
 def test_graph_roundtrip(tmp_path):

@@ -1,0 +1,22 @@
+"""The package namespace: ``maxwit`` exports its modules' public names."""
+from __future__ import annotations
+
+import maxwit
+from maxwit import boolmat, graphs, qsim, witness
+
+
+def test_all_is_the_modules_all():
+    names = maxwit.__all__
+    assert names == ["__version__", *boolmat.__all__, *graphs.__all__, *qsim.__all__, *witness.__all__]
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(maxwit, name) is not None
+
+
+def test_star_import_binds_every_name():
+    ns: dict = {}
+    exec("from maxwit import *", ns)
+    assert set(ns) - {"__builtins__"} == set(maxwit.__all__)
+    for mod in (boolmat, graphs, qsim, witness):
+        for name in mod.__all__:
+            assert ns[name] is getattr(mod, name)

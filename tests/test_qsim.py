@@ -77,6 +77,9 @@ def test_virtual_table_counts_queries_not_peeks():
     with pytest.raises(ValueError):
         VirtualMinTable.from_values([1, 2, 1])
     with pytest.raises(ValueError):
+        VirtualMinTable.from_values(list(range(4999)) + [17])  # long tables are checked in full too
+    assert VirtualMinTable.from_values(range(4097, 0, -1)).length == 4097
+    with pytest.raises(ValueError):
         VirtualMinTable(0, lambda k: k)
 
 

@@ -31,7 +31,7 @@ from maxwit.witness import (
 )
 from maxwit.rng import np_stream
 
-from scalar_oracles import max_witness_dense, witness_list_entry
+from scalar_oracles import max_witness_dense, packed_words_row, top_bit, witness_list_entry
 
 
 def _dense(m: BoolMatrix) -> list[list[int]]:
@@ -68,6 +68,27 @@ def _word_boundary_pairs(p: int, r: int):
         b[::5] = False
         yield q, BoolMatrix.from_dense(a), BoolMatrix.from_dense(b)
         yield q, BoolMatrix.ones(p, q), BoolMatrix.ones(q, r)
+
+
+def test_packed_words_match_the_scalar_reference():
+    rng = np.random.default_rng(50)
+    for cols in (1, 63, 64, 65, 127, 129):
+        dense = (rng.random((4, cols)) < 0.5).astype(np.uint8)
+        dense[0] = 1  # the row's last column is its highest bit
+        need = -(-cols // 64)
+        for words in (need, need + 2):  # exact, and with padding words
+            got = witness._packed_words(dense, words)
+            assert got.dtype == np.dtype("<u8") and got.shape == (4, words)
+            assert got.tolist() == [packed_words_row(r, words) for r in dense.tolist()]
+
+
+def test_top_bit_matches_the_scalar_reference():
+    rng = np.random.default_rng(51)
+    every_byte = [v << (8 * p) for p in range(8) for v in range(256)]
+    spread = rng.integers(0, 2**64, 10**4, dtype=np.uint64) >> rng.integers(0, 64, 10**4).astype(np.uint64)
+    words = [0, 2**64 - 1, *every_byte, *spread.tolist()]
+    got = witness._top_bit(np.array(words, np.uint64))
+    assert got.tolist() == [top_bit(x) for x in words]
 
 
 def test_largest_nonzero_strip_matches_direct_scan():
