@@ -93,8 +93,12 @@ _BETA_MAX = 64.0
 
 
 def _beta(text: str) -> float:
-    """The --beta value: a float in (0, _BETA_MAX]; inf and nan are rejected too."""
-    beta = float(text)
+    """The --beta value: a float in (0, _BETA_MAX]; inf, nan and text that is
+    no number are rejected too, with the same message."""
+    try:
+        beta = float(text)
+    except ValueError:
+        beta = float("nan")  # fails the range check below
     if not 0 < beta <= _BETA_MAX:
         raise argparse.ArgumentTypeError(f"must be in (0, {_BETA_MAX:g}], got {text}")
     return beta
@@ -102,7 +106,10 @@ def _beta(text: str) -> float:
 
 def _max_rank(text: str) -> int:
     """The --max-rank value: an integer of at least 1, the maximum witness's rank."""
-    rank = int(text)
+    try:
+        rank = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text}") from None
     if rank < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return rank
@@ -582,10 +589,15 @@ def _cmd_campaign(args) -> int:
 def _cmd_verify(args) -> int:
     a, b = _load_pair(args)
     doc = json.loads(Path(args.result).read_text())
-    if isinstance(doc, dict) and "result" in doc:  # full report; unwrap to the witness payload
+    one_based = False
+    if isinstance(doc, dict) and "result" in doc:  # full report: its own config gives the index base
+        config = doc.get("config")
+        one_based = config.get("one_based", False) if isinstance(config, dict) else False
+        if type(one_based) is not bool:
+            raise ConfigError(f"the report's config.one_based must be true or false, got {one_based!r}")
         doc = doc["result"]
     n, _ = product_dims(a, b, square=True)
-    wm = WitnessMatrix.from_json_dict(doc, expect_n=n)
+    wm = WitnessMatrix.from_json_dict(doc, one_based, expect_n=n)
     viol, ranks = _violations_and_ranks(a, b, wm)  # rejects witnesses outside [0, inner dimension)
     diff = {
         "entries": wm.n * wm.n,

@@ -16,9 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolmat import BoolMatrix, WitnessMatrix, bool_product, max_witness_oracle, set_bits, transpose
+from .boolmat import BoolMatrix, WitnessMatrix, max_witness_oracle, set_bits, transpose
 from .rng import np_stream
 from .solvers import SOLVERS
+from .witness import _packed_words
 
 __all__ = [
     "CycleError",
@@ -113,30 +114,10 @@ class Dag:
         cycle.reverse()  # parent pointers were followed backwards
         return cycle
 
-    def adjacency(self) -> BoolMatrix:
-        rows = [0] * self.n
-        for u, v in self.edges:
-            rows[u] |= 1 << v
-        return BoolMatrix(self.n, self.n, tuple(rows))
-
-    def ancestor_bitsets(self, method: str = "traversal") -> tuple[int, ...]:
-        """Per-vertex reflexive ancestor sets as bit masks over vertex ids.
-
-        "traversal" accumulates along the topological order, once per dag;
-        "squaring" closes the adjacency matrix by repeated Boolean squaring.
-        Both produce identical sets.
-        """
-        if method == "traversal":
-            return self._ancestors
-        if method == "squaring":
-            m = self.adjacency()
-            rows = [r | (1 << i) for i, r in enumerate(m.row_bits)]
-            m = BoolMatrix(self.n, self.n, tuple(rows))
-            steps = max(1, (self.n - 1).bit_length())
-            for _ in range(steps):
-                m = bool_product(m, m)
-            return transpose(m).row_bits  # reach[u, v]: ancestors of v sit in column v
-        raise ValueError(f"unknown closure method {method!r}")
+    def ancestor_bitsets(self) -> tuple[int, ...]:
+        """Per-vertex reflexive ancestor sets as bit masks over vertex ids,
+        accumulated along the topological order once per dag."""
+        return self._ancestors
 
     def descendant_bitsets(self) -> tuple[int, ...]:
         """Per-vertex reflexive descendant sets as bit masks, built once per dag."""
@@ -183,12 +164,12 @@ def demo_dag() -> Dag:
     return Dag(6, ((3, 0), (3, 1), (4, 1), (4, 2), (5, 2), (5, 3)))
 
 
-def ancestor_matrix(dag: Dag, method: str = "traversal") -> BoolMatrix:
+def ancestor_matrix(dag: Dag) -> BoolMatrix:
     """Reflexive ancestor relation: entry (u, v) is 1 iff v is an ancestor of u."""
-    return BoolMatrix(dag.n, dag.n, dag.ancestor_bitsets(method))
+    return BoolMatrix(dag.n, dag.n, dag.ancestor_bitsets())
 
 
-def lca_matrix(dag: Dag, method: str = "traversal") -> tuple[BoolMatrix, tuple[int, ...]]:
+def lca_matrix(dag: Dag) -> tuple[BoolMatrix, tuple[int, ...]]:
     """Topologically renumbered ancestor matrix for the LCA reduction.
 
     Returns (M, order): M[x, y] = 1 iff order[y] is an ancestor of order[x].
@@ -197,7 +178,7 @@ def lca_matrix(dag: Dag, method: str = "traversal") -> tuple[BoolMatrix, tuple[i
     """
     order = tuple(dag.topo_order)
     perm = np.asarray(order, np.int64)
-    return BoolMatrix.from_dense(ancestor_matrix(dag, method).to_dense()[np.ix_(perm, perm)]), order
+    return BoolMatrix.from_dense(ancestor_matrix(dag).to_dense()[np.ix_(perm, perm)]), order
 
 
 def all_pairs_lca(
@@ -244,8 +225,9 @@ def lca_errors(dag: Dag, lca: np.ndarray) -> int:
     anc = ancestor_matrix(dag).to_dense()
     below = BoolMatrix(n, n, dag.descendant_bitsets()).to_dense()
     np.fill_diagonal(below, 0)  # proper descendants
-    packed_anc = np.packbits(anc, axis=1)
-    packed_below = np.packbits(below, axis=1)
+    words = -(-n // 64)
+    packed_anc = _packed_words(anc, words)
+    packed_below = _packed_words(below, words)
     vs = np.arange(n)
     wrong = 0
     for u in range(n):  # one row of pairs at a time: temporaries of n * n/8 bytes
@@ -326,7 +308,7 @@ def random_weighted_graph(
     return VertexWeightedGraph(n, tuple(edges), weights, directed)
 
 
-def _permuted_witnesses(adj: BoolMatrix, order: list[int]) -> tuple[WitnessMatrix, list[int]]:
+def _permuted_witnesses(adj: BoolMatrix, order: list[int]) -> WitnessMatrix:
     # columns of the left factor and rows of the right factor follow `order`,
     # so witness k stands for original vertex order[k] and the maximum witness
     # is the common neighbour that comes last in `order`
@@ -334,7 +316,7 @@ def _permuted_witnesses(adj: BoolMatrix, order: list[int]) -> tuple[WitnessMatri
     perm = np.asarray(order, np.int64)
     left = BoolMatrix.from_dense(dense[:, perm])
     right = BoolMatrix.from_dense(dense[perm, :])
-    return max_witness_oracle(left, right), order
+    return max_witness_oracle(left, right)
 
 
 def heaviest_triangle_per_edge(
@@ -350,8 +332,7 @@ def heaviest_triangle_per_edge(
         raise ValueError("triangle search expects an undirected graph")
     adj = g.adjacency()
     order = g.weight_order(descending=lightest)
-    wm, order = _permuted_witnesses(adj, order)
-    w = wm.array
+    w = _permuted_witnesses(adj, order).array
     out: dict[tuple[int, int], int | None] = {}
     for u, v in g.edges:
         k = int(w[u, v])
@@ -369,8 +350,7 @@ def max_weight_two_edge_paths(g: VertexWeightedGraph) -> tuple[np.ndarray, np.nd
     """
     adj = g.adjacency()
     order = g.weight_order()
-    wm, order = _permuted_witnesses(adj, order)
-    w = wm.array
+    w = _permuted_witnesses(adj, order).array
     order_arr = np.asarray(order, np.int64)
     mid = np.where(w >= 0, order_arr[np.clip(w, 0, None)], np.int64(-1))
     warr = np.asarray(g.weights, np.float64)

@@ -177,10 +177,7 @@ def canonical_json(obj) -> str:
 
 
 def save_matrix_text(path: str | Path, m: BoolMatrix) -> None:
-    lines = [f"{m.rows} {m.cols}"]
-    for r in m.row_bits:
-        lines.append("".join("1" if (r >> j) & 1 else "0" for j in range(m.cols)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(f"{m.rows} {m.cols}\n{m}\n")
 
 
 def save_matrix_binary(path: str | Path, m: BoolMatrix) -> None:

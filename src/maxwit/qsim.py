@@ -49,6 +49,7 @@ from .rng import np_stream
 from .witness import (
     StripDecomposition,
     _packed_words,
+    _strip_products,
     _top_bit,
     default_strip_width,
     largest_nonzero_strip,
@@ -280,10 +281,11 @@ def max_wit(
     Runs ceil(beta*log2 n) minimum-finding runs on the witness table in one
     engine call and keeps the smallest final position (the largest verified
     witness). Returns (witness, log) or (None, log) when no run lands on a
-    witness; wrong answers occur with probability at most n^-beta.
+    witness; wrong answers occur with probability at most n^-beta. Without
+    an ``rng`` the runs draw from ``np_stream(0)``.
     """
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = np_stream(0)
     wit, hi, nbase = _entry_range(a, b, i, j, lo, hi)
     # the table's sorted order lists the in-range witnesses first, largest first
     mask = wit & ((1 << hi) - (1 << lo))
@@ -654,15 +656,13 @@ class MaxWitnessIndex:
         self.ell = default_strip_width(q) if ell is None else ell
         self._rng = np_stream(seed, _TAG_TRADEOFF)
         self._dec: StripDecomposition | None = None
-        self._strip_products: list[BoolMatrix] | None = None
+        self._strip_products: list[np.ndarray] | None = None
         self._parr: np.ndarray | None = None
         self._full: WitnessMatrix | None = None
         if level in ("strips", "strips+largest-p"):
             self._dec = StripDecomposition.build(q, self.ell)
-            self._strip_products = [
-                bool_product(BoolMatrix(a.rows, a.cols, tuple(r & msk for r in a.row_bits)), b)
-                for msk in self._dec.masks
-            ]
+        if level == "strips":
+            self._strip_products = list(_strip_products(a, b, self._dec))
         if level == "strips+largest-p":
             self._parr = largest_nonzero_strip(a, b, self._dec)
         if level == "full":
@@ -683,7 +683,7 @@ class MaxWitnessIndex:
             p = -1
             for cand in range(len(self._strip_products) - 1, -1, -1):
                 # precomputed-table probes are classical reads, not queries
-                if (self._strip_products[cand].row_bits[i] >> j) & 1:
+                if self._strip_products[cand][i, j]:
                     p = cand
                     break
         else:

@@ -63,14 +63,12 @@ _TAG_MULTI = 4
 class StripDecomposition:
     """Partition of the inner index range [0, n) into strips of width ell.
 
-    All strips have width ell except possibly the last; ``masks[p]`` is the
-    bitset covering strip p, for intersecting packed rows directly.
+    All strips have width ell except possibly the last.
     """
 
     n: int
     ell: int
     ranges: tuple[tuple[int, int], ...]
-    masks: tuple[int, ...]
 
     @classmethod
     def build(cls, n: int, ell: int) -> "StripDecomposition":
@@ -78,13 +76,7 @@ class StripDecomposition:
             raise ValueError("n must be at least 1")
         if not 1 <= ell <= n:
             raise ValueError(f"strip width must satisfy 1 <= ell <= n, got ell={ell}, n={n}")
-        ranges = []
-        masks = []
-        for start in range(0, n, ell):
-            end = min(start + ell, n)
-            ranges.append((start, end))
-            masks.append(((1 << (end - start)) - 1) << start)
-        return cls(n, ell, tuple(ranges), tuple(masks))
+        return cls(n, ell, tuple((s, min(s + ell, n)) for s in range(0, n, ell)))
 
     def strip_of(self, k: int) -> int:
         if not 0 <= k < self.n:
@@ -123,22 +115,30 @@ class ApproxParams:
 # ---------------------------------------------------------------------------
 
 
-def largest_nonzero_strip(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition) -> np.ndarray:
-    """For each entry, the highest strip p whose partial product is 1, else -1.
+def _strip_products(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition):
+    """Yield each strip's product, in strip order, as a (rows, cols) bool array.
 
     One BLAS product per strip gives the witness counts of the (rows, ell)
-    by (ell, cols) strip product; an entry keeps the largest p + 1 over the
-    strips where its count is nonzero.
+    by (ell, cols) strip product; a float32 sum of 0/1 products is positive
+    exactly where the count is.
     """
     product_dims(a, b)
     if dec.n != a.cols:
         raise ValueError("decomposition does not cover the inner dimension")
     ad, bd = a.to_dense(), b.to_dense()
+    for s, e in dec.ranges:
+        yield ad[:, s:e].astype(np.float32) @ bd[s:e].astype(np.float32) > 0
+
+
+def largest_nonzero_strip(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition) -> np.ndarray:
+    """For each entry, the highest strip p whose partial product is 1, else -1.
+
+    An entry keeps the largest p + 1 over the strips where its strip product
+    is nonzero.
+    """
     best = np.zeros((a.rows, b.cols), np.min_scalar_type(len(dec)))
-    for p, (s, e) in enumerate(dec.ranges):
-        # a float32 sum of 0/1 products is positive exactly where the count is
-        counts = ad[:, s:e].astype(np.float32) @ bd[s:e].astype(np.float32)
-        np.maximum(best, (counts > 0) * best.dtype.type(p + 1), out=best)
+    for p, nonzero in enumerate(_strip_products(a, b, dec)):
+        np.maximum(best, nonzero * best.dtype.type(p + 1), out=best)
     return np.subtract(best, 1, dtype=np.int64)
 
 

@@ -150,3 +150,25 @@ def top_bit(x: int) -> int:
         if (x >> k) & 1:
             return k
     return -1
+
+
+def adjacency(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    """Dense 0/1 adjacency: entry [u][v] is 1 iff the edge u -> v exists."""
+    out = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        out[u][v] = 1
+    return out
+
+
+def closure_by_squaring(n: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    """Reflexive reachability by repeated Boolean squaring of adjacency + I.
+
+    Entry [u][v] is 1 iff v is reachable from u, that is, u is an ancestor
+    of v. ceil(log2(n - 1)) squarings (at least one) cover every path.
+    """
+    reach = adjacency(n, edges)
+    for v in range(n):
+        reach[v][v] = 1
+    for _ in range(max(1, (n - 1).bit_length())):
+        reach = dense_product(reach, reach)
+    return reach

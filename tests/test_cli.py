@@ -270,6 +270,38 @@ def test_verify_accepts_full_reports(tmp_path, capsys):
     assert json.loads(out)["diff"]["passed"] is True
 
 
+def test_verify_reads_one_based_reports_with_their_own_base(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_matrix_text(a, random_matrix(8, 0.6, seed=212))
+    save_matrix_text(b, random_matrix(8, 0.6, seed=213))
+    pair = ["--a", str(a), "--b", str(b)]
+    diffs = []
+    for flags in ([], ["--one-based"]):
+        rep = tmp_path / f"r{len(flags)}.json"
+        assert main(["approx", "--method", "rank-bounded", *pair, "--ell", "3", *flags, "--out", str(rep)]) == 0
+        code, out = run(capsys, "verify", *pair, "--result", str(rep), "--max-rank", "3")
+        assert code == 0
+        diffs.append(json.loads(out)["diff"])
+    assert diffs[0] == diffs[1]
+    assert diffs[0]["max_witness_disagreements"] > 0 and diffs[0]["passed"] is True
+
+    # a bare document stays 0-based, whatever the report it came from
+    doc = json.loads((tmp_path / "r1.json").read_text())
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc["result"]))
+    assert main(["verify", *pair, "--result", str(bare)]) == 1
+    assert "lies outside an n=8 matrix" in capsys.readouterr().err
+
+    for value in ("yes", 1, None):
+        doc["config"]["one_based"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", *pair, "--result", str(bad)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.count("error:") == 1 and "one_based" in err, value
+
+
 def test_verify_max_rank(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     save_matrix_text(a, random_matrix(16, 0.6, seed=220))
@@ -288,11 +320,12 @@ def test_verify_max_rank(tmp_path, capsys):
     code, _ = run(capsys, "verify", "--a", str(a), "--b", str(b), "--result", str(res), "--max-rank", "1")
     assert code == 3  # rank 4 answers cannot all be maxima
 
-    for bad in ("0", "-3"):  # no witness has rank below 1
+    for bad in ("0", "-3", "1.5", "four"):  # no witness has rank below 1, and ranks are integers
         code = main(["verify", "--a", str(a), "--b", str(b), "--result", str(res), "--max-rank", bad])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
-        assert err.count("error:") == 1 and "--max-rank" in err
+        assert err.count("error:") == 1 and err.startswith("error: argument --max-rank: must be ")
+        assert err.endswith(f"at least 1, got {bad}\n")
 
 
 def test_maxwit_verify_counts_disagreements(monkeypatch, capsys):
@@ -403,7 +436,7 @@ def test_verify_rejects_huge_n_before_allocating(tmp_path, capsys):
     assert captured.err == "error: witness matrix has n=1000000000 but the product is 8x8\n"
 
 
-@pytest.mark.parametrize("beta", ["inf", "1e12", "nan", "0", "-1"])
+@pytest.mark.parametrize("beta", ["inf", "1e12", "nan", "0", "-1", "abc", "2x"])
 @pytest.mark.parametrize(
     "argv",
     [

@@ -22,7 +22,7 @@ from maxwit.graphs import (
 )
 from maxwit.rng import np_stream
 
-from scalar_oracles import best_two_edge_path, heaviest_triangle_apex, lca_set
+from scalar_oracles import best_two_edge_path, closure_by_squaring, heaviest_triangle_apex, lca_set
 
 
 def test_demo_dag_structure_and_lca_sets():
@@ -185,12 +185,45 @@ def test_random_dag_is_acyclic_and_deterministic():
         assert len(dag.topo_order) == 25
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_lca_errors_on_packed_words_across_word_boundaries(n):
+    dag = random_dag(n, 6 / n, seed=n)
+    good = all_pairs_lca(dag)
+    assert lca_errors(dag, good) == 0
+
+    # corrupt random pairs and pairs whose LCA sits next to a 64-bit word
+    # boundary of the packed rows, three ways
+    anc = dag.ancestor_bitsets()
+    rng = np_stream(n, 7)
+    edge_pairs = rng.permutation(np.argwhere(np.isin(good, [63, 64, n - 1])))[:20]
+    bad = good.copy()
+    corrupted = set()
+    for u, v in rng.integers(0, n, (40, 2)).tolist() + edge_pairs.tolist():
+        if good[u, v] >= 0:
+            if rng.random() < 0.5:  # a wrong vertex: a common ancestor above the LCA if there is one
+                above = [w for w in range(n) if (anc[u] & anc[v]) >> w & 1 and w != good[u, v]]
+                bad[u, v] = rng.choice(above) if above else next(
+                    w for w in (63, 64, n - 1, 0, 1) if w < n and w != good[u, v])
+            else:  # -1 where a common ancestor exists
+                bad[u, v] = -1
+        else:  # a vertex where no common ancestor exists
+            bad[u, v] = min(63, n - 1)
+        corrupted.add((u, v))
+    edges = list(dag.edges)
+    want = 0
+    for u, v in corrupted:
+        lcas = lca_set(n, edges, u, v)
+        w = int(bad[u, v])
+        want += (w not in lcas) if w >= 0 else bool(lcas)
+    assert want > 0
+    assert lca_errors(dag, bad) == want
+
+
 def test_ancestor_matrix_routes_agree():
     for seed in range(6):
         dag = random_dag(18, 0.25, seed=seed + 60)
-        assert ancestor_matrix(dag, method="traversal") == ancestor_matrix(dag, method="squaring")
-    with pytest.raises(ValueError):
-        ancestor_matrix(demo_dag(), method="bogus")
+        reach = closure_by_squaring(dag.n, list(dag.edges))  # reach[u][v]: u is an ancestor of v
+        assert ancestor_matrix(dag).to_dense().T.tolist() == reach
 
 
 def test_dag_bitsets_are_built_once_and_immutable():
@@ -198,7 +231,8 @@ def test_dag_bitsets_are_built_once_and_immutable():
     anc, desc = dag.ancestor_bitsets(), dag.descendant_bitsets()
     assert isinstance(anc, tuple) and isinstance(desc, tuple)
     assert dag.ancestor_bitsets() is anc and dag.descendant_bitsets() is desc
-    assert anc == dag.ancestor_bitsets("squaring")
+    reach = closure_by_squaring(dag.n, list(dag.edges))
+    assert anc == tuple(sum(reach[u][v] << u for u in range(dag.n)) for v in range(dag.n))
     for u in range(dag.n):
         for v in range(dag.n):
             assert bool(anc[u] >> v & 1) == bool(desc[v] >> u & 1)

@@ -299,7 +299,8 @@ def _per_entry_targets(algo, a, b, ell):
     for i, j in zip(*np.nonzero(parr >= 0)):
         p = int(parr[i, j])
         s, e = dec.ranges[p]
-        targets.append((int(i), int(j), a.row_bits[i] & bt[j] & dec.masks[p], e - s))
+        strip = ((1 << (e - s)) - 1) << s
+        targets.append((int(i), int(j), a.row_bits[i] & bt[j] & strip, e - s))
     return targets
 
 
@@ -380,6 +381,10 @@ def test_max_wit_single_entries():
     w, log = max_wit(zero, b, 0, 0, beta=2.0, rng=np_stream(0, 962))
     assert w is None and not log.succeeded
     assert log.oracle_queries > 0  # searching still costs queries
+
+    # without a generator the runs draw from np_stream(0), keyed like every other stream
+    big_a, big_b = random_matrix(40, 0.3, seed=963), random_matrix(40, 0.3, seed=964)
+    assert max_wit(big_a, big_b, 5, 7, beta=3.0) == max_wit(big_a, big_b, 5, 7, beta=3.0, rng=np_stream(0))
 
 
 def test_max_wit_index_range():

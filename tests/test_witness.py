@@ -41,7 +41,6 @@ def _dense(m: BoolMatrix) -> list[list[int]]:
 def test_strip_decomposition_shapes():
     dec = StripDecomposition.build(10, 4)
     assert dec.ranges == ((0, 4), (4, 8), (8, 10))
-    assert dec.masks == (0b1111, 0b11110000, 0b1100000000)
     assert len(dec) == 3
     assert [dec.strip_of(k) for k in (0, 3, 4, 9)] == [0, 0, 1, 2]
     with pytest.raises(IndexError):
@@ -193,6 +192,24 @@ def test_collect_witnesses_lists_every_few_witness_entry():
                     assert got[: len(full)] == full, (p, q, r, i, j)
                 else:
                     assert len(set(got)) == k and set(got) <= set(full)
+
+
+def test_collect_witnesses_top_up_scan_takes_the_k_largest(monkeypatch):
+    # with no sampling rounds the final scan fills every entry with W > k
+    # by itself, from the top witness down
+    monkeypatch.setattr(witness, "_sample_rounds", lambda n_scale, k: 0)
+    for seed, (p, q, r, k) in enumerate([(20, 30, 25, 1), (24, 24, 24, 3), (9, 70, 13, 5), (12, 129, 6, 2)]):
+        rng = np.random.default_rng(seed + 40)
+        ad = (rng.random((p, q)) < 0.4).astype(np.uint8)
+        bd = (rng.random((q, r)) < 0.4).astype(np.uint8)
+        found, cnt, wcount = witness._collect_witnesses(ad, bd, k, np_stream(seed, 5))
+        assert (wcount > k).any()
+        da, db = ad.tolist(), bd.tolist()
+        for i in range(p):
+            for j in range(r):
+                top = witness_list_entry(da, db, i, j)[:k]
+                assert cnt[i, j] == len(top)
+                assert found[i, j].tolist() == top + [-1] * (k - len(top)), (p, q, r, i, j)
 
 
 def _collect_witnesses_dense_gemm(a_dense, b_dense, k, rng):
