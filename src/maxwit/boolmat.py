@@ -209,7 +209,10 @@ class WitnessMatrix:
         """
         if not isinstance(obj, dict):
             raise ValueError("a witness document must be a JSON object")
-        n, entries = obj["n"], obj["entries"]
+        try:
+            n, entries = obj["n"], obj["entries"]
+        except KeyError as exc:
+            raise ValueError(f"the document has no {exc.args[0]!r} key: it is not a witness matrix") from None
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
         if expect_n is not None and n != expect_n:
@@ -218,7 +221,11 @@ class WitnessMatrix:
             raise ValueError("entries must be a list of objects")
         wm = cls(n)
         fields = chain.from_iterable(map(itemgetter("i", "j", "witness"), entries))
-        values = np.fromiter(fields, object, 3 * len(entries))
+        try:
+            values = np.fromiter(fields, object, 3 * len(entries))
+        except KeyError as exc:
+            key = exc.args[0]
+            raise ValueError(f"an entry has no {key!r} key: the document is not a witness matrix") from None
         if set(map(type, values)) - {int}:
             first = next(t for t, v in enumerate(values) if type(v) is not int) // 3
             raise ValueError(f"entry {entries[first]} must have integer i, j and witness")

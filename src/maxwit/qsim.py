@@ -16,16 +16,25 @@ The minimum-finding loop only ever compares table values, so its trajectory
 depends on the table through the sorted order of the values alone. The
 simulator exploits that: it runs the search on sorted positions (physics known
 globally, queries still charged per the convention above) and translates the
-final position back to an index. One engine, ``_dh_position_batch``, runs every
-search in the library: ``durr_hoyer_batch`` on explicit tables, ``max_wit`` on
-one product entry and ``algorithm1``-``algorithm4`` on whole products. It steps
-runs in fixed-size, cache-sized blocks. A run that has reached the minimum needs
-no success probability; the others look theirs up in a per-length table, which
-holds the same float64 bits as the closed form (lengths above 4096 compute it
-inline). Its uniforms come from one SFC64 generator per call, seeded from the
-caller's stream. The solvers hand the engine their targets as (i, j, q) arrays
-and read each witness off packed uint64 words. ``durr_hoyer_min`` is the
-one-run-at-a-time scalar reference whose law the engine is tested against.
+final position back to an index. One engine runs every search in the library:
+``durr_hoyer_batch`` on explicit tables, ``max_wit`` on one product entry and
+``algorithm1``-``algorithm4`` on whole products. It has two paths with one
+law. The loop, ``_dh_position_batch``, steps runs in fixed-size, cache-sized
+blocks. A run that has reached the minimum needs no success probability; the
+others look theirs up in a per-length table, which holds the same float64
+bits as the closed form (lengths above 4096 compute it inline). The law,
+``_dh_law``, is the exact joint distribution of one run's (final position,
+queries), computed by a DP over the loop's own state and cached per length;
+heavy batches draw from it by inverse CDF. ``_dh_positions``, the entry
+point of ``durr_hoyer_batch`` and the solvers, picks the law for a length q
+with r runs in the job when 2 <= q <= 256 and r >= gamma * q^1.5, gamma = 12
+(``_LAW_GAMMA``), and the loop otherwise (a solver counts r over all its
+blocks, other callers over one call); only ``max_wit``, which reports
+Grover iterations, calls the loop directly. Every call draws from one SFC64
+generator seeded from the caller's stream. The solvers hand the engine their
+targets as (i, j, q) arrays and read each witness off packed uint64 words.
+``durr_hoyer_min`` is the one-run-at-a-time scalar reference whose law both
+paths are tested against.
 """
 from __future__ import annotations
 
@@ -344,7 +353,33 @@ def _block_table(q: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return np.concatenate(tables), start[q]
 
 
+def _engine_rng(rng: np.random.Generator) -> np.random.Generator:
+    """The SFC64 generator an engine call draws from, seeded from rng: the loop
+    makes about two uniforms per run and step, and SFC64 makes them faster than
+    Philox."""
+    return np.random.Generator(np.random.SFC64(rng.integers(1 << 63, size=4)))
+
+
+def _table_lengths(qs: np.ndarray) -> np.ndarray:
+    qs = np.asarray(qs, np.int64)
+    if (qs < 1).any():
+        raise ValueError("table lengths must be at least 1")
+    return qs
+
+
 def _dh_position_batch(
+    qs: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one minimum-finding process per entry of qs by stepping the loop.
+
+    Returns (final_pos, queries, grover_iterations), drawing from one SFC64
+    generator seeded from rng; see _dh_loop. Only this entry point reports
+    Grover iterations, which max_wit's QueryLog needs.
+    """
+    return _dh_loop(_table_lengths(qs), _engine_rng(rng))
+
+
+def _dh_loop(
     qs: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run one minimum-finding process per entry of qs, _BLOCK_RUNS runs at a time.
@@ -354,19 +389,14 @@ def _dh_position_batch(
     the current one. Returns (final_pos, queries, grover_iterations); a final
     position of 0 means the run found the true minimum. Each run is an
     independent draw from the law of one scalar durr_hoyer_min run; the
-    sample paths depend only on rng and the order of qs. The draws come from
-    one SFC64 generator per call, seeded from rng: the loop makes about two
-    uniforms per run and step, and SFC64 makes them faster than Philox.
+    sample paths depend only on rng and the order of qs, and every uniform
+    is drawn from rng itself.
 
     A run's success probability is looked up in a per-length table (see
     _success_table) unless its block holds a length too long to tabulate; then
     the whole block computes it inline, with the same bits. Each run keeps its
     remaining budget, so a step tests one row to find the runs that are done.
     """
-    qs = np.asarray(qs, np.int64)
-    if (qs < 1).any():
-        raise ValueError("table lengths must be at least 1")
-    rng = np.random.Generator(np.random.SFC64(rng.integers(1 << 63, size=4)))
     out = np.zeros((3, qs.size), np.int64)  # length-1 tables finish with zero queries
     for s in range(0, qs.size, _BLOCK_RUNS):
         ids = s + np.flatnonzero(qs[s : s + _BLOCK_RUNS] > 1)
@@ -421,6 +451,127 @@ def _dh_position_batch(
     return out[0], out[1], out[2]
 
 
+def _least_queries(q: int) -> int:
+    """The fewest queries a run over a length-q table can end with: it stops on
+    the first step after which 1 + iterations + steps reaches 22.5 sqrt(q)."""
+    return math.ceil(DH_BUDGET_FACTOR * math.sqrt(q))
+
+
+@functools.lru_cache(maxsize=128)
+def _dh_law(q: int) -> np.ndarray:
+    """Exact joint law of one loop run's (final position, queries) over a length-q
+    table, q >= 2: a read-only (q, isqrt(q) + 1) array whose cell (pos, c) is the
+    probability of ending at pos with _least_queries(q) + c queries.
+
+    A forward DP over the loop's own state: queries spent s = 1 + iterations +
+    steps, the BBHT level l and the position. Level l holds the loop's float m
+    after l misses in a row: 1.0, then min(1.2 m, sqrt(q)) up to the top level,
+    where m equals sqrt(q) and stays. A step from (s, l, pos) draws j = t with
+    probability (min(t + 1, m) - t) / m, moves to s + t + 1, hits with
+    _success_table(q)'s probability of (pos, t) and then lands on each
+    position below pos with equal mass at level 0; a miss goes to level
+    min(l + 1, top). Mass whose s reaches 22.5 sqrt(q) has stopped. A step spends at most isqrt(q) + 1 queries, so
+    a ring of isqrt(q) + 2 slots over s holds every live state: memory is
+    O(levels * sqrt(q) * q). Every operation is elementwise numpy or a fixed
+    reduction, so the bits do not depend on the machine's thread count.
+    """
+    sq = math.sqrt(q)
+    levels = [1.0]
+    while levels[-1] < sq:
+        levels.append(min(levels[-1] * BBHT_GROWTH, sq))
+    top = len(levels) - 1
+    width = math.isqrt(q) + 1
+    least = _least_queries(q)
+    # one row per (t, level) pair with P(j = t) > 0, grouped by t
+    pairs = sorted((t, l, (min(t + 1, m) - t) / m)
+                   for l, m in enumerate(levels) for t in range(math.ceil(m)))
+    t, lev, pt = (np.array(c) for c in zip(*pairs))
+    first = np.flatnonzero(np.diff(t, prepend=-1))  # the first pair of each t
+    hit = pt[:, None] * _success_table(q).reshape(q, width).T[t]
+    miss = pt[:, None] - hit
+    hit[:, 1:] /= np.arange(1, q)  # a hit from pos spreads its mass over pos positions
+    # ring row slot * rows + level; the extra level row collects the top level's
+    # misses, which are folded back into the top level before the slot is read
+    slots, rows = width + 1, top + 2
+    ring = np.zeros((slots * rows, q))
+    ring[rows] = 1.0 / q  # s = 1: the initial threshold query, at a uniform position
+    miss_row = t * rows + lev + 1
+    hit_row = t[first] * rows
+    for s in range(1, least):
+        here = ring[s % slots * rows : (s % slots + 1) * rows]
+        here[top] += here[top + 1]
+        x = here[lev]
+        spread = np.add.reduceat(x * hit, first, axis=0)  # per t, hit mass / position
+        x *= miss
+        base = (s + 1) % slots * rows
+        # position p receives the spread of every position above it
+        ring[(hit_row + base) % ring.shape[0], :-1] += np.cumsum(spread[:, :0:-1], axis=1)[:, ::-1]
+        ring[(miss_row + base) % ring.shape[0]] += x
+        here[:] = 0
+    law = ring.reshape(slots, rows, q).sum(axis=1)[(least + np.arange(width)) % slots].T
+    law.flags.writeable = False
+    return law
+
+
+# A length takes the law when a job holds at least _LAW_GAMMA * q^1.5 of its runs
+# and q <= _LAW_MAX_LENGTH; the rule reads nothing else. A law is built once per
+# length and process, after which a run costs about 0.05 us against the loop's
+# 0.5-1.9 us. On a 2-vCPU x86 host the build took 1 ms at q = 2, 2.5 ms at 10,
+# 7 ms at 41, 11 ms at 64, 26 ms at 128 and 84 ms at 256, so it paid for itself
+# from 2.2k, 3.4k, 6.6k, 8.7k, 18k and 45k runs: 11-17 q^1.5 for q >= 54, more
+# below. gamma = 12 makes a length that passes pay its build back on its own for
+# q >= 128; below, a length just at the rule loses at most 4 ms. The build grows
+# about as q^2 (330 ms at 512), so longer tables stay on the loop. The solvers
+# pass each length's runs over all their blocks, so a length spread over many
+# blocks is judged by its total; other calls are judged by their own runs.
+_LAW_GAMMA = 12.0
+_LAW_MAX_LENGTH = 256
+
+
+def _takes_law(q: int, runs: int) -> bool:
+    """Whether runs draws over a length-q table come from _dh_law (else the loop)."""
+    return 2 <= q <= _LAW_MAX_LENGTH and runs >= _LAW_GAMMA * q**1.5
+
+
+def _law_draws(q: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(final position, queries) of one run per uniform in u, by inverse CDF of
+    _dh_law(q). A cell is chosen only where the CDF steps up, so it has mass."""
+    law = _dh_law(q)
+    cdf = np.cumsum(law)
+    cell = np.searchsorted(cdf, u * cdf[-1], side="right")
+    pos, extra = np.divmod(cell, law.shape[1])
+    return pos, extra + _least_queries(q)
+
+
+def _dh_positions(
+    qs: np.ndarray, rng: np.random.Generator, runs: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(final position, queries) of one minimum-finding run per entry of qs.
+
+    Each length in the call takes either its exact law or the loop, by
+    _takes_law on the length and runs[q], the number of runs of that length
+    in the whole job (by default, in this call), so the outcome has the
+    loop's law either way. All draws come from one SFC64 generator seeded
+    from rng: first the law lengths in ascending order, one uniform per run
+    in the order of qs, then one _dh_loop call over every other run.
+    """
+    qs = _table_lengths(qs)
+    gen = _engine_rng(rng)
+    here = np.bincount(qs)
+    runs = here if runs is None else runs
+    pos = np.zeros(qs.size, np.int64)
+    queries = np.zeros(qs.size, np.int64)
+    on_law = np.zeros(here.size, bool)
+    for q in np.flatnonzero(here).tolist():
+        if _takes_law(q, int(runs[q])):
+            at = np.flatnonzero(qs == q)
+            pos[at], queries[at] = _law_draws(q, gen.random(at.size))
+            on_law[q] = True
+    rest = np.flatnonzero(~on_law[qs])
+    pos[rest], queries[rest], _ = _dh_loop(qs[rest], gen)
+    return pos, queries
+
+
 def durr_hoyer_batch(
     values: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -435,7 +586,7 @@ def durr_hoyer_batch(
     order = np.argsort(values, axis=1, kind="stable")
     if np.any(np.diff(np.take_along_axis(values, order, axis=1), axis=1) <= 0):
         raise ValueError("table values are not pairwise distinct")
-    pos, queries, _ = _dh_position_batch(np.full(runs, q), rng)
+    pos, queries = _dh_positions(np.full(runs, q), rng)
     return order[np.arange(runs), pos], pos == 0, queries
 
 
@@ -509,10 +660,11 @@ def _run_entry_searches(
     hi = np.broadcast_to(a.cols if hi is None else hi, q.shape)
     w = np.full((a.rows, b.cols), -1, dtype=np.int64)
     total = 0
+    runs = np.bincount(q) * reps  # the law rule weighs a length by its runs in all blocks
     step = max(1, _BLOCK_RUNS // reps)
     for s in range(0, q.size, step):
         t = slice(s, s + step)
-        pos, queries, _ = _dh_position_batch(np.repeat(q[t], reps), rng)
+        pos, queries = _dh_positions(np.repeat(q[t], reps), rng, runs)
         total += int(queries.sum())
         best = pos.reshape(-1, reps).min(axis=1)
         w[i[t], j[t]] = _read_witnesses(wa, wb, i[t], j[t], lo[t], hi[t], best)

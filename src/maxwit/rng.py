@@ -5,10 +5,12 @@ integer seed plus a path of integer tags (round number, repetition index,
 strip index, ...). Streams are backed by Philox, a counter-based generator,
 so any (seed, *path) key yields the same sequence regardless of how many
 other streams were opened before it. That is what makes reports reproducible
-under any scheduling of independent trials. The minimum-finding engine
-(``qsim._dh_position_batch``) draws its many uniforms from an SFC64 generator
-seeded from the Philox stream it is given, once per call, so its draws are
-keyed by (seed, *path) too.
+under any scheduling of independent trials. Each call of the minimum-finding
+engine (``qsim._dh_positions``, or ``qsim._dh_position_batch`` for the loop
+alone) seeds one SFC64 generator from the Philox stream it is given and
+draws every uniform from it: one per run for the lengths that take the exact
+law (inverse CDF of ``qsim._dh_law``, lengths in ascending order), then the
+loop's draws for the other runs. So its draws are keyed by (seed, *path) too.
 """
 from __future__ import annotations
 

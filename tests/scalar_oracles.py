@@ -7,6 +7,8 @@ bit-parallel implementations they check.
 """
 from __future__ import annotations
 
+import math
+
 
 def dense_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Boolean matrix product by triple loop."""
@@ -172,3 +174,116 @@ def closure_by_squaring(n: int, edges: list[tuple[int, int]]) -> list[list[int]]
     for _ in range(max(1, (n - 1).bit_length())):
         reach = dense_product(reach, reach)
     return reach
+
+
+def durr_hoyer_outcome(q: int, budget: float = 22.5, growth: float = 1.2) -> tuple[float, float]:
+    """(expected queries, probability of ending on the minimum) of one minimum-finding
+    run over a length-q table, q >= 2, by backward recursion over its state.
+
+    The run follows the scalar reference: it starts at a uniform sorted position
+    after one query and, while its queries stay below budget * sqrt(q), draws
+    j = floor(u * m) Grover iterations (u uniform on [0, 1)), spends j + 1
+    queries, and hits with probability sin^2((2j + 1) asin(sqrt(pos / q))). A
+    hit moves to a uniform position below pos and resets m to 1; a miss sets
+    m to min(growth * m, sqrt(q)). value[s][l][pos] is the pair for a run about
+    to step with s queries spent at the l-th value of m.
+    """
+    cap = math.sqrt(q)
+    limit = budget * cap
+    ms = [1.0]
+    while ms[-1] < cap:
+        ms.append(min(ms[-1] * growth, cap))
+    top = len(ms) - 1
+
+    def p_hit(pos: int, j: int) -> float:
+        return math.sin((2 * j + 1) * math.asin(math.sqrt(pos / q))) ** 2
+
+    value: dict[int, list[list[tuple[float, float]]]] = {}
+    below: dict[int, list[tuple[float, float]]] = {}  # per s: sums over positions below pos at m = 1
+    s = math.ceil(limit) - 1
+    while s >= 1:
+        rows = []
+        for lev, m in enumerate(ms):
+            row = []
+            for pos in range(q):
+                queries = found = 0.0
+                t = 0
+                while t < m:
+                    w = (min(t + 1, m) - t) / m
+                    h = p_hit(pos, t) if pos else 0.0
+                    after = s + t + 1
+                    if after >= limit:  # the run stops here
+                        miss = (after, float(pos == 0))
+                        hit = (after, 1 / pos if pos else 0.0)
+                    else:
+                        miss = value[after][min(lev + 1, top)][pos]
+                        hit = tuple(x / pos for x in below[after][pos]) if pos else (0.0, 0.0)
+                    queries += w * (h * hit[0] + (1 - h) * miss[0])
+                    found += w * (h * hit[1] + (1 - h) * miss[1])
+                    t += 1
+                row.append((queries, found))
+            rows.append(row)
+        value[s] = rows
+        sums, acc_q, acc_f = [], 0.0, 0.0
+        for queries, found in rows[0]:
+            sums.append((acc_q, acc_f))
+            acc_q += queries
+            acc_f += found
+        below[s] = sums
+        s -= 1
+    start = value[1][0]
+    return sum(v[0] for v in start) / q, sum(v[1] for v in start) / q
+
+
+def durr_hoyer_final_positions(q: int, budget: float = 22.5, growth: float = 1.2) -> list[float]:
+    """Probability that one minimum-finding run over a length-q table, q >= 2,
+    ends at each sorted position, by pushing its mass forward over its state.
+
+    The run is the one of durr_hoyer_outcome. mass[s][l][pos] is the chance
+    that a run is about to step with s queries spent at the l-th value of m;
+    below[s][pos] is the hit mass that lands on each position under pos at
+    m = 1 with s queries spent, and stopped_below the same for runs whose hit
+    ends them.
+    """
+    cap = math.sqrt(q)
+    limit = budget * cap
+    ms = [1.0]
+    while ms[-1] < cap:
+        ms.append(min(ms[-1] * growth, cap))
+    top = len(ms) - 1
+    p_hit = [[math.sin((2 * j + 1) * math.asin(math.sqrt(pos / q))) ** 2 for j in range(math.ceil(cap))]
+             for pos in range(q)]
+    last = math.ceil(limit)
+    mass = [[[0.0] * q for _ in ms] for _ in range(last)]
+    below = [[0.0] * q for _ in range(last)]
+    final, stopped_below = [0.0] * q, [0.0] * q
+    mass[1][0] = [1 / q] * q  # the initial threshold query, at a uniform position
+
+    def land(row: list[float], spread: list[float]) -> None:
+        acc = 0.0
+        for pos in range(q - 1, -1, -1):
+            row[pos] += acc
+            acc += spread[pos]
+
+    for s in range(1, last):
+        land(mass[s][0], below[s])
+        for lev, m in enumerate(ms):
+            for pos, x in enumerate(mass[s][lev]):
+                if x == 0.0:
+                    continue
+                t = 0
+                while t < m:
+                    w = x * (min(t + 1, m) - t) / m
+                    h = p_hit[pos][t] if pos else 0.0
+                    after = s + t + 1
+                    if after >= limit:  # the run stops here
+                        final[pos] += w * (1 - h)
+                        if pos:
+                            stopped_below[pos] += w * h / pos
+                    else:
+                        mass[after][min(lev + 1, top)][pos] += w * (1 - h)
+                        if pos:
+                            below[after][pos] += w * h / pos
+                    t += 1
+    land(final, stopped_below)
+    return final

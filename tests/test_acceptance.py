@@ -36,6 +36,7 @@ from maxwit.qsim import (
     TABLE_SHAPES,
     VirtualMinTable,
     _dh_position_batch,
+    _law_draws,
     algorithm1,
     algorithm2,
     algorithm3,
@@ -161,14 +162,23 @@ def test_criteria_02_03_hold_for_the_batch_engine():
         rates.append(float((pos == 0).mean()))
         means.append(float(queries.mean()))
     slope = float(np.polyfit(np.log(np.asarray(_DH_QS, float)), np.log(means), 1)[0])
+    # the exact law the engine draws heavy batches from
+    law_qs = (64, 256)
+    law_rates = []
+    for qi, q in enumerate(law_qs):
+        pos, _ = _law_draws(q, np_stream(0, 33, qi).random(_DH_TRIALS))
+        law_rates.append(float((pos == 0).mean()))
     elapsed = time.perf_counter() - t0
     for q, rate in zip(_DH_QS, rates):
         assert rate >= floor, f"q={q}: rate {rate:.3f} < {floor:.4f}"
+    for q, rate in zip(law_qs, law_rates):
+        assert rate >= floor, f"law, q={q}: rate {rate:.3f} < {floor:.4f}"
     assert 0.4 <= slope <= 0.6, f"slope {slope:.4f} outside [0.4, 0.6]"
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 1 minute"
     _report(
         f"[PASS] criteria 2-3 on the batch engine: argmin hit rate >= {floor:.4f} at "
-        f"q in {list(_DH_QS)} x {_DH_TRIALS} runs (worst {min(rates):.3f}), "
+        f"q in {list(_DH_QS)} x {_DH_TRIALS} runs (worst {min(rates):.3f}) and on its "
+        f"law at q in {list(law_qs)} (worst {min(law_rates):.3f}), "
         f"query slope {slope:.4f} in [0.4, 0.6], {elapsed:.1f}s"
     )
 

@@ -424,6 +424,23 @@ def test_verify_rejects_malformed_results(tmp_path, capsys, corrupt, message):
     assert message in captured.err
 
 
+def test_verify_rejects_documents_that_are_not_witness_matrices(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_matrix_text(a, random_matrix(16, 0.4, seed=233))
+    save_matrix_text(b, random_matrix(16, 0.4, seed=234))
+    kw, lca, bare = tmp_path / "kw.json", tmp_path / "lca.json", tmp_path / "bare.json"
+    assert main(["kwitness", "--a", str(a), "--b", str(b), "--k", "2", "--out", str(kw)]) == 0
+    assert main(["lca", "--n", "16", "--seed", "3", "--out", str(lca)]) == 0
+    bare.write_text(json.dumps({"n": 16}))
+    for doc, key in ((kw, "'witness'"), (lca, "'i'"), (bare, "'entries'")):
+        capsys.readouterr()
+        assert main(["verify", "--a", str(a), "--b", str(b), "--result", str(doc)]) == 1, doc
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert key in captured.err and "not a witness matrix" in captured.err, captured.err
+
+
 def test_verify_rejects_huge_n_before_allocating(tmp_path, capsys):
     # an (n, n) array for this n would take 6.94 EiB
     a = tmp_path / "a.txt"

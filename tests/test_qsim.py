@@ -37,6 +37,7 @@ from maxwit.qsim import (
 )
 from maxwit.rng import np_stream, py_stream
 from maxwit.witness import StripDecomposition, largest_nonzero_strip
+from scalar_oracles import durr_hoyer_final_positions, durr_hoyer_outcome
 
 
 def test_max_wit_table_hand_example():
@@ -175,7 +176,14 @@ def _tv_bound(cells: int, nx: int, ny: int, delta: float = 1e-6) -> float:
 
 
 def test_engine_law_matches_scalar_reference():
-    from maxwit.qsim import _BLOCK_RUNS, _dh_position_batch
+    from maxwit.qsim import (
+        _BLOCK_RUNS,
+        _LAW_GAMMA,
+        _LAW_MAX_LENGTH,
+        _dh_position_batch,
+        _dh_positions,
+        _takes_law,
+    )
 
     # A run stops on the first step that reaches the budget, and one step costs
     # at most isqrt(q) + 1 queries, so a run's queries take at most isqrt(q) + 1
@@ -196,12 +204,16 @@ def test_engine_law_matches_scalar_reference():
         assert lo <= queries.min() and queries.max() <= lo + math.isqrt(q), q
         scalar[q] = _joint_cells(ok, queries), searches
 
-    def check(q, pos, queries, iters):
+    def check_joint(q, pos, queries):
         cells = 2 * (math.isqrt(q) + 1)
         assert np.unique(queries).size <= cells // 2, q
-        joint, searches = scalar[q]
-        tv = _tv_distance(joint, _joint_cells(pos == 0, queries))
+        assert ((0 <= pos) & (pos < q)).all(), q
+        tv = _tv_distance(scalar[q][0], _joint_cells(pos == 0, queries))
         assert tv <= _tv_bound(cells, scalar_runs, pos.size), (q, tv)
+
+    def check(q, pos, queries, iters):
+        check_joint(q, pos, queries)
+        searches = scalar[q][1]
         steps = queries - iters - 1
         se = math.sqrt(searches.var() / searches.size + steps.var() / steps.size)
         assert abs(searches.mean() - steps.mean()) <= 5 * se + 1e-12, q
@@ -218,6 +230,85 @@ def test_engine_law_matches_scalar_reference():
     for q in grid:
         sel = qs == q
         check(q, pos[sel], queries[sel], iters[sel])
+
+    # the solvers' entry point on both sides of its rule: the loop just below the
+    # boundary run count, the exact law at it and far above it
+    assert not _takes_law(1, 10**9) and not _takes_law(_LAW_MAX_LENGTH + 1, 10**9)
+    assert _takes_law(_LAW_MAX_LENGTH, 10**9)
+    for q in grid:
+        edge = math.ceil(_LAW_GAMMA * q**1.5)
+        assert _takes_law(q, edge) and not _takes_law(q, edge - 1), q
+        for runs in (edge - 1, edge, engine_runs):
+            check_joint(q, *_dh_positions(np.full(runs, q), np_stream(0, 977, q, runs)))
+
+    # one call whose heavy lengths take the law while 41, below its boundary,
+    # takes the loop; the length-1 tables stay free
+    heavy = np_stream(0, 978).choice(np.array([1, 2, 64]), 2 * _BLOCK_RUNS)
+    qs = np_stream(0, 979).permutation(np.concatenate([heavy, np.full(1000, 41)]))
+    assert all(_takes_law(q, int((qs == q).sum())) for q in (2, 64))
+    assert not _takes_law(41, 1000)
+    pos, queries = _dh_positions(qs, np_stream(0, 980))
+    one = qs == 1
+    assert not pos[one].any() and not queries[one].any()
+    for q in grid:
+        sel = qs == q
+        check_joint(q, pos[sel], queries[sel])
+
+
+def test_law_mass_and_moments_are_exact():
+    from maxwit.qsim import _dh_law, _least_queries
+
+    # the backward recursion shares no code with the forward DP
+    for q in (2, 4, 10, 41):
+        law = _dh_law(q)
+        assert law.shape == (q, math.isqrt(q) + 1) and not law.flags.writeable
+        assert (law >= 0).all() and abs(law.sum() - 1) <= 1e-12, q
+        mean, found = durr_hoyer_outcome(q)
+        queries = _least_queries(q) + np.arange(law.shape[1])
+        assert abs(float((law * queries).sum()) - mean) <= 1e-9, q
+        assert abs(float(law[0].sum()) - found) <= 1e-9, q
+        # positions >= 1 end a run with chances of 1e-7 down to 1e-17, so each
+        # is compared relative to its own size
+        ends = np.array(durr_hoyer_final_positions(q))
+        assert np.allclose(law.sum(axis=1), ends, rtol=1e-9, atol=0), q
+
+
+def test_solvers_weigh_a_length_by_its_runs_over_all_blocks(monkeypatch):
+    from maxwit import qsim
+
+    # with 2048-run blocks no block of algorithm1 at n = 64 (q = 64, 12 reps)
+    # reaches the rule's 6144 runs, but the job's 49152 runs do
+    monkeypatch.setattr(qsim, "_BLOCK_RUNS", 2048)
+    n, reps = 64, boost_reps(2.0, 64)
+    assert not qsim._takes_law(n, 2048) and qsim._takes_law(n, n * n * reps)
+    drawn = []
+    law_draws = qsim._law_draws
+    monkeypatch.setattr(qsim, "_law_draws", lambda q, u: drawn.append((q, u.size)) or law_draws(q, u))
+    a, b = random_matrix(n, 0.3, 31), random_matrix(n, 0.3, 32)
+    wm, stats = algorithm1(a, b, 2.0, seed=5)
+    assert sum(size for _, size in drawn) == n * n * reps and {q for q, _ in drawn} == {n}
+    assert witness_violations(a, b, wm)["disagreements"] <= 1
+    # a call on its own is judged by its own runs
+    drawn.clear()
+    qsim._dh_positions(np.full(2047, n), np_stream(0, 981))
+    assert not drawn
+    qsim._dh_positions(np.full(2047, n), np_stream(0, 981), np.bincount([n], minlength=n + 1) * 6144)
+    assert drawn == [(n, 2047)]
+
+
+def test_law_build_memory_is_bounded():
+    from maxwit.qsim import _dh_law
+
+    # the ring over queries spent holds 18 slots of 18 level rows of 256
+    # positions (0.66 MiB); the peak is about 1.6 MiB here
+    tracemalloc.start()
+    try:
+        law = _dh_law.__wrapped__(256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(law.sum() - 1) <= 1e-12
+    assert peak < 3 * 2**20, peak
 
 
 def test_success_table_matches_inline_formula():
@@ -266,11 +357,12 @@ def _per_entry_searches(n, targets, reps, rng):
 
     w = np.full((n, n), -1, dtype=np.int64)
     total = 0
+    runs = np.bincount([t[3] for t in targets]) * reps
     step = max(1, qsim._BLOCK_RUNS // reps)
     for s in range(0, len(targets), step):
         block = targets[s : s + step]
         qs = np.fromiter((t[3] for t in block), np.int64, len(block))
-        pos, queries, _ = qsim._dh_position_batch(np.repeat(qs, reps), rng)
+        pos, queries = qsim._dh_positions(np.repeat(qs, reps), rng, runs)
         total += int(queries.sum())
         best = pos.reshape(len(block), reps).min(axis=1)
         for (i, j, mask, _qlen), r in zip(block, best.tolist()):
@@ -307,10 +399,10 @@ def _per_entry_targets(algo, a, b, ell):
 def test_solvers_match_per_entry_read_off(monkeypatch):
     from maxwit import qsim
 
-    def uniform_positions(qs, rng):
+    def uniform_positions(qs, rng, runs=None):
         # best positions of r >= 1 are rare in real searches; force many of them
         qs = np.asarray(qs, np.int64)
-        return rng.integers(0, qs), qs.copy(), np.zeros_like(qs)
+        return rng.integers(0, qs), qs.copy()
 
     solvers = {
         1: lambda a, b, ell, seed: qsim.algorithm1(a, b, 2.0, seed),
@@ -321,7 +413,7 @@ def test_solvers_match_per_entry_read_off(monkeypatch):
     cases = [(16, 0.3, 5), (40, 0.05, 7), (70, 0.3, 64), (70, 0.1, 9)]
     for engine in ("real", "uniform"):
         if engine == "uniform":
-            monkeypatch.setattr(qsim, "_dh_position_batch", uniform_positions)
+            monkeypatch.setattr(qsim, "_dh_positions", uniform_positions)
         for n, d, ell in cases:
             a = random_matrix(n, d, seed=n + 1)
             b = random_matrix(n, d / 2, seed=n + 2)
