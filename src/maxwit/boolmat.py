@@ -1,11 +1,12 @@
 """Bit-packed Boolean matrices and exact brute-force witness oracles.
 
-A row is stored as one Python integer used as a bitset: bit k of
-``row_bits[i]`` is the entry in row i, column k. Integers pack bits into
-machine words internally, so AND/OR over a whole row is a handful of word
-operations, and the maximum witness of an entry is just the highest set bit
-of ``row_of_A & column_of_B``. Everything else in the package is checked
-against the oracles defined here.
+A matrix is stored as one read-only (rows, ceil(cols/64)) array of
+little-endian uint64 words: bit k of row i is bit k % 64 of word k // 64 of
+that row, the layout of the binary matrix file. This module is the only one
+that knows the layout; every parser, solver and check reads the same words.
+The witness set of entry (i, j) is then one AND of row i of A with row j of
+B's transpose, and its maximum witness is the highest set bit of that AND.
+Everything else in the package is checked against the oracles defined here.
 
 Indices are 0-based throughout. A witness of entry (i, j) of the Boolean
 product C = A x B is any k with A[i,k] = B[k,j] = 1; the maximum witness is
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "WitnessMatrix",
     "WitnessLists",
     "product_dims",
-    "set_bits",
     "bool_product",
     "transpose",
     "max_witness_oracle",
@@ -38,99 +38,137 @@ __all__ = [
     "witness_violations",
 ]
 
+# highest set bit of each byte value; -1 for zero
+_TOP_BIT = np.array([x.bit_length() - 1 for x in range(256)], np.int64)
+# the low k bits of a word, k = 0..64
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
+# bytes of one (entries, words) block of gathered words in the rank check
+_CHUNK_BYTES = 1 << 20
 
-@dataclass(frozen=True)
+
+def _packed_words(dense: np.ndarray, words: int) -> np.ndarray:
+    """Rows of a 0/1 array as little-endian uint64 words: bit k of a row is bit
+    k % 64 of word k // 64; rows are zero-padded to ``words`` words."""
+    packed = np.zeros((dense.shape[0], 8 * words), np.uint8)
+    packed[:, : (dense.shape[1] + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _top_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the highest set bit of each uint64 word; -1 for zero."""
+    # halve the window onto the top nonzero byte, then read that byte's top bit
+    k = np.zeros(x.shape, np.uint64)
+    for s in (32, 16, 8):
+        k += (x >> (k + np.uint64(s)) != 0) * np.uint64(s)
+    return k.astype(np.int64) + _TOP_BIT[(x >> k) & np.uint64(255)]
+
+
+def _int_of(words: np.ndarray) -> int:
+    """One row of words as a Python-int bitset: bit k is bit k of the row."""
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+@dataclass(frozen=True, eq=False)
 class BoolMatrix:
-    """Immutable Boolean matrix with bit-packed rows.
+    """Immutable Boolean matrix stored as the read-only uint64 ``words``.
 
-    Invariant: every row integer is nonnegative and has no bits at or above
-    ``cols`` (padding stays canonically zero, so equality and popcounts never
-    see garbage bits).
+    Invariant: the padding bits at and above ``cols`` stay zero, so equality
+    and popcounts never see garbage bits.
     """
 
     rows: int
     cols: int
-    row_bits: tuple[int, ...]
+    words: np.ndarray
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix must be at least 1x1")
-        if len(self.row_bits) != self.rows:
-            raise ValueError("row count does not match row_bits length")
-        for r in self.row_bits:
-            if r < 0 or (r >> self.cols):
-                raise ValueError("row bits exceed column count; padding must stay zero")
+        words = np.array(self.words, dtype="<u8")  # a private, read-only copy
+        shape = (self.rows, -(-self.cols // 64))
+        if words.shape != shape:
+            raise ValueError(f"words must have shape {shape}, got {words.shape}")
+        # one op on the last word: the bits at and above cols must be clear
+        over = np.flatnonzero(words[:, -1] & ~_LOW_BITS[(self.cols - 1) % 64 + 1])
+        if over.size:
+            raise ValueError(f"row {over[0]} has bits beyond column {self.cols - 1}")
+        words.flags.writeable = False
+        object.__setattr__(self, "words", words)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "BoolMatrix":
-        cols = rows if cols is None else cols
-        return cls(rows, cols, (0,) * rows)
+        return cls.from_dense(np.zeros((rows, rows if cols is None else cols), bool))
 
     @classmethod
     def ones(cls, rows: int, cols: int | None = None) -> "BoolMatrix":
-        cols = rows if cols is None else cols
-        full = (1 << cols) - 1
-        return cls(rows, cols, (full,) * rows)
+        return cls.from_dense(np.ones((rows, rows if cols is None else cols), bool))
 
     @classmethod
     def identity(cls, n: int) -> "BoolMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        return cls.from_dense(np.eye(n, dtype=bool))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "BoolMatrix":
         """Build from nested 0/1 values, e.g. [[1, 0], [0, 1]]."""
-        packed = []
-        width = None
-        for row in rows:
-            vals = [int(bool(v)) for v in row]
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ValueError("ragged rows")
-            packed.append(sum(v << k for k, v in enumerate(vals)))
-        if width is None or width == 0:
+        try:
+            dense = np.array([list(row) for row in rows], dtype=bool)
+        except ValueError:
+            raise ValueError("ragged rows") from None
+        if dense.ndim != 2:
             raise ValueError("matrix must be at least 1x1")
-        return cls(len(packed), width, tuple(packed))
+        return cls.from_dense(dense)
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> "BoolMatrix":
         """Build from strings of '0'/'1'; leftmost character is column 0."""
-        return cls.from_rows([[c == "1" for c in row] for row in rows])
+        return cls.from_rows([np.array(list(row), "U1") == "1" for row in rows])
+
+    @classmethod
+    def from_bitsets(cls, cols: int, bitsets: Sequence[int]) -> "BoolMatrix":
+        """Build from one Python-int bitset per row: bit k of bitsets[i] is entry (i, k)."""
+        stride = -(-cols // 64) * 8
+        buf = b"".join(x.to_bytes(stride, "little") for x in bitsets)
+        return cls(len(bitsets), cols, np.frombuffer(buf, "<u8").reshape(len(bitsets), -1))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BoolMatrix":
         arr = np.asarray(dense)
         if arr.ndim != 2:
             raise ValueError("dense array must be 2-D")
-        arr = (arr != 0).astype(np.uint8)
-        packed = np.packbits(arr, axis=1, bitorder="little")
-        rows = tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(arr.shape[0]))
-        return cls(arr.shape[0], arr.shape[1], rows)
+        bits = arr if arr.dtype.kind in "biu" else arr != 0  # packbits reads any nonzero integer as 1
+        return cls(arr.shape[0], arr.shape[1], _packed_words(bits, -(-arr.shape[1] // 64)))
 
     # -- accessors ---------------------------------------------------------
 
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return (self.row_bits[i] >> j) & 1
+        return int(self.words[i, j // 64] >> np.uint64(j % 64)) & 1
 
     def to_dense(self) -> np.ndarray:
         """Return an (rows, cols) uint8 array of 0/1 values."""
-        nbytes = (self.cols + 7) // 8
-        buf = b"".join(r.to_bytes(nbytes, "little") for r in self.row_bits)
-        arr = np.frombuffer(buf, np.uint8).reshape(self.rows, nbytes)
-        return np.unpackbits(arr, axis=1, bitorder="little")[:, : self.cols].copy()
+        return np.unpackbits(self.words.view(np.uint8), axis=1, count=self.cols, bitorder="little")
+
+    def popcount(self) -> int:
+        """Number of ones."""
+        return int(np.bitwise_count(self.words).sum())
 
     def density(self) -> float:
-        return sum(r.bit_count() for r in self.row_bits) / (self.rows * self.cols)
+        return self.popcount() / (self.rows * self.cols)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BoolMatrix):
+            return NotImplemented
+        return self.cols == other.cols and bool(np.array_equal(self.words, other.words))
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.words.tobytes()))
 
     def __str__(self) -> str:
-        return "\n".join(
-            "".join("1" if (r >> j) & 1 else "0" for j in range(self.cols))
-            for r in self.row_bits
-        )
+        text = np.full((self.rows, self.cols + 1), ord("\n"), np.uint8)
+        text[:, :-1] = self.to_dense() | ord("0")
+        return text.tobytes()[:-1].decode("ascii")
 
 
 class WitnessMatrix:
@@ -368,30 +406,14 @@ def product_dims(
     return a.rows, a.cols
 
 
-def set_bits(x: int) -> Iterator[int]:
-    """Indices of the set bits of a nonnegative x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-def or_rows(bits: int, rows: Sequence[int]) -> int:
-    """OR of rows[k] over the set bits k of ``bits``."""
-    acc = 0
-    for k in set_bits(bits):
-        acc |= rows[k]
-    return acc
-
-
 def bool_product(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    """Boolean matrix product, bit-parallel.
+    """Boolean matrix product from one float32 BLAS product.
 
-    Row i of the result is the OR of the rows of b selected by the set bits
-    of row i of a: O(rows * popcount) word operations in total.
+    A sum of nonnegative 0/1 products is positive exactly where some term
+    is, whatever its rounding, so ``> 0`` is exact at any inner dimension.
     """
     product_dims(a, b)
-    return BoolMatrix(a.rows, b.cols, tuple(or_rows(bits, b.row_bits) for bits in a.row_bits))
+    return BoolMatrix.from_dense(a.to_dense().astype(np.float32) @ b.to_dense().astype(np.float32) > 0)
 
 
 def transpose(m: BoolMatrix) -> BoolMatrix:
@@ -399,22 +421,22 @@ def transpose(m: BoolMatrix) -> BoolMatrix:
 
 
 def max_witness_oracle(a: BoolMatrix, b: BoolMatrix) -> WitnessMatrix:
-    """Exact maximum witnesses of a x b via per-entry bitset scans.
+    """Exact maximum witnesses of a x b via per-row word scans.
 
-    The product must be square (a.rows == b.cols). For each entry the witness
-    set is one AND of packed rows; its highest set bit is the answer.
+    The product must be square (a.rows == b.cols). Row i's words are ANDed
+    with all of B's transpose at once; the highest set bit of row j of that
+    AND is the witness of entry (i, j).
     """
     n, _ = product_dims(a, b, square=True)
-    bt = transpose(b).row_bits
-    w = np.full((n, n), -1, dtype=np.int64)
-    for i, ra in enumerate(a.row_bits):
-        if ra == 0:
-            continue
-        wi = w[i]
-        for j in range(n):
-            m = ra & bt[j]
-            if m:
-                wi[j] = m.bit_length() - 1
+    bt = transpose(b).words
+    top_word = bt.shape[1] - 1
+    cols = np.arange(n)
+    w = np.empty((n, n), dtype=np.int64)
+    for i, row in enumerate(a.words):
+        x = row & bt
+        last = top_word - np.argmax(x[:, ::-1] != 0, axis=1)
+        top = x[cols, last]
+        w[i] = np.where(top != 0, 64 * last + _top_bit(top), -1)
     return WitnessMatrix(n, w)
 
 
@@ -423,10 +445,8 @@ def witness_mask(a: BoolMatrix, b: BoolMatrix, i: int, j: int) -> int:
     product_dims(a, b)
     if not (0 <= i < a.rows and 0 <= j < b.cols):
         raise IndexError(f"entry ({i}, {j}) out of range")
-    col = 0
-    for k in range(b.rows):
-        col |= ((b.row_bits[k] >> j) & 1) << k
-    return a.row_bits[i] & col
+    column = (b.words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)  # B[k, j] for every k
+    return _int_of(a.words[i] & _packed_words(column[None, :], a.words.shape[1])[0])
 
 
 def witness_count(a: BoolMatrix, b: BoolMatrix, i: int, j: int) -> int:
@@ -445,18 +465,26 @@ def rank_of(a: BoolMatrix, b: BoolMatrix, i: int, j: int, k: int) -> int:
 def _ranks(a: BoolMatrix, b: BoolMatrix, w: np.ndarray) -> np.ndarray:
     """Rank of each witness w[i, j]: -1 where w < 0, -2 where it is not a witness.
 
-    One AND of packed rows per reported entry, as in rank_of; rows are
-    handled one at a time so temporaries stay O(n). Witnesses must lie in
-    [0, a.cols), which product_dims checks.
+    As in rank_of: 1 plus the popcount of the bits above k in the AND of row i
+    of A with row j of B's transpose, gathered by blocks of rows of at most
+    _CHUNK_BYTES. Witnesses must lie in [0, a.cols), which product_dims checks.
     """
-    bt = transpose(b).row_bits
+    bt = transpose(b).words
+    words = bt.shape[1]
     ranks = np.full(w.shape, -1, dtype=np.int64)
-    for i, ra in enumerate(a.row_bits):
-        js = np.flatnonzero(w[i] >= 0)
-        ranks[i, js] = [
-            1 + (m >> (k + 1)).bit_count() if ((m := ra & bt[j]) >> k) & 1 else -2
-            for j, k in zip(js.tolist(), w[i, js].tolist())
-        ]
+    step = max(1, _CHUNK_BYTES // (8 * words * w.shape[1]))
+    for s in range(0, w.shape[0], step):
+        i, j = np.nonzero(w[s : s + step] >= 0)
+        i += s
+        k = w[i, j]
+        x = a.words[i]
+        x &= bt[j]  # row m: the witness set of entry (i[m], j[m])
+        at = x[np.arange(k.size), k // 64] >> (k % 64).astype(np.uint64)  # bit k, lowest
+        above = np.bitwise_count(at >> np.uint64(1)).astype(np.int64)
+        count = np.bitwise_count(x)
+        count[np.arange(words) <= k[:, None] // 64] = 0  # only the words above k's word
+        above += count.sum(axis=1, dtype=np.int64)
+        ranks[i, j] = np.where(at & np.uint64(1), 1 + above, -2)
     return ranks
 
 

@@ -104,6 +104,17 @@ def _beta(text: str) -> float:
     return beta
 
 
+def _seed(text: str) -> int:
+    """The --seed value: a non-negative integer, as the random streams need."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1  # fails the check below
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return seed
+
+
 def _max_rank(text: str) -> int:
     """The --max-rank value: an integer of at least 1, the maximum witness's rank."""
     try:
@@ -210,7 +221,7 @@ def _cmd_gen(args) -> int:
             io.save_matrix_binary(args.out, m)
         else:
             io.save_matrix_text(args.out, m)
-        info = {"kind": "matrix", "rows": m.rows, "cols": m.cols, "ones": sum(r.bit_count() for r in m.row_bits)}
+        info = {"kind": "matrix", "rows": m.rows, "cols": m.cols, "ones": m.popcount()}
     elif args.kind == "dag":
         d = random_dag(args.n, args.density, args.seed)
         io.save_dag(args.out, d)
@@ -598,6 +609,7 @@ def _cmd_verify(args) -> int:
         doc = doc["result"]
     n, _ = product_dims(a, b, square=True)
     wm = WitnessMatrix.from_json_dict(doc, one_based, expect_n=n)
+    del doc  # the decoded report is the largest object here; the checks need only wm
     viol, ranks = _violations_and_ranks(a, b, wm)  # rejects witnesses outside [0, inner dimension)
     diff = {
         "entries": wm.n * wm.n,
@@ -615,7 +627,7 @@ def _cmd_verify(args) -> int:
 
 
 def _add_common(p, matrices: bool = True, graph: bool = False) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--one-based", dest="one_based", action="store_true")
@@ -638,7 +650,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=("matrix", "dag", "graph"), default="matrix")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("text", "binary"), default="text")
     p.add_argument("--directed", action="store_true")
@@ -688,7 +700,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--beta", type=_beta, default=2.0)
     p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_campaign)
 

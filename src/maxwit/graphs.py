@@ -13,13 +13,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
-from .boolmat import BoolMatrix, WitnessMatrix, max_witness_oracle, set_bits, transpose
+from .boolmat import BoolMatrix, WitnessMatrix, max_witness_oracle, transpose
 from .rng import np_stream
 from .solvers import SOLVERS
-from .witness import _packed_words
 
 __all__ = [
     "CycleError",
@@ -147,12 +147,9 @@ def random_dag(n: int, density: float, seed: int) -> Dag:
         raise ValueError("density must lie in [0, 1]")
     rng = np_stream(seed, 21)
     perm = rng.permutation(n)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                edges.append((int(perm[i]), int(perm[j])))
-    return Dag(n, tuple(edges))
+    i, j = np.triu_indices(n, 1)  # the pairs i < j in row-major order, one draw each
+    keep = rng.random(i.size) < density
+    return Dag(n, tuple(zip(perm[i[keep]].tolist(), perm[j[keep]].tolist())))
 
 
 def demo_dag() -> Dag:
@@ -166,7 +163,7 @@ def demo_dag() -> Dag:
 
 def ancestor_matrix(dag: Dag) -> BoolMatrix:
     """Reflexive ancestor relation: entry (u, v) is 1 iff v is an ancestor of u."""
-    return BoolMatrix(dag.n, dag.n, dag.ancestor_bitsets())
+    return BoolMatrix.from_bitsets(dag.n, dag.ancestor_bitsets())
 
 
 def lca_matrix(dag: Dag) -> tuple[BoolMatrix, tuple[int, ...]]:
@@ -207,13 +204,21 @@ def all_pairs_lca(
     return renum[np.ix_(rank_arr, rank_arr)]
 
 
+def _set_bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def brute_force_lca_set(dag: Dag, u: int, v: int) -> list[int]:
     """All LCAs of (u, v) by definition: common ancestors that are maximal."""
     anc = dag.ancestor_bitsets()
     desc = dag.descendant_bitsets()
     common = anc[u] & anc[v]
     # keep w when no proper descendant of w is also common
-    return [w for w in set_bits(common) if desc[w] & common == 1 << w]
+    return [w for w in _set_bits(common) if desc[w] & common == 1 << w]
 
 
 def lca_errors(dag: Dag, lca: np.ndarray) -> int:
@@ -222,12 +227,10 @@ def lca_errors(dag: Dag, lca: np.ndarray) -> int:
     An entry of -1 is correct exactly when the pair has no common ancestor.
     """
     n = dag.n
-    anc = ancestor_matrix(dag).to_dense()
-    below = BoolMatrix(n, n, dag.descendant_bitsets()).to_dense()
-    np.fill_diagonal(below, 0)  # proper descendants
-    words = -(-n // 64)
-    packed_anc = _packed_words(anc, words)
-    packed_below = _packed_words(below, words)
+    anc_matrix = ancestor_matrix(dag)
+    anc, packed_anc = anc_matrix.to_dense(), anc_matrix.words
+    proper = [d ^ (1 << v) for v, d in enumerate(dag.descendant_bitsets())]
+    packed_below = BoolMatrix.from_bitsets(n, proper).words  # proper descendants
     vs = np.arange(n)
     wrong = 0
     for u in range(n):  # one row of pairs at a time: temporaries of n * n/8 bytes
@@ -279,12 +282,12 @@ class VertexWeightedGraph:
         self.edges = tuple(edges)
 
     def adjacency(self) -> BoolMatrix:
-        rows = [0] * self.n
-        for u, v in self.edges:
-            rows[u] |= 1 << v
-            if not self.directed:
-                rows[v] |= 1 << u
-        return BoolMatrix(self.n, self.n, tuple(rows))
+        dense = np.zeros((self.n, self.n), bool)
+        u, v = np.array(self.edges, np.int64).reshape(-1, 2).T
+        dense[u, v] = True
+        if not self.directed:
+            dense[v, u] = True
+        return BoolMatrix.from_dense(dense)
 
     def weight_order(self, descending: bool = False) -> list[int]:
         """Vertex ids sorted by (weight, id); ties resolved by id."""
@@ -298,14 +301,11 @@ def random_weighted_graph(
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     rng = np_stream(seed, 22)
-    edges = []
-    for u in range(n):
-        vs = range(n) if directed else range(u + 1, n)
-        for v in vs:
-            if u != v and rng.random() < density:
-                edges.append((u, v))
-    weights = tuple(float(w) for w in rng.random(n))
-    return VertexWeightedGraph(n, tuple(edges), weights, directed)
+    # the candidate pairs in row-major order, one draw each: u != v, or u < v when undirected
+    u, v = np.nonzero(~np.eye(n, dtype=bool)) if directed else np.triu_indices(n, 1)
+    keep = rng.random(u.size) < density
+    weights = tuple(rng.random(n).tolist())
+    return VertexWeightedGraph(n, tuple(zip(u[keep].tolist(), v[keep].tolist())), weights, directed)
 
 
 def _permuted_witnesses(adj: BoolMatrix, order: list[int]) -> WitnessMatrix:

@@ -181,14 +181,8 @@ def save_matrix_text(path: str | Path, m: BoolMatrix) -> None:
 
 
 def save_matrix_binary(path: str | Path, m: BoolMatrix) -> None:
-    stride = (m.cols + 63) // 64 * 8
-    blob = bytearray(MATRIX_MAGIC)
-    blob += m.rows.to_bytes(4, "little")
-    blob += m.cols.to_bytes(4, "little")
-    blob += b"\x00" * 4
-    for r in m.row_bits:
-        blob += r.to_bytes(stride, "little")
-    Path(path).write_bytes(bytes(blob))
+    header = MATRIX_MAGIC + m.rows.to_bytes(4, "little") + m.cols.to_bytes(4, "little") + b"\x00" * 4
+    Path(path).write_bytes(header + m.words.tobytes())
 
 
 def load_matrix(path: str | Path) -> BoolMatrix:
@@ -207,16 +201,13 @@ def _parse_binary(raw: bytes, path) -> BoolMatrix:
         raise ValueError(f"{path}: reserved header bytes must be zero")
     stride = (cols + 63) // 64 * 8
     need = 16 + rows * stride
-    if len(raw) != need:
+    if len(raw) != need:  # checked before anything of size rows * stride is allocated
         raise ValueError(f"{path}: expected {need} bytes, found {len(raw)}")
-    bits = []
-    limit = (1 << cols) - 1 if cols else 0
-    for i in range(rows):
-        r = int.from_bytes(raw[16 + i * stride : 16 + (i + 1) * stride], "little")
-        if r & ~limit:
-            raise ValueError(f"{path}: row {i} has bits beyond column {cols - 1}")
-        bits.append(r)
-    return BoolMatrix(rows, cols, tuple(bits))
+    words = np.frombuffer(raw, "<u8", offset=16).reshape(rows, stride // 8)
+    try:
+        return BoolMatrix(rows, cols, words)
+    except ValueError as exc:  # no rows or columns, or bits in a row's padding
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_text(text: str, path) -> BoolMatrix:
@@ -229,12 +220,14 @@ def _parse_text(text: str, path) -> BoolMatrix:
         raise ValueError(f"{path}: header must be 'rows cols'") from None
     if len(lines) != rows + 1:
         raise ValueError(f"{path}: expected {rows} rows, found {len(lines) - 1}")
-    bits = []
-    for i, ln in enumerate(lines[1:]):
-        if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError(f"{path}: row {i} is not {cols} characters of 0/1")
-        bits.append(int(ln[::-1], 2) if ln.strip("0") else 0)
-    return BoolMatrix(rows, cols, tuple(bits))
+    lengths = np.fromiter(map(len, lines[1:]), np.int64, rows)
+    chars = np.frombuffer("".join(lines[1:]).encode("ascii", "replace"), np.uint8)  # non-ASCII: "?"
+    if (lengths != cols).any() or chars.min(initial=ord("0")) < ord("0") or chars.max(initial=0) > ord("1"):
+        # the first row that is too long, too short or holds another character
+        stray = np.flatnonzero((chars != ord("0")) & (chars != ord("1")))[:1]
+        bad = [*np.flatnonzero(lengths != cols)[:1], *np.searchsorted(np.cumsum(lengths), stray, side="right")]
+        raise ValueError(f"{path}: row {min(bad)} is not {cols} characters of 0/1")
+    return BoolMatrix.from_dense(chars.reshape(rows, cols) == ord("1"))
 
 
 def save_graph(path: str | Path, g: VertexWeightedGraph) -> None:
@@ -255,27 +248,38 @@ def save_dag(path: str | Path, dag: Dag) -> None:
 
 
 def _parse_graph(path: str | Path) -> tuple[int, list[tuple[int, int]], list[float] | None, bool]:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
+    numbered = [(no, ln.strip()) for no, ln in enumerate(Path(path).read_text().splitlines(), 1) if ln.strip()]
+    if not numbered:
         raise ValueError(f"{path}: empty graph file")
-    head = lines[0].split()
-    if len(head) < 2:
-        raise ValueError(f"{path}: header must be 'n m [directed] [weighted]'")
-    n, m = int(head[0]), int(head[1])
+    (head_no, head_line), body = numbered[0], numbered[1:]
+    head = head_line.split()
+    try:
+        n, m = int(head[0]), int(head[1])
+    except (IndexError, ValueError):
+        raise ValueError(f"{path}: line {head_no}: header must be 'n m [directed] [weighted]'") from None
+    if m < 0:
+        raise ValueError(f"{path}: line {head_no}: edge count must be nonnegative, got {m}")
     flags = set(head[2:])
     if flags - {"directed", "weighted"}:
         raise ValueError(f"{path}: unknown header flags {sorted(flags - {'directed', 'weighted'})}")
     weighted = "weighted" in flags
     need = 1 + m + (1 if weighted else 0)
-    if len(lines) != need:
-        raise ValueError(f"{path}: expected {need} lines, found {len(lines)}")
+    if len(numbered) != need:
+        raise ValueError(f"{path}: expected {need} lines, found {len(numbered)}")
     edges = []
-    for ln in lines[1 : 1 + m]:
-        u, v = map(int, ln.split())
+    for no, ln in body[:m]:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"{path}: line {no}: an edge must be two integers 'u v', got {ln!r}") from None
         edges.append((u, v))
     weights = None
     if weighted:
-        weights = [float(w) for w in lines[1 + m].split()]
+        no, ln = body[m]
+        try:
+            weights = [float(w) for w in ln.split()]
+        except ValueError as exc:  # names the first word that is no number
+            raise ValueError(f"{path}: line {no}: {exc}") from None
         if len(weights) != n:
             raise ValueError(f"{path}: expected {n} weights, found {len(weights)}")
     return n, edges, weights, "directed" in flags

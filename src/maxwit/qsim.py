@@ -32,7 +32,8 @@ with r runs in the job when 2 <= q <= 256 and r >= gamma * q^1.5, gamma = 12
 blocks, other callers over one call); only ``max_wit``, which reports
 Grover iterations, calls the loop directly. Every call draws from one SFC64
 generator seeded from the caller's stream. The solvers hand the engine their
-targets as (i, j, q) arrays and read each witness off packed uint64 words.
+targets as (i, j, q) arrays and read each witness off the factors' own
+uint64 words (``BoolMatrix.words``).
 ``durr_hoyer_min`` is the one-run-at-a-time scalar reference whose law both
 paths are tested against.
 """
@@ -47,8 +48,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boolmat import (
+    _LOW_BITS,
     BoolMatrix,
     WitnessMatrix,
+    _int_of,
+    _top_bit,
     bool_product,
     product_dims,
     transpose,
@@ -57,9 +61,7 @@ from .boolmat import (
 from .rng import np_stream
 from .witness import (
     StripDecomposition,
-    _packed_words,
     _strip_products,
-    _top_bit,
     default_strip_width,
     largest_nonzero_strip,
 )
@@ -597,10 +599,6 @@ def _kth_highest_bit(mask: int, r: int) -> int:
     return mask.bit_length() - 1
 
 
-# the low k bits of a word, k = 0..64
-_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
-
-
 def _read_witnesses(
     wa: np.ndarray,
     wb: np.ndarray,
@@ -612,7 +610,7 @@ def _read_witnesses(
 ) -> np.ndarray:
     """Witness of each target from its best final sorted position r.
 
-    wa and wb hold the packed uint64 rows of A and of B's transpose. Target t's
+    wa and wb are the words of A and of B's transpose. Target t's
     witness is the (r[t]+1)-th highest set bit of A[i[t]] & B[:, j[t]] within
     [lo[t], hi[t]), or -1 when r[t] is at or beyond the count of those bits.
     For r = 0, nearly every target, that is the top bit of the masked words,
@@ -627,7 +625,7 @@ def _read_witnesses(
     top = x[np.arange(x.shape[0]), last]
     w = np.where(top != 0, 64 * last + _top_bit(top), -1)
     for e in np.flatnonzero(r > 0).tolist():
-        mask = sum(v << 64 * t for t, v in enumerate(x[e].tolist()))
+        mask = _int_of(x[e])
         w[e] = _kth_highest_bit(mask, int(r[e])) if r[e] < mask.bit_count() else -1
     return w
 
@@ -653,9 +651,7 @@ def _run_entry_searches(
     non-witness, so the entry reports no witness. Only the witness matrix and
     the query total outlive a block.
     """
-    words = -(-a.cols // 64)
-    wa = _packed_words(a.to_dense(), words)
-    wb = _packed_words(b.to_dense().T, words)
+    wa, wb = a.words, transpose(b).words
     lo = np.broadcast_to(lo, q.shape)
     hi = np.broadcast_to(a.cols if hi is None else hi, q.shape)
     w = np.full((a.rows, b.cols), -1, dtype=np.int64)
@@ -729,9 +725,7 @@ def algorithm3(
     leaves every witness index unchanged.
     """
     n, _ = product_dims(a, b, square=True)
-    m1 = sum(r.bit_count() for r in a.row_bits)
-    m2 = sum(r.bit_count() for r in b.row_bits)
-    if m1 < m2:
+    if a.popcount() < b.popcount():
         wm_t, st = _algorithm3_core(transpose(b), transpose(a), beta, seed)
         return WitnessMatrix(n, wm_t.array.T), st
     return _algorithm3_core(a, b, beta, seed)

@@ -5,8 +5,9 @@ Three families live here:
 * an exact solver that splits the inner dimension into strips, finds the
   highest strip whose partial product is 1 for each entry from one BLAS
   strip product per strip, and reads the top set bit inside that strip off
-  packed uint64 words with a byte table (identical output to the
-  brute-force oracle for every input);
+  the factors' own uint64 words (``BoolMatrix.words``, padded with
+  ``np.pad``) with a byte table (identical output to the brute-force
+  oracle for every input);
 * single-witness / k-witness solvers built on random column sampling: a
   float32 count product (exact while the inner dimension is below 2^24)
   finds the entries where exactly one sampled column survives, and that lone
@@ -32,7 +33,9 @@ from .boolmat import (
     BoolMatrix,
     WitnessLists,
     WitnessMatrix,
+    _top_bit,
     product_dims,
+    transpose,
 )
 # The rank check lives in boolmat; it stays bound here because callers and
 # perfbench/trace_job.py look it up as maxwit.witness.witness_rank_matrix.
@@ -142,27 +145,8 @@ def largest_nonzero_strip(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition)
     return np.subtract(best, 1, dtype=np.int64)
 
 
-# highest set bit of each byte value; -1 for zero
-_TOP_BIT = np.array([x.bit_length() - 1 for x in range(256)], np.int64)
 # entries the strip scan handles per block of whole rows
 _CHUNK_ENTRIES = 1 << 16
-
-
-def _packed_words(dense: np.ndarray, words: int) -> np.ndarray:
-    """Rows of a 0/1 array as little-endian uint64 words: bit k of a row is bit
-    k % 64 of word k // 64; rows are zero-padded to ``words`` words."""
-    packed = np.zeros((dense.shape[0], 8 * words), np.uint8)
-    packed[:, : (dense.shape[1] + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
-def _top_bit(x: np.ndarray) -> np.ndarray:
-    """Index of the highest set bit of each uint64 word; -1 for zero."""
-    # halve the window onto the top nonzero byte, then read that byte's top bit
-    k = np.zeros(x.shape, np.uint64)
-    for s in (32, 16, 8):
-        k += (x >> (k + np.uint64(s)) != 0) * np.uint64(s)
-    return k.astype(np.int64) + _TOP_BIT[(x >> k) & np.uint64(255)]
 
 
 def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = None) -> WitnessMatrix:
@@ -179,9 +163,9 @@ def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = Non
         ell = default_strip_width(q)
     parr = largest_nonzero_strip(a, b, StripDecomposition.build(q, ell))
     span = (ell + 62) // 64 + 1  # most words one strip can touch
-    words = -(-q // 64) + span  # the padding keeps every strip's words in range
-    wa = _packed_words(a.to_dense(), words).ravel()
-    wb = _packed_words(b.to_dense().T, words).ravel()
+    words = a.words.shape[1] + span  # the padding keeps every strip's words in range
+    wa = np.pad(a.words, ((0, 0), (0, span))).ravel()
+    wb = np.pad(transpose(b).words, ((0, 0), (0, span))).ravel()
     w = np.full((n, n), -1, dtype=np.int64)
     step = n * max(1, _CHUNK_ENTRIES // n)  # whole rows of entries
     for s in range(0, n * n, step):
@@ -248,9 +232,8 @@ def _collect_witnesses(
     few = np.flatnonzero((wc > 0) & (wc <= k))
     unfinished = wcount > k  # the sampling serves these until each has k witnesses
     left = int(np.count_nonzero(unfinished))
-    words = -(-q // 64)
-    wa = _packed_words(a_dense, words)
-    wb = _packed_words(b_dense.T, words)
+    wa, wb = BoolMatrix.from_dense(a_dense).words, BoolMatrix.from_dense(b_dense.T).words
+    words = wa.shape[1]
 
     step = max(1, _CHUNK_BYTES // (8 * words))
     for s in range(0, few.size, step):

@@ -261,7 +261,7 @@ def test_criterion_06_rank_bounded_holds():
         a = random_matrix(n, densities[t % 4], spawn_seed(0, 106, t, 0))
         b = random_matrix(n, densities[t % 4], spawn_seed(0, 106, t, 1))
         pattern = bool_product(a, b)
-        pat = np.array([[(pattern.row_bits[i] >> j) & 1 for j in range(n)] for i in range(n)], bool)
+        pat = pattern.to_dense().astype(bool)
         for ell in (1, 4, 16, 64):
             wm = approx_rank_bounded(a, b, ell, spawn_seed(0, 106, t, 2))
             ranks = witness_rank_matrix(a, b, wm)

@@ -48,7 +48,7 @@ def test_product_identity_and_zeros():
         assert bool_product(a, BoolMatrix.identity(n)) == a
         assert bool_product(BoolMatrix.identity(n), a) == a
         z = bool_product(a, BoolMatrix.zeros(n))
-        assert all(r == 0 for r in z.row_bits)
+        assert not z.to_dense().any()
 
 
 def test_product_matches_scalar_loops():
@@ -71,10 +71,16 @@ def test_product_rejects_dimension_mismatch():
 
 
 def test_padding_must_stay_zero():
-    with pytest.raises(ValueError):
-        BoolMatrix(1, 2, (4,))  # bit 2 is outside a 2-column row
-    with pytest.raises(ValueError):
-        BoolMatrix(1, 2, (-1,))
+    with pytest.raises(ValueError, match="row 0 has bits beyond column 1"):
+        BoolMatrix(1, 2, np.array([[4]], np.uint64))  # bit 2 is outside a 2-column row
+    words = np.zeros((2, 2), np.uint64)
+    words[1, 1] = 1 << 6  # bit 70 of a 65-column row
+    with pytest.raises(ValueError, match="row 1 has bits beyond column 64"):
+        BoolMatrix(2, 65, words)
+    words[1, 1] = 1  # bit 64, the last column, is fine
+    assert BoolMatrix(2, 65, words).get(1, 64) == 1
+    with pytest.raises(ValueError, match="shape"):
+        BoolMatrix(1, 2, np.zeros((1, 2), np.uint64))  # two words for a 2-column row
 
 
 def test_transpose_involution_and_product_identity():
@@ -111,7 +117,7 @@ def test_random_matrix_density_extremes_and_concentration():
     n = 128
     for density in (0.1, 0.5, 0.9):
         m = random_matrix(n, density, seed=7)
-        ones = sum(r.bit_count() for r in m.row_bits)
+        ones = int(m.to_dense().sum())
         sigma = (n * n * density * (1 - density)) ** 0.5
         assert abs(ones - n * n * density) <= 4 * sigma
     assert random_matrix(32, 0.5, seed=3) == random_matrix(32, 0.5, seed=3)
@@ -241,7 +247,7 @@ def test_witness_violations_classes():
     arr = wm.array.copy()
     ii, jj = np.nonzero(arr >= 0)
     i, j = int(ii[0]), int(jj[0])
-    zero_k = next(k for k in range(12) if not (a.row_bits[i] >> k) & 1)
+    zero_k = next(k for k in range(12) if not a.get(i, k))
     bad = WitnessMatrix(12, arr)
     bad.set(i, j, zero_k)
     rep = witness_violations(a, b, bad)
@@ -298,15 +304,17 @@ def test_rank_checks_match_scalar_ranks(n, q):
 
 
 def test_rank_checks_use_quadratic_memory():
-    # an (n, q, n) uint8 tensor alone is 16 MiB at n = q = 256
-    a = random_matrix(256, 0.3, seed=71)
-    b = random_matrix(256, 0.3, seed=72)
-    wm = max_witness_oracle(a, b)
-    for check in (witness_rank_matrix, witness_violations):
-        tracemalloc.start()
-        try:
-            check(a, b, wm)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, (check.__name__, peak)
+    # an (n, q, n) uint8 tensor alone is 16 MiB at n = q = 256; gathering the
+    # words of all n^2 entries at once would take 128 MiB at n = 1024
+    for n, density, bound_mib in ((256, 0.3, 8), (1024, 0.01, 48)):
+        a = random_matrix(n, density, seed=71)
+        b = random_matrix(n, density, seed=72)
+        wm = max_witness_oracle(a, b)
+        for check in (witness_rank_matrix, witness_violations):
+            tracemalloc.start()
+            try:
+                check(a, b, wm)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, (n, check.__name__, peak)

@@ -53,12 +53,16 @@ def test_gen_dag_and_graph(tmp_path, capsys):
     assert "weighted" in g.read_text().splitlines()[0]
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path, capsys):
     assert main(["maxwit", "--algo", "bogus", "--n", "8"]) == 1  # bad flag value
     assert main(["maxwit"]) == 1  # neither --a/--b nor --n
     assert main(["maxwit", "--a", "/nonexistent/a", "--b", "/nonexistent/b"]) == 2
     assert main(["gen", "--n", "4", "--out", "/nonexistent/dir/m.txt"]) == 2
     assert main(["maxwit", "--n", "8", "--verify"]) == 0
+    for argv in (["maxwit", "--n", "8", "--seed", "-1"], ["gen", "--n", "4", "--out", str(tmp_path / "m"), "--seed", "-2"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: argument --seed: must be a non-negative integer, got {argv[-1]}\n"
 
 
 def test_maxwit_report_schema(tmp_path, capsys):
@@ -250,7 +254,7 @@ def test_verify_subcommand(tmp_path, capsys):
     # corrupt deterministically: replace one witness with a k where A[i,k] = 0
     ii, jj = np.nonzero(wm.array >= 0)
     i, j = int(ii[0]), int(jj[0])
-    bad_k = next(k for k in range(10) if not (am.row_bits[i] >> k) & 1)
+    bad_k = next(k for k in range(10) if not am.get(i, k))
     wm.set(i, j, bad_k)
     res.write_text(json.dumps(wm.to_json_dict()))
     code, out = run(capsys, "verify", "--a", str(a), "--b", str(b), "--result", str(res))
@@ -481,6 +485,17 @@ def test_graph_commands_reject_non_finite_weights(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     with pytest.raises(ValueError):
         VertexWeightedGraph(2, ((0, 1),), (1.0, float("inf")))
+
+
+def test_graph_parse_errors_are_one_error_line(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("3 1 weighted\n0 x\n1.0 2.0 3.0\n")
+    for cmd in ("lca", "triangle", "two-edge"):
+        capsys.readouterr()
+        assert main([cmd, "--graph", str(g)]) == 1, cmd
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {g}: line 2: an edge must be two integers 'u v', got '0 x'\n"
 
 
 def test_thread_count_is_clamped(monkeypatch):

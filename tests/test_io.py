@@ -71,7 +71,11 @@ def test_load_matrix_sniffs_format(tmp_path):
     assert load_matrix(t) == load_matrix(b) == m
 
 
-def test_corrupt_matrix_files_rejected(tmp_path):
+def _header(rows: int, cols: int) -> bytes:
+    return MATRIX_MAGIC + rows.to_bytes(4, "little") + cols.to_bytes(4, "little") + b"\x00" * 4
+
+
+def test_corrupt_matrix_files_rejected(tmp_path, capsys):
     p = tmp_path / "bad"
     p.write_bytes(MATRIX_MAGIC + b"\x01")  # truncated header
     with pytest.raises(ValueError):
@@ -88,6 +92,21 @@ def test_corrupt_matrix_files_rejected(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError):
         load_matrix(p)
+    # each message names the file, and the CLI prints it as one error line
+    cases = [
+        # bit 70 of row 1 lies in the padding of a 65-column row's last word
+        (_header(2, 65) + b"\x00" * 24 + (1 << 6).to_bytes(8, "little"), "row 1 has bits beyond column 64"),
+        # rejected from the header's size alone, before rows x stride bytes are allocated
+        (_header(2**32 - 1, 2**32 - 1), f"expected {16 + (2**32 - 1) * ((2**32 - 1 + 63) // 64 * 8)} bytes, found 16"),
+    ]
+    for blob, message in cases:
+        p.write_bytes(blob)
+        with pytest.raises(ValueError) as err:
+            load_matrix(p)
+        assert str(err.value) == f"{p}: {message}"
+        capsys.readouterr()
+        assert main(["maxwit", "--a", str(p), "--b", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
 
 
 def test_binary_padding_must_be_zero(tmp_path):
@@ -96,6 +115,26 @@ def test_binary_padding_must_be_zero(tmp_path):
     p.write_bytes(header + (0b1011).to_bytes(8, "little"))  # bit 3 is padding for cols=3
     with pytest.raises(ValueError):
         load_matrix(p)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1\n0 1 2\n", "line 2: an edge must be two integers 'u v', got '0 1 2'"),
+        ("3 1\n0 x\n", "line 2: an edge must be two integers 'u v', got '0 x'"),
+        ("3 1 weighted\n0 1\n1 abc 2\n", "line 3: could not convert string to float: 'abc'"),
+        ("3 -1\n", "line 1: edge count must be nonnegative, got -1"),
+        ("\n3 x\n", "line 2: header must be 'n m [directed] [weighted]'"),  # lines count from the file's first
+    ],
+    ids=["three-values", "not-an-integer", "weight", "negative-edge-count", "header"],
+)
+def test_malformed_graph_lines_name_the_file_and_line(tmp_path, text, message):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    for load in (load_graph, load_dag):
+        with pytest.raises(ValueError) as err:
+            load(p)
+        assert str(err.value) == f"{p}: {message}"
 
 
 def test_graph_roundtrip(tmp_path):

@@ -9,11 +9,8 @@ import pytest
 
 from maxwit.boolmat import (
     BoolMatrix,
-    bool_product,
     max_witness_oracle,
     random_matrix,
-    set_bits,
-    transpose,
     witness_mask,
     witness_violations,
 )
@@ -374,16 +371,16 @@ def _per_entry_searches(n, targets, reps, rng):
 def _per_entry_targets(algo, a, b, ell):
     """Frozen copy of the tuple targets of algorithm1-algorithm4 (algorithm3's core)."""
     n = a.rows
-    bt = transpose(b).row_bits
+    ad, bd = a.to_dense(), b.to_dense()
+    # wit[i][j]: the witness set of entry (i, j) as a Python-int bitset
+    wit = [[int("".join(map(str, (ad[i] & bd[:, j])[::-1])), 2) for j in range(n)] for i in range(n)]
     if algo == 1:
-        return [(i, j, a.row_bits[i] & bt[j], n) for i in range(n) for j in range(n)]
+        return [(i, j, wit[i][j], n) for i in range(n) for j in range(n)]
     if algo == 2:
-        rows = bool_product(a, b).row_bits
-        return [(i, j, a.row_bits[i] & bt[j], n) for i in range(n) for j in set_bits(rows[i])]
+        return [(i, j, wit[i][j], n) for i in range(n) for j in range(n) if wit[i][j]]
     if algo == 3:
-        bd = b.to_dense()
         columns = [np.flatnonzero(bd[:, j])[::-1] for j in range(n)]
-        return [(i, j, a.row_bits[i] & bt[j], len(col))
+        return [(i, j, wit[i][j], len(col))
                 for j, col in enumerate(columns) if len(col) for i in range(n)]
     dec = StripDecomposition.build(n, ell)
     parr = largest_nonzero_strip(a, b, dec)
@@ -392,7 +389,7 @@ def _per_entry_targets(algo, a, b, ell):
         p = int(parr[i, j])
         s, e = dec.ranges[p]
         strip = ((1 << (e - s)) - 1) << s
-        targets.append((int(i), int(j), a.row_bits[i] & bt[j] & strip, e - s))
+        targets.append((int(i), int(j), wit[i][j] & strip, e - s))
     return targets
 
 
@@ -623,7 +620,7 @@ def test_tradeoff_levels():
         for i, j in probes:
             w, log = index.query(i, j)
             if w is not None:
-                assert (a.row_bits[i] >> w) & 1 and (b.row_bits[w] >> j) & 1
+                assert a.get(i, w) and b.get(w, j)
             total += log.oracle_queries
         return total
 

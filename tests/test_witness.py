@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maxwit import witness
+from maxwit import boolmat, witness
 from maxwit.boolmat import (
     BoolMatrix,
     bool_product,
@@ -76,7 +76,7 @@ def test_packed_words_match_the_scalar_reference():
         dense[0] = 1  # the row's last column is its highest bit
         need = -(-cols // 64)
         for words in (need, need + 2):  # exact, and with padding words
-            got = witness._packed_words(dense, words)
+            got = boolmat._packed_words(dense, words)
             assert got.dtype == np.dtype("<u8") and got.shape == (4, words)
             assert got.tolist() == [packed_words_row(r, words) for r in dense.tolist()]
 
@@ -86,7 +86,7 @@ def test_top_bit_matches_the_scalar_reference():
     every_byte = [v << (8 * p) for p in range(8) for v in range(256)]
     spread = rng.integers(0, 2**64, 10**4, dtype=np.uint64) >> rng.integers(0, 64, 10**4).astype(np.uint64)
     words = [0, 2**64 - 1, *every_byte, *spread.tolist()]
-    got = witness._top_bit(np.array(words, np.uint64))
+    got = boolmat._top_bit(np.array(words, np.uint64))
     assert got.tolist() == [top_bit(x) for x in words]
 
 
@@ -460,7 +460,7 @@ def test_witness_rank_matrix_classes():
     arr = wm.array.copy()
     ii, jj = np.nonzero(arr >= 0)
     i, j = int(ii[0]), int(jj[0])
-    bad_k = next(k for k in range(16) if not (a.row_bits[i] >> k) & 1)
+    bad_k = next(k for k in range(16) if not a.get(i, k))
     corrupted = wm
     corrupted.set(i, j, bad_k)
     ranks = witness_rank_matrix(a, b, corrupted)
