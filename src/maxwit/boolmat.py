@@ -240,10 +240,11 @@ class WitnessMatrix:
     ) -> "WitnessMatrix":
         """Read {"n": n, "entries": [{"i", "j", "witness"}, ...]}; later entries win.
 
-        Every number must be an int (not a bool). The first entry in
-        document order that lies outside the matrix or has a negative
-        witness is the one reported. A given ``expect_n`` (the product's n)
-        is checked before anything of size n is allocated.
+        Every number must be an int (not a bool). "entries" may also be the
+        (count, 3) int64 array of (i, j, witness) rows that
+        ``io.read_witness_report`` decodes from a canonical report; both
+        forms go through ``_fill``. A given ``expect_n`` (the product's
+        n) is checked before anything of size n is allocated.
         """
         if not isinstance(obj, dict):
             raise ValueError("a witness document must be a JSON object")
@@ -255,6 +256,8 @@ class WitnessMatrix:
             raise ValueError(f"n must be an integer, got {n!r}")
         if expect_n is not None and n != expect_n:
             raise ValueError(f"witness matrix has n={n} but the product is {expect_n}x{expect_n}")
+        if isinstance(entries, np.ndarray):
+            return cls(n)._fill(entries, one_based)
         if not isinstance(entries, list) or any(type(e) is not dict for e in entries):
             raise ValueError("entries must be a list of objects")
         wm = cls(n)
@@ -271,7 +274,15 @@ class WitnessMatrix:
             values = values.astype(np.int64)
         except OverflowError:  # kept as Python ints, so the message can name the value
             pass
-        i, j, w = values.reshape(-1, 3).T
+        return wm._fill(values.reshape(-1, 3), one_based)
+
+    def _fill(self, rows: np.ndarray, one_based: bool) -> "WitnessMatrix":
+        """Set the (i, j, witness) rows, 1-based when one_based, into this
+        empty matrix and return it. The first row in order that lies outside
+        the matrix or has a negative witness is the one reported; a later
+        row for a cell wins."""
+        n = self.n
+        i, j, w = rows.T
         off = 1 if one_based else 0
         outside = (i < off) | (i >= n + off) | (j < off) | (j >= n + off)
         bad = outside | (w < off) | (w > np.iinfo(np.int64).max)
@@ -285,10 +296,10 @@ class WitnessMatrix:
             raise ValueError(f"{where} has witness {w[k]} outside the int64 range")
         # an entry repeated for one cell: the last one wins
         last = np.full(n * n, -1)
-        np.maximum.at(last, (i - off) * n + (j - off), np.arange(len(entries)))
+        np.maximum.at(last, (i - off) * n + (j - off), np.arange(len(rows)))
         cells = np.flatnonzero(last >= 0)
-        wm._w.ravel()[cells] = w[last[cells]] - off
-        return wm
+        self._w.ravel()[cells] = w[last[cells]] - off
+        return self
 
     def to_csv_rows(self, one_based: bool = False) -> list[tuple[int, int, int]]:
         return list(zip(*(c.tolist() for c in self.columns(one_based).values())))

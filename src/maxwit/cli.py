@@ -12,14 +12,17 @@ runs ``max_witness_oracle``.
 Reports are canonical JSON (sorted keys, two-space indent) and embed the
 full run configuration, so identical configurations yield byte-identical
 files; wall-clock timings are included only on request (--timing) and never
-in campaign reports. The MAXWIT_THREADS environment variable caps campaign
-parallelism; results are merged by trial index, so the thread count never
-changes a report.
+in campaign reports. Every report, JSON or CSV, is written piece by piece
+onto stdout or the --out file, which is opened only at the first write: a
+report that fails a writer's check leaves an existing file untouched. The
+verify command reads the whole --result file before it writes anything, and
+decodes it with ``io.read_witness_report``. The MAXWIT_THREADS environment
+variable caps campaign parallelism; results are merged by trial index, so
+the thread count never changes a report.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -172,20 +175,44 @@ def _load_graph(args, read: Callable, generate: Callable):
     return generate(args.n, args.density, args.seed)
 
 
-def _report_text(args, payload: dict) -> str:
-    """The canonical JSON report: payload plus the schema, the version and
-    "config", every parsed option of the run (enough to replay it)."""
+def _emit_report(args, payload: dict) -> None:
+    """Emit the canonical JSON report: payload plus the schema, the version
+    and "config", every parsed option of the run (enough to replay it)."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {"schema": SCHEMA_VERSION, "version": __version__, "config": config}
     doc.update(payload)
-    return io.canonical_json(doc)
+    _emit(args, partial(io.canonical_json, doc))
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+class _OutFile:
+    """The --out file as a text stream that is opened, and so truncated, at
+    its first write: a report rejected before it writes anything leaves an
+    existing file as it was."""
+
+    def __init__(self, path: str):
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> None:
+        if self.fh is None:
+            self.fh = Path(self.path).open("w")
+        self.fh.write(text)
+
+    def writelines(self, pieces) -> None:
+        for text in pieces:
+            self.write(text)
+
+
+def _emit(args, write: Callable) -> None:
+    """write(stream) onto the --out file, or onto stdout without one."""
+    if not getattr(args, "out", None):
+        write(sys.stdout)
+        return
+    out = _OutFile(args.out)
+    try:
+        write(out)
+    finally:
+        if out.fh is not None:
+            out.fh.close()
 
 
 def _witness_verdict(
@@ -230,7 +257,7 @@ def _cmd_gen(args) -> int:
         g = random_weighted_graph(args.n, args.density, args.seed, args.directed)
         io.save_graph(args.out, g)
         info = {"kind": "graph", "n": g.n, "edges": len(g.edges), "directed": g.directed}
-    sys.stdout.write(io.canonical_json({"written": args.out, **info}))
+    io.canonical_json({"written": args.out, **info}, sys.stdout)
     return EXIT_OK
 
 
@@ -270,7 +297,7 @@ class Pipeline:
 
         rows = self.rows(args, x, r, int(args.one_based))
         if args.format == "csv":
-            _emit(args, io.csv_text(self.header, rows))
+            _emit(args, partial(io.write_csv, self.header, rows))
         else:
             payload = self.report(args, x, r, rows, verification)
             if verification is not None:
@@ -278,7 +305,7 @@ class Pipeline:
             if args.timing:
                 marks = {"load_s": t1 - t0, "solve_s": t2 - t1, "verify_s": t3 - t2}
                 payload["timing"] = {k: round(v, 6) for k, v in marks.items()}
-            _emit(args, _report_text(args, payload))
+            _emit_report(args, payload)
         return EXIT_VERIFY if verification is not None and not verification["passed"] else EXIT_OK
 
 
@@ -588,7 +615,7 @@ CAMPAIGNS = {
 def _cmd_campaign(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
-    _emit(args, _report_text(args, {"results": CAMPAIGNS[args.target](args)}))
+    _emit_report(args, {"results": CAMPAIGNS[args.target](args)})
     return EXIT_OK
 
 
@@ -599,7 +626,7 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_verify(args) -> int:
     a, b = _load_pair(args)
-    doc = json.loads(Path(args.result).read_text())
+    doc = io.read_witness_report(Path(args.result).read_bytes())  # all of it, before --out is opened
     one_based = False
     if isinstance(doc, dict) and "result" in doc:  # full report: its own config gives the index base
         config = doc.get("config")
@@ -617,7 +644,7 @@ def _cmd_verify(args) -> int:
         "invalid_sample": [list(x) for x in viol["invalid"][:10]],
         **_witness_verdict(viol, ranks, args.max_rank),
     }
-    _emit(args, _report_text(args, {"diff": diff}))
+    _emit_report(args, {"diff": diff})
     return EXIT_OK if diff["passed"] else EXIT_VERIFY
 
 

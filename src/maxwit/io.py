@@ -11,19 +11,26 @@ accepts either format.
 Graph text format: a header "n m [directed] [weighted]", then m lines "u v",
 then, when weighted, one line of n vertex weights.
 
-Reports are serialized with ``canonical_json``: the bytes of
+Reports are written with ``canonical_json``: the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a trailing newline, so
 equal runs produce byte-identical files. The rows of a report (witness
 entries, k-witness lists, LCA, triangle and two-edge rows) are passed as a
 ``RowBlock``: named numpy columns, plus at most one variable-length list
 column. ``canonical_json`` renders a block with ``%``-templates over chunks
 of rows and the rest of the report with ``json.dumps``, giving the same bytes
-as ``json.dumps`` of the list of its rows' dicts. ``csv_text`` writes the
-same block as CSV lines.
+as ``json.dumps`` of the list of its rows' dicts. ``write_csv`` writes the
+same block as CSV lines. Both write chunk by chunk into an open text stream,
+so no report is ever held as one string, and both make every check that can
+reject a report before their first write.
+
+``read_witness_report`` reads a witness report back. A canonical entries
+block is decoded by numpy in windows of about 1 MiB; any other document
+goes through ``json.loads``, with its errors.
 """
 from __future__ import annotations
 
 import json
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +49,8 @@ __all__ = [
     "save_dag",
     "load_graph",
     "load_dag",
-    "csv_text",
+    "read_witness_report",
+    "write_csv",
 ]
 
 MATRIX_MAGIC = b"BMAT"
@@ -50,6 +58,12 @@ MATRIX_MAGIC = b"BMAT"
 _CHUNK_ROWS = 4096
 # what json.dumps writes for a RowBlock until its rows are spliced in
 _STAND_IN = "\x00rows%d\x00"
+# the line that opens a witness report's entries block, as canonical_json writes it
+_ENTRIES = b'"entries": ['
+# bytes of a canonical entries block decoded at once
+_WINDOW = 1 << 20
+# longest digit run decoded by numpy: every 18-digit integer fits in int64
+_MAX_DIGITS = 18
 
 
 class RowBlock:
@@ -150,9 +164,10 @@ def _json_rows(block: RowBlock, indent: str):
     yield "\n" + indent + "]"
 
 
-def canonical_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, where
-    each RowBlock is written as the list of its rows' dicts."""
+def canonical_json(obj, out) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline to
+    the text stream ``out``, each RowBlock written as the list of its rows'
+    dicts. Every check runs before the first write."""
     blocks: list[RowBlock] = []
 
     def stand_in(o):
@@ -162,18 +177,126 @@ def canonical_json(obj) -> str:
         return _STAND_IN % (len(blocks) - 1)
 
     text = json.dumps(obj, indent=2, sort_keys=True, default=stand_in)
-    pieces, pos = [], 0
-    for idx, block in enumerate(blocks):
-        mark = json.dumps(_STAND_IN % idx)
+    marks = [json.dumps(_STAND_IN % idx) for idx in range(len(blocks))]
+    for mark in marks:
         if text.count(mark) != 1:
             raise ValueError(f"a report string equals the stand-in {mark}")
+    pos = 0
+    for block, mark in zip(blocks, marks):
         at = text.index(mark)
         line = text[text.rfind("\n", 0, at) + 1 : at]
-        pieces.append(text[pos:at])
-        pieces.extend(_json_rows(block, line[: len(line) - len(line.lstrip(" "))]))
+        out.write(text[pos:at])
+        out.writelines(_json_rows(block, line[: len(line) - len(line.lstrip(" "))]))
         pos = at + len(mark)
-    pieces += [text[pos:], "\n"]
-    return "".join(pieces)
+    out.write(text[pos:] + "\n")
+
+
+def read_witness_report(raw: bytes):
+    """The JSON document in ``raw``, the bytes of a witness report.
+
+    When the first ``"entries": [`` in the document opens a block with
+    exactly the layout ``canonical_json`` writes for (i, j, witness) rows,
+    and that block is ``result.entries`` or, in a bare document,
+    ``entries``, numpy decodes it and the document holds it as a (count, 3)
+    int64 array of rows, which ``WitnessMatrix.from_json_dict`` reads like
+    the list. Any other document is ``json.loads`` of its text as
+    ``Path.read_text`` decodes it, so it fails with the errors of json.loads.
+    """
+    doc = _canonical_witness_document(raw)
+    if doc is None:
+        doc = json.loads(TextIOWrapper(BytesIO(raw), encoding="locale").read())
+    return doc
+
+
+def _canonical_witness_document(raw: bytes):
+    """The document with its canonical witness block decoded, or None.
+
+    The block is cut out and ``NaN`` spliced in its place; json.loads of the
+    small rest must then meet exactly one constant, at the entries key. A
+    canonical block holds no "]", so its end is the first one after it.
+    """
+    at = raw.find(_ENTRIES)
+    if at < 0:
+        return None
+    indent = raw[raw.rfind(b"\n", 0, at) + 1 : at]
+    start = at + len(_ENTRIES) - 1  # the "["
+    close = raw.find(b"]", start)
+    end = close - len(indent) - 1  # the "\n" before the closing line
+    if indent.strip(b" ") or raw[start + 1 : start + 2] != b"\n" or close < 0 or raw[end:close] != b"\n" + indent:
+        return None
+    rest = raw[:start] + b"NaN" + raw[close + 1 :]
+    if not rest.isascii():  # read_text could decode it differently
+        return None
+    constants: list[str] = []
+
+    def constant(name: str) -> list:
+        constants.append(name)
+        return constants  # an object no JSON value can be
+
+    try:
+        doc = json.loads(rest, parse_constant=constant)
+    except ValueError:
+        return None
+    holder = doc.get("result", doc) if isinstance(doc, dict) else None
+    if constants != ["NaN"] or not isinstance(holder, dict) or holder.get("entries") is not constants:
+        return None
+    rows = _decode_witness_rows(raw, start + 2, end, indent.decode())
+    if rows is None:
+        return None
+    holder["entries"] = rows
+    return doc
+
+
+def _decode_witness_rows(raw: bytes, body: int, end: int, indent: str) -> np.ndarray | None:
+    """The (count, 3) int64 (i, j, witness) rows of the entries in
+    ``raw[body:end]``, decoded in windows of about ``_WINDOW`` bytes cut at
+    entry boundaries; None if a window is not in the layout ``_json_rows``
+    writes at ``indent``."""
+    zeros = RowBlock({key: np.zeros(1, np.int64) for key in ("i", "j", "witness")})
+    # one entry with every value written "0", and the ",\n" that follows it
+    unit = "".join(_json_rows(zeros, indent))[2 : -len(indent) - 2].encode() + b",\n"
+    cut_mark = b"},\n" + unit[: unit.index(b"{") + 1]
+    data = np.frombuffer(raw, np.uint8)
+    windows, pos = [], body
+    while pos < end:
+        cut = raw.find(cut_mark, pos + _WINDOW, end)
+        stop = end if cut < 0 else cut + 3  # a window ends after its last entry's ",\n"
+        if stop - pos > 2 * _WINDOW:  # a canonical block has an entry boundary within one entry
+            return None
+        values = _window_values(data[pos:stop], unit, last=cut < 0)
+        if values is None:
+            return None
+        windows.append(values)
+        pos = stop
+    return np.concatenate(windows).reshape(-1, 3) if windows else None
+
+
+def _window_values(window: np.ndarray, unit: bytes, last: bool) -> np.ndarray | None:
+    """The integers in ``window``, in order, if collapsing each run of digits
+    to one "0" gives ``unit`` repeated (without the final ",\n" when
+    ``last``) and no run has a leading zero or more than _MAX_DIGITS digits;
+    else None."""
+    digit = (window - np.uint8(48)) < 10
+    if digit[0] or digit[-1]:
+        return None
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = ends - starts
+    width = int(lengths.max(initial=0))
+    if len(starts) % 3 or width > _MAX_DIGITS or ((window[starts] == 48) & (lengths > 1)).any():
+        return None
+    keep = ~digit
+    keep[starts] = True
+    skeleton = window[keep]
+    skeleton[starts - np.cumsum(lengths - 1) + (lengths - 1)] = 48
+    want = unit * (len(starts) // 3)
+    if skeleton.tobytes() != (want[:-2] if last else want):
+        return None
+    values = np.zeros(len(starts), np.int64)
+    for back in range(width, 0, -1):  # most significant digit first; short runs are padded with zeros
+        at = ends - back
+        values = values * 10 + np.where(at >= starts, window[at] - np.uint8(48), np.uint8(0))
+    return values
 
 
 def save_matrix_text(path: str | Path, m: BoolMatrix) -> None:
@@ -227,7 +350,10 @@ def _parse_text(text: str, path) -> BoolMatrix:
         stray = np.flatnonzero((chars != ord("0")) & (chars != ord("1")))[:1]
         bad = [*np.flatnonzero(lengths != cols)[:1], *np.searchsorted(np.cumsum(lengths), stray, side="right")]
         raise ValueError(f"{path}: row {min(bad)} is not {cols} characters of 0/1")
-    return BoolMatrix.from_dense(chars.reshape(rows, cols) == ord("1"))
+    try:
+        return BoolMatrix.from_dense(chars.reshape(rows, cols) == ord("1"))
+    except ValueError as exc:  # no rows or columns
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_graph(path: str | Path, g: VertexWeightedGraph) -> None:
@@ -289,22 +415,30 @@ def load_graph(path: str | Path) -> VertexWeightedGraph:
     n, edges, weights, directed = _parse_graph(path)
     if weights is None:
         weights = [1.0] * n
-    return VertexWeightedGraph(n, tuple(edges), tuple(weights), directed)
+    try:
+        return VertexWeightedGraph(n, tuple(edges), tuple(weights), directed)
+    except ValueError as exc:  # no vertex, an edge out of range, a self-loop, a weight that is not finite
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_dag(path: str | Path) -> Dag:
     n, edges, _, _ = _parse_graph(path)
-    return Dag(n, tuple(edges))
+    try:
+        return Dag(n, tuple(edges))
+    except ValueError as exc:  # no vertex, an edge out of range, a cycle
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def csv_text(header: str, block: RowBlock) -> str:
-    """The header line, then one comma-separated line per row (per list
-    element when the block has a list column), newline-terminated."""
+def write_csv(header: str, block: RowBlock, out) -> None:
+    """Write the header line, then one comma-separated line per row (per list
+    element when the block has a list column), newline-terminated, to the
+    text stream ``out``. The header is checked before the first write."""
     cols = list(block.columns.values())
     if block.list_key is not None:
         cols = [np.repeat(c, block.lengths) for c in cols] + [block.flat]
     if len(header.split(",")) != len(cols):
         raise ValueError(f"CSV header {header!r} does not name {len(cols)} columns")
     line = ",".join(["%s"] * len(cols))
-    lines = _format_rows(cols, np.zeros(len(cols[0]), np.int64), 0, None, lambda _: line, "\n", "\n")
-    return "".join([header, *lines, "\n"])
+    out.write(header)
+    out.writelines(_format_rows(cols, np.zeros(len(cols[0]), np.int64), 0, None, lambda _: line, "\n", "\n"))
+    out.write("\n")

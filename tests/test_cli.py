@@ -543,21 +543,32 @@ def test_timed_commands_share_emit_path(cmd, capsys):
 
 
 def test_report_emission_memory(tmp_path):
-    """Writing a report costs a small constant per row, not a dict per row.
+    """Writing a report costs a small constant per row, not a dict per row,
+    and reading one back decodes its entries without json.loads.
 
     Peaks of tracemalloc over the whole command, n=256 and density 0.3: the
     maxwit JSON report (about 65k entries) peaked at 57.0 MiB and the
     kwitness k=4 CSV (about 262k lines) at 25.7 MiB while reports were
-    built as one dict or tuple per row; from numpy row blocks they peak at
-    12.4 MiB and 17.7 MiB.
+    built as one dict or tuple per row, and at 11.5 and 17.7 MiB while each
+    was joined into one string. Streamed from numpy row blocks they peak at
+    4.4 and 15.1 MiB, the maxwit CSV at 3.6 MiB, and verify of the maxwit
+    JSON report at 11.6 MiB (16.8 MiB through json.loads).
     """
+    gen = ["--n", "256", "--density", "0.3", "--seed", "1"]
+    a, b, full = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "full.json"
+    save_matrix_text(a, random_matrix(256, 0.3, 1))
+    save_matrix_text(b, random_matrix(256, 0.3, 2))
+    pair = ["--a", str(a), "--b", str(b)]
+    assert main(["maxwit", *pair, "--out", str(full)]) == 0
     for argv, bound in (
-        (["maxwit", "--out", str(tmp_path / "m.json")], 24),
-        (["kwitness", "--k", "4", "--format", "csv", "--out", str(tmp_path / "k.csv")], 21),
+        (["maxwit", *gen, "--out", str(tmp_path / "m.json")], 5.5),
+        (["kwitness", *gen, "--k", "4", "--format", "csv", "--out", str(tmp_path / "k.csv")], 19),
+        (["maxwit", *gen, "--format", "csv", "--out", str(tmp_path / "m.csv")], 4.5),
+        (["verify", *pair, "--result", str(full), "--out", str(tmp_path / "v.json")], 14.5),
     ):
         tracemalloc.start()
         try:
-            assert main([*argv, "--n", "256", "--density", "0.3", "--seed", "1"]) == 0
+            assert main(argv) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
