@@ -42,7 +42,8 @@ __all__ = [
 _TOP_BIT = np.array([x.bit_length() - 1 for x in range(256)], np.int64)
 # the low k bits of a word, k = 0..64
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
-# bytes of one (entries, words) block of gathered words in the rank check
+# bytes of one (entries, words) block of gathered words in the rank check, and
+# of one block of float32 rows in bool_product
 _CHUNK_BYTES = 1 << 20
 
 
@@ -338,7 +339,7 @@ class WitnessLists:
         self.k = k
         self._lengths = lengths
         self.witnesses = witnesses
-        self._starts = np.cumsum(lengths.ravel()) - lengths.ravel()
+        self._starts = None  # each entry's first index into witnesses, built by the first get
 
     @classmethod
     def from_lists(cls, n: int, k: int, lists: list[list[list[int]]]) -> "WitnessLists":
@@ -350,6 +351,8 @@ class WitnessLists:
         return cls(n, k, lengths, np.fromiter(chain.from_iterable(cells), np.int64, int(lengths.sum())))
 
     def get(self, i: int, j: int) -> list[int]:
+        if self._starts is None:
+            self._starts = np.cumsum(self._lengths.ravel()) - self._lengths.ravel()
         start = self._starts[i * self.n + j]
         return self.witnesses[start : start + self._lengths[i, j]].tolist()
 
@@ -383,7 +386,8 @@ class WitnessLists:
         witnesses, flat (the arguments of ``io.RowBlock``)."""
         off = int(one_based)
         i, j = np.nonzero(self._lengths)
-        return {"i": i + off, "j": j + off}, "witnesses", self._lengths[i, j], self.witnesses + off
+        wits = self.witnesses + off if off else self.witnesses
+        return {"i": i + off, "j": j + off}, "witnesses", self._lengths[i, j], wits
 
     def to_json_dict(self, one_based: bool = False) -> dict:
         return {"n": self.n, "k": self.k, "entries": _dict_rows(*self.columns(one_based))}
@@ -418,13 +422,19 @@ def product_dims(
 
 
 def bool_product(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    """Boolean matrix product from one float32 BLAS product.
+    """Boolean matrix product from float32 BLAS products over blocks of A's rows.
 
     A sum of nonnegative 0/1 products is positive exactly where some term
     is, whatever its rounding, so ``> 0`` is exact at any inner dimension.
+    Each block of rows holds about _CHUNK_BYTES of float32 products.
     """
     product_dims(a, b)
-    return BoolMatrix.from_dense(a.to_dense().astype(np.float32) @ b.to_dense().astype(np.float32) > 0)
+    ad, bf = a.to_dense(), b.to_dense().astype(np.float32)
+    words = np.empty((a.rows, -(-b.cols // 64)), np.uint64)
+    step = max(1, _CHUNK_BYTES // (4 * max(a.cols, b.cols)))
+    for s in range(0, a.rows, step):
+        words[s : s + step] = _packed_words(ad[s : s + step].astype(np.float32) @ bf > 0, words.shape[1])
+    return BoolMatrix(a.rows, b.cols, words)
 
 
 def transpose(m: BoolMatrix) -> BoolMatrix:

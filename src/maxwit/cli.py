@@ -383,17 +383,31 @@ def _solve_kwitness(args, ab):
     return k_witness(*ab, args.k, args.seed)
 
 
+# bytes of int64 witness indices the k-witness check gathers per block of rows
+_CHECK_BYTES = 1 << 20
+
+
 def _check_kwitness(args, ab, wl) -> dict:
-    ad = ab[0].to_dense()
-    bd = ab[1].to_dense()
-    # float64 counts are exact far beyond any n here, and BLAS makes them fast
-    wcount = (ad.astype(np.float64) @ bd.astype(np.float64)).astype(np.int64)
-    want = np.minimum(wcount, args.k)
+    """Count the lists whose length is not min(k, W) and the listed indices
+    that are no witness, over blocks of rows. A block's W are one float32
+    count product, exact while the inner dimension is below 2^24 (float64
+    above), as in the solver."""
+    a, b = ab
     got, w = wl.validate()
-    length_bad = int((got != want).sum())
-    # one (i, j, w) triple per listed witness, in row-major order
-    i, j = np.divmod(np.repeat(np.arange(wl.n * wl.n), got.ravel()), wl.n)
-    invalid = int(((ad[i, w] & bd[w, j]) == 0).sum())
+    ad, bd = a.to_dense(), b.to_dense()
+    ftype = np.float32 if a.cols < 1 << 24 else np.float64
+    bf = bd.astype(ftype)
+    n = wl.n
+    first = np.concatenate([[0], np.cumsum(got.sum(axis=1))])  # row i lists w[first[i]:first[i + 1]]
+    step = max(1, _CHECK_BYTES // (8 * n * args.k))
+    length_bad = invalid = 0
+    for s in range(0, n, step):
+        lens = got[s : s + step]
+        length_bad += int((np.minimum(ad[s : s + step].astype(ftype) @ bf, args.k) != lens).sum())
+        # one (i, j, w) triple per listed witness, in row-major order
+        i, j = np.divmod(np.repeat(np.arange(s * n, s * n + lens.size), lens.ravel()), n)
+        x = w[first[s] : first[s] + i.size]
+        invalid += int(((ad[i, x] & bd[x, j]) == 0).sum())
     return {
         "length_mismatches": length_bad,
         "invalid": invalid,

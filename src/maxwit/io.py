@@ -429,16 +429,26 @@ def load_dag(path: str | Path) -> Dag:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _list_lines(block: RowBlock):
+    """The columns of a list block's CSV lines, _CHUNK_ROWS lines at a time:
+    line t holds the columns of the row that lists flat[t], then flat[t]."""
+    ends = np.cumsum(block.lengths)
+    for s in range(0, block.flat.size, _CHUNK_ROWS):
+        t = np.arange(s, min(s + _CHUNK_ROWS, block.flat.size))
+        rows = np.searchsorted(ends, t, side="right")
+        yield [c[rows] for c in block.columns.values()] + [block.flat[t]]
+
+
 def write_csv(header: str, block: RowBlock, out) -> None:
     """Write the header line, then one comma-separated line per row (per list
     element when the block has a list column), newline-terminated, to the
     text stream ``out``. The header is checked before the first write."""
-    cols = list(block.columns.values())
-    if block.list_key is not None:
-        cols = [np.repeat(c, block.lengths) for c in cols] + [block.flat]
-    if len(header.split(",")) != len(cols):
-        raise ValueError(f"CSV header {header!r} does not name {len(cols)} columns")
-    line = ",".join(["%s"] * len(cols))
+    width = len(block.columns) + (block.list_key is not None)
+    if len(header.split(",")) != width:
+        raise ValueError(f"CSV header {header!r} does not name {width} columns")
+    line = ",".join(["%s"] * width)
     out.write(header)
-    out.writelines(_format_rows(cols, np.zeros(len(cols[0]), np.int64), 0, None, lambda _: line, "\n", "\n"))
+    pieces = [list(block.columns.values())] if block.list_key is None else _list_lines(block)
+    for cols in pieces:
+        out.writelines(_format_rows(cols, np.zeros(len(cols[0]), np.int64), 0, None, lambda _: line, "\n", "\n"))
     out.write("\n")

@@ -187,7 +187,7 @@ def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = Non
 
 
 # bytes of the (entries, words) uint64 AND block the few-witness branch holds at once
-_CHUNK_BYTES = 4 << 20
+_CHUNK_BYTES = 1 << 20
 
 
 def _sample_rounds(n_scale: int, k: int) -> int:
@@ -226,7 +226,6 @@ def _collect_witnesses(
         wcount[~want] = 0
     # entries are addressed by flat index i * r + j from here on
     wc = wcount.ravel()
-    target = np.minimum(wc, k)
     found = np.full((p * r, k), -1, dtype=np.int64)
     cnt = np.zeros(p * r, dtype=np.int64)
     few = np.flatnonzero((wc > 0) & (wc <= k))
@@ -238,7 +237,8 @@ def _collect_witnesses(
     step = max(1, _CHUNK_BYTES // (8 * words))
     for s in range(0, few.size, step):
         e = few[s : s + step]
-        x = wa[e // r] & wb[e % r]  # (entries, words): row m is the witness set of entry e[m]
+        x = wa[e // r]  # (entries, words): row m becomes the witness set of entry e[m]
+        x &= wb[e % r]
         w = wc[e]
         rows = np.arange(e.size)
         for slot in range(int(w.max())):  # peel each entry's top bit, largest first
@@ -298,11 +298,12 @@ def _collect_witnesses(
             if not left:
                 break
 
-    for e in np.flatnonzero(cnt < target).tolist():
+    for e in np.flatnonzero(cnt < np.minimum(wc, k)).tolist():
         have = set(found[e, : cnt[e]].tolist())
+        need = min(int(wc[e]), k)
         i, j = divmod(e, r)
         for kk in np.flatnonzero(a_dense[i] & b_dense[:, j])[::-1].tolist():
-            if cnt[e] >= target[e]:
+            if cnt[e] >= need:
                 break
             if kk not in have:
                 found[e, cnt[e]] = kk
@@ -312,7 +313,7 @@ def _collect_witnesses(
     np.negative(found, out=found)
     found.sort(axis=1)
     np.negative(found, out=found)
-    assert (cnt == target).all()
+    assert (cnt == np.minimum(wc, k)).all()
     return found.reshape(p, r, k), cnt.reshape(p, r), wcount
 
 
@@ -340,9 +341,9 @@ def k_witness(a: BoolMatrix, b: BoolMatrix, k: int, seed: int = 0) -> WitnessLis
     n, q = product_dims(a, b, square=True)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    found, cnt, _ = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))
-    # entry (i, j) lists the first cnt[i, j] slots of found[i, j]
-    return WitnessLists(n, k, cnt, found[np.arange(k) < cnt[..., None]])
+    found, cnt = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))[:2]
+    # entry (i, j) lists the first cnt[i, j] slots of found[i, j], the ones that are not -1
+    return WitnessLists(n, k, cnt, found[found >= 0])
 
 
 def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -> WitnessMatrix:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from maxwit import boolmat
 from maxwit.boolmat import (
     BoolMatrix,
     WitnessLists,
@@ -51,7 +52,7 @@ def test_product_identity_and_zeros():
         assert not z.to_dense().any()
 
 
-def test_product_matches_scalar_loops():
+def test_product_matches_scalar_loops(monkeypatch):
     for seed in range(10):
         rng = np_stream(seed, 900)
         n = int(rng.integers(1, 40))
@@ -60,7 +61,25 @@ def test_product_matches_scalar_loops():
         d1, d2 = rng.random(2)
         a = BoolMatrix.from_dense(rng.random((n, m)) < d1)
         b = BoolMatrix.from_dense(rng.random((m, r)) < d2)
-        assert _dense(bool_product(a, b)) == dense_product(_dense(a), _dense(b))
+        want = dense_product(_dense(a), _dense(b))
+        # one row per block, three rows per block, every row in one block
+        for chunk in (1, 3 * 4 * max(m, r), 1 << 20):
+            monkeypatch.setattr(boolmat, "_CHUNK_BYTES", chunk)
+            assert _dense(bool_product(a, b)) == want, (seed, chunk)
+
+
+def test_product_memory_is_one_float_factor_plus_blocks():
+    # at n=1024 the float32 copies of both factors and the float32 product
+    # took 12.0 MiB of tracemalloc; B's copy and 1 MiB row blocks take 7.1
+    a = random_matrix(1024, 0.01, seed=71)
+    b = random_matrix(1024, 0.01, seed=72)
+    tracemalloc.start()
+    try:
+        bool_product(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2**20, peak / 2**20
 
 
 def test_product_rejects_dimension_mismatch():
@@ -216,7 +235,10 @@ def test_witness_lists_validate():
 def test_witness_lists_are_stored_flat():
     lists = [[[3, 1], [], [2]], [[], [], []], [[0], [4, 2, 1], []]]
     wl = WitnessLists.from_lists(3, 3, lists)
+    assert wl._starts is None  # the entries' offsets wait for the first get
     assert [[wl.get(i, j) for j in range(3)] for i in range(3)] == lists
+    assert wl.columns()[3] is wl.witnesses  # zero-based rows share the flat witnesses
+    assert wl.columns(one_based=True)[3].tolist() == [4, 2, 3, 1, 5, 3, 2]
     assert wl.lengths().tolist() == [[2, 0, 1], [0, 0, 0], [1, 3, 0]]
     assert wl.witnesses.tolist() == [3, 1, 2, 0, 4, 2, 1]
     same = WitnessLists(3, 3, wl.lengths(), wl.witnesses)

@@ -5,12 +5,14 @@ import json
 import os
 import sys
 import tracemalloc
+from argparse import Namespace
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from maxwit.boolmat import WitnessMatrix, max_witness_oracle, random_matrix
+from maxwit import cli
+from maxwit.boolmat import BoolMatrix, WitnessLists, WitnessMatrix, max_witness_oracle, random_matrix
 from maxwit.cli import _thread_count, main
 from maxwit.graphs import LCA_SOLVERS, VertexWeightedGraph
 from maxwit.io import load_matrix, save_matrix_text
@@ -141,6 +143,35 @@ def test_kwitness_cli(capsys):
     assert doc["verification"]["length_mismatches"] == 0
     assert doc["verification"]["invalid"] == 0
     assert all(len(e["witnesses"]) <= 3 for e in doc["result"]["entries"])
+
+
+def _kwitness_case(edit: str) -> tuple[tuple[BoolMatrix, BoolMatrix], WitnessLists, dict]:
+    """A 7x11 by 11x7 pair, its complete k=3 lists with one edit, and the
+    verification the edit must give. The edited entry is the last one in
+    row 3 with a nonempty list: the end of a block when each block is one row."""
+    rng = np.random.default_rng(8)
+    ad = (rng.random((7, 11)) < 0.4).astype(np.uint8)
+    bd = (rng.random((11, 7)) < 0.4).astype(np.uint8)
+    lists = [[np.flatnonzero(ad[i] & bd[:, j])[::-1][:3].tolist() for j in range(7)] for i in range(7)]
+    i, j = 3, max(j for j in range(7) if lists[3][j])
+    if edit == "non-witness":  # the lowest listed witness swapped for a lower non-witness
+        low = min(k for k in range(11) if not ad[i, k] & bd[k, j] and k < lists[i][j][-1])
+        lists[i][j] = lists[i][j][:-1] + [low]
+    elif edit == "too-short":
+        lists[i][j] = lists[i][j][:-1]
+    ab = (BoolMatrix.from_dense(ad), BoolMatrix.from_dense(bd))
+    bad = {"non-witness": (0, 1), "too-short": (1, 0)}.get(edit, (0, 0))
+    want = {"length_mismatches": bad[0], "invalid": bad[1], "passed": bad == (0, 0)}
+    return ab, WitnessLists.from_lists(7, 3, lists), want
+
+
+@pytest.mark.parametrize("edit", ["valid", "non-witness", "too-short"])
+def test_kwitness_check_is_the_same_for_every_block_size(monkeypatch, edit):
+    ab, wl, want = _kwitness_case(edit)
+    # one row per block, then every row in one block
+    for budget in (1, 8 * 7 * 3 * 7):
+        monkeypatch.setattr(cli, "_CHECK_BYTES", budget)
+        assert cli._check_kwitness(Namespace(k=3), ab, wl) == want, budget
 
 
 def test_lca_cli(tmp_path, capsys):
@@ -552,7 +583,9 @@ def test_report_emission_memory(tmp_path):
     built as one dict or tuple per row, and at 11.5 and 17.7 MiB while each
     was joined into one string. Streamed from numpy row blocks they peak at
     4.4 and 15.1 MiB, the maxwit CSV at 3.6 MiB, and verify of the maxwit
-    JSON report at 11.6 MiB (16.8 MiB through json.loads).
+    JSON report at 11.6 MiB (16.8 MiB through json.loads). With the
+    kwitness lines expanded one chunk at a time, not as whole repeated
+    columns, its CSV peaks at 5.2 MiB.
     """
     gen = ["--n", "256", "--density", "0.3", "--seed", "1"]
     a, b, full = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "full.json"
@@ -562,7 +595,7 @@ def test_report_emission_memory(tmp_path):
     assert main(["maxwit", *pair, "--out", str(full)]) == 0
     for argv, bound in (
         (["maxwit", *gen, "--out", str(tmp_path / "m.json")], 5.5),
-        (["kwitness", *gen, "--k", "4", "--format", "csv", "--out", str(tmp_path / "k.csv")], 19),
+        (["kwitness", *gen, "--k", "4", "--format", "csv", "--out", str(tmp_path / "k.csv")], 6.5),
         (["maxwit", *gen, "--format", "csv", "--out", str(tmp_path / "m.csv")], 4.5),
         (["verify", *pair, "--result", str(full), "--out", str(tmp_path / "v.json")], 14.5),
     ):
@@ -573,6 +606,28 @@ def test_report_emission_memory(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20, (argv[0], peak / 2**20)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kwitness_job_memory(tmp_path, fmt):
+    """The k-witness job holds each stage's work to blocks, not to arrays
+    over every listed witness.
+
+    Peaks of tracemalloc over the whole command at n=512, density 0.0765,
+    k=4, --verify (about 700k listed witnesses): 42.4 MiB for CSV and 33.5
+    MiB for JSON while sampling held three 4 MiB word blocks, the check
+    built (i, j, w) arrays over every witness and the CSV writer repeated
+    whole columns; 19.2 MiB for both with blocked sampling, check and CSV
+    lines. The 23 MiB bound leaves 20% above the latter.
+    """
+    argv = ["kwitness", "--n", "512", "--density", "0.0765", "--seed", "1", "--k", "4", "--verify"]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--format", fmt, "--out", str(tmp_path / f"k.{fmt}")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 23 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize(

@@ -285,8 +285,13 @@ def _list_block(lengths: list[int], seed: int = 0) -> RowBlock:
         (_witness_block(5), {"rate": 1e-05, "p": 0.1, "mean": 1 / 3}),
         (_witness_block(2 * _CHUNK_ROWS + 5), None),
         (_list_block(np.random.default_rng(1).integers(0, 4, 2 * _CHUNK_ROWS + 5).tolist()), None),
+        (_list_block([2] + [0] * (2 * _CHUNK_ROWS + 3) + [1, 0]), None),
+        (_list_block([0, _CHUNK_ROWS + 3, 0, 2]), None),
     ],
-    ids=["empty", "empty-lists", "n1", "one-based", "lists", "float-stats", "chunks", "chunked-lists"],
+    ids=[
+        "empty", "empty-lists", "n1", "one-based", "lists", "float-stats", "chunks", "chunked-lists",
+        "chunks-of-empty-lists", "list-longer-than-a-chunk",
+    ],
 )
 def test_streamed_writers_match_json_dumps_and_joined_lines(block, stats):
     rows = _plain_rows(block)
