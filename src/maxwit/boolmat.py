@@ -6,6 +6,11 @@ that row, the layout of the binary matrix file. This module is the only one
 that knows the layout; every parser, solver and check reads the same words.
 The witness set of entry (i, j) is then one AND of row i of A with row j of
 B's transpose, and its maximum witness is the highest set bit of that AND.
+One kernel, ``_witness_bits``, reads the highest witnesses of many entries
+within given index ranges; the strip solver, the few-witness lists of the
+sampling core and every witness the quantum simulation reports go through
+it. The one other place that reads witnesses off the words is the sampling
+rounds' read of a lone surviving bit, by ``frexp``, in ``witness``.
 Everything else in the package is checked against the oracles defined here.
 
 Indices are 0-based throughout. A witness of entry (i, j) of the Boolean
@@ -38,8 +43,6 @@ __all__ = [
     "witness_violations",
 ]
 
-# highest set bit of each byte value; -1 for zero
-_TOP_BIT = np.array([x.bit_length() - 1 for x in range(256)], np.int64)
 # the low k bits of a word, k = 0..64
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
 # bytes of one (entries, words) block of gathered words in the rank check, and
@@ -57,16 +60,15 @@ def _packed_words(dense: np.ndarray, words: int) -> np.ndarray:
 
 def _top_bit(x: np.ndarray) -> np.ndarray:
     """Index of the highest set bit of each uint64 word; -1 for zero."""
-    # halve the window onto the top nonzero byte, then read that byte's top bit
-    k = np.zeros(x.shape, np.uint64)
-    for s in (32, 16, 8):
-        k += (x >> (k + np.uint64(s)) != 0) * np.uint64(s)
-    return k.astype(np.int64) + _TOP_BIT[(x >> k) & np.uint64(255)]
-
-
-def _int_of(words: np.ndarray) -> int:
-    """One row of words as a Python-int bitset: bit k is bit k of the row."""
-    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+    # y holds x's top bit T shifted down one place, so it fits an int64 (whose
+    # float64 conversion is fast), and has the bit below that clear, so rounding
+    # cannot carry into the next power of two: frexp's exponent of y is T (0 for
+    # x <= 1, and zero then takes -1)
+    y = x >> np.uint64(1)
+    y &= ~y >> np.uint64(1)
+    t = np.frexp(y.view(np.int64).astype(np.float64))[1]
+    t -= x == 0
+    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,13 +463,58 @@ def max_witness_oracle(a: BoolMatrix, b: BoolMatrix) -> WitnessMatrix:
     return WitnessMatrix(n, w)
 
 
-def witness_mask(a: BoolMatrix, b: BoolMatrix, i: int, j: int) -> int:
-    """Bitset of all witnesses of entry (i, j): bit k set iff A[i,k] = B[k,j] = 1."""
+def _witness_bits(
+    wa: np.ndarray, wb: np.ndarray, i: np.ndarray, j: np.ndarray, lo=None, hi=None, count: int = 1
+) -> np.ndarray:
+    """The ``count`` highest witnesses of each entry (i[m], j[m]) in [lo[m], hi[m]).
+
+    wa and wb are the words of A and of B's transpose, so an entry's witness
+    set is the AND of row i[m] of wa with row j[m] of wb. Only the words that
+    cover [lo, hi) are gathered (the whole rows when lo and hi are None), the
+    bits outside the range are cleared, and each entry's top bit is read and
+    cleared count times. Returns an (entries, count) int64 array, largest
+    first, padded with -1.
+    """
+    words = wa.shape[1]
+    if lo is None:
+        first, x = 0, wa[i]
+        x &= wb[j]
+    else:
+        first = lo >> 6
+        at = first[:, None] + np.arange(int((((hi - 1) >> 6) - first).max(initial=0)) + 1)
+        x = np.take(wa, at + (i * words)[:, None], mode="clip")  # a word past a row is masked off below
+        x &= np.take(wb, at + (j * words)[:, None], mode="clip")
+        x[:, 0] &= ~_LOW_BITS[lo & 63]
+        x &= _LOW_BITS[np.clip(hi[:, None] - 64 * at, 0, 64)]  # the bits of each word below hi
+    span = x.shape[1]
+    out = np.full((x.shape[0], count), -1, np.int64)
+    flat, rows = x.ravel(), np.arange(0, x.size, span)
+    for slot in range(count):
+        last = span - 1 - np.argmax(x[:, ::-1] != 0, axis=1) if span > 1 else 0  # the top nonzero words
+        top = flat[rows + last]
+        if not top.any():
+            break
+        bit = _top_bit(top)
+        out[:, slot] = np.where(top != 0, 64 * (first + last) + bit, -1)
+        if slot + 1 < count:
+            flat[rows + last] = top & ~(np.uint64(1) << np.maximum(bit, 0).astype(np.uint64))
+    return out
+
+
+def _entry_words(a: BoolMatrix, b: BoolMatrix, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of A's words and column j of B packed the same way, each as a
+    (1, words) array: their AND is the witness set of entry (i, j)."""
     product_dims(a, b)
     if not (0 <= i < a.rows and 0 <= j < b.cols):
         raise IndexError(f"entry ({i}, {j}) out of range")
     column = (b.words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)  # B[k, j] for every k
-    return _int_of(a.words[i] & _packed_words(column[None, :], a.words.shape[1])[0])
+    return a.words[i : i + 1], _packed_words(column[None, :], a.words.shape[1])
+
+
+def witness_mask(a: BoolMatrix, b: BoolMatrix, i: int, j: int) -> int:
+    """Bitset of all witnesses of entry (i, j): bit k set iff A[i,k] = B[k,j] = 1."""
+    row, column = _entry_words(a, b, i, j)
+    return int.from_bytes((row[0] & column[0]).astype("<u8").tobytes(), "little")
 
 
 def witness_count(a: BoolMatrix, b: BoolMatrix, i: int, j: int) -> int:

@@ -408,6 +408,8 @@ def _parse_graph(path: str | Path) -> tuple[int, list[tuple[int, int]], list[flo
             raise ValueError(f"{path}: line {no}: {exc}") from None
         if len(weights) != n:
             raise ValueError(f"{path}: expected {n} weights, found {len(weights)}")
+        if not np.isfinite(weights).all():  # checked here, so a dag file's weights are too
+            raise ValueError(f"{path}: vertex weights must be finite")
     return n, edges, weights, "directed" in flags
 
 
@@ -417,7 +419,7 @@ def load_graph(path: str | Path) -> VertexWeightedGraph:
         weights = [1.0] * n
     try:
         return VertexWeightedGraph(n, tuple(edges), tuple(weights), directed)
-    except ValueError as exc:  # no vertex, an edge out of range, a self-loop, a weight that is not finite
+    except ValueError as exc:  # no vertex, an edge out of range, a self-loop
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -32,8 +32,9 @@ with r runs in the job when 2 <= q <= 256 and r >= gamma * q^1.5, gamma = 12
 blocks, other callers over one call); only ``max_wit``, which reports
 Grover iterations, calls the loop directly. Every call draws from one SFC64
 generator seeded from the caller's stream. The solvers hand the engine their
-targets as (i, j, q) arrays and read each witness off the factors' own
-uint64 words (``BoolMatrix.words``).
+targets as (i, j, q) arrays. They and ``max_wit`` map a best final position
+r to the (r+1)-th largest witness in the table's range through boolmat's
+witness-bit kernel, which alone reads the words (``BoolMatrix.words``).
 ``durr_hoyer_min`` is the one-run-at-a-time scalar reference whose law both
 paths are tested against.
 """
@@ -48,11 +49,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boolmat import (
-    _LOW_BITS,
     BoolMatrix,
     WitnessMatrix,
-    _int_of,
-    _top_bit,
+    _entry_words,
+    _witness_bits,
     bool_product,
     product_dims,
     transpose,
@@ -257,7 +257,8 @@ def max_wit_table(
     when one exists. The -(k+1) shift keeps all values pairwise distinct with
     0-based indices. Returns (table, n).
     """
-    wit, hi, nbase = _entry_range(a, b, i, j, lo, hi)
+    wit = witness_mask(a, b, i, j)
+    hi, nbase = _table_range(a, b, lo, hi)
 
     def evaluate(s: int) -> int:
         k = lo + s
@@ -266,15 +267,12 @@ def max_wit_table(
     return VirtualMinTable(hi - lo, evaluate), nbase
 
 
-def _entry_range(
-    a: BoolMatrix, b: BoolMatrix, i: int, j: int, lo: int, hi: int | None
-) -> tuple[int, int, int]:
-    """Witness mask of entry (i, j), the checked range end and the table base n."""
-    wit = witness_mask(a, b, i, j)
+def _table_range(a: BoolMatrix, b: BoolMatrix, lo: int, hi: int | None) -> tuple[int, int]:
+    """The checked end of the index range [lo, hi) and the table base n."""
     hi = a.cols if hi is None else hi
     if not (0 <= lo < hi <= a.cols):
         raise ValueError(f"bad index range [{lo}, {hi})")
-    return wit, hi, max(a.rows, a.cols, b.cols)
+    return hi, max(a.rows, a.cols, b.cols)
 
 
 def max_wit(
@@ -297,15 +295,17 @@ def max_wit(
     """
     if rng is None:
         rng = np_stream(0)
-    wit, hi, nbase = _entry_range(a, b, i, j, lo, hi)
+    row, column = _entry_words(a, b, i, j)
+    hi, nbase = _table_range(a, b, lo, hi)
     # the table's sorted order lists the in-range witnesses first, largest first
-    mask = wit & ((1 << hi) - (1 << lo))
     pos, queries, iters = _dh_position_batch(np.full(boost_reps(beta, nbase), hi - lo), rng)
     log = QueryLog(int(queries.sum()), int(iters.sum()))
     r = int(pos.min())
-    if r < mask.bit_count():
+    one = np.zeros(1, np.int64)
+    w = int(_witness_bits(row, column, one, one, one + lo, one + hi, r + 1)[0, r])
+    if w >= 0:
         log.succeeded = True
-        log.result = _kth_highest_bit(mask, r)
+        log.result = w
     return log.result, log
 
 
@@ -592,54 +592,23 @@ def durr_hoyer_batch(
     return order[np.arange(runs), pos], pos == 0, queries
 
 
-def _kth_highest_bit(mask: int, r: int) -> int:
-    """Index of the (r+1)-th highest set bit; r must be below the popcount."""
-    for _ in range(r):
-        mask ^= 1 << (mask.bit_length() - 1)
-    return mask.bit_length() - 1
-
-
-def _read_witnesses(
-    wa: np.ndarray,
-    wb: np.ndarray,
-    i: np.ndarray,
-    j: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    r: np.ndarray,
-) -> np.ndarray:
-    """Witness of each target from its best final sorted position r.
-
-    wa and wb are the words of A and of B's transpose. Target t's
-    witness is the (r[t]+1)-th highest set bit of A[i[t]] & B[:, j[t]] within
-    [lo[t], hi[t]), or -1 when r[t] is at or beyond the count of those bits.
-    For r = 0, nearly every target, that is the top bit of the masked words,
-    read off with a byte table; the rare other targets peel bits one at a time.
-    """
-    words = wa.shape[1]
-    first = 64 * np.arange(words)
-    x = wa[i] & wb[j]
-    x &= _LOW_BITS[np.clip(hi[:, None] - first, 0, 64)]
-    x &= ~_LOW_BITS[np.clip(lo[:, None] - first, 0, 64)]
-    last = words - 1 - np.argmax(x[:, ::-1] != 0, axis=1)  # the top nonzero word
-    top = x[np.arange(x.shape[0]), last]
-    w = np.where(top != 0, 64 * last + _top_bit(top), -1)
-    for e in np.flatnonzero(r > 0).tolist():
-        mask = _int_of(x[e])
-        w[e] = _kth_highest_bit(mask, int(r[e])) if r[e] < mask.bit_count() else -1
+def _read_witnesses(wa, wb, i, j, lo, hi, r) -> np.ndarray:
+    """Witness of each target t from its best final sorted position r[t]: the
+    (r[t]+1)-th largest witness of entry (i[t], j[t]) in [lo[t], hi[t]) (the
+    whole row when they are None), or -1 when there are not that many. Nearly
+    every target has r = 0 and takes its top bit; only the others read more."""
+    w = _witness_bits(wa, wb, i, j, lo, hi)[:, 0]
+    far = np.flatnonzero(r > 0)
+    if far.size:
+        ranged = (None, None) if lo is None else (lo[far], hi[far])
+        bits = _witness_bits(wa, wb, i[far], j[far], *ranged, int(r[far].max()) + 1)
+        w[far] = bits[np.arange(far.size), r[far]]
     return w
 
 
 def _run_entry_searches(
-    a: BoolMatrix,
-    b: BoolMatrix,
-    i: np.ndarray,
-    j: np.ndarray,
-    q: np.ndarray,
-    reps: int,
-    rng: np.random.Generator,
-    lo: np.ndarray | int = 0,
-    hi: np.ndarray | int | None = None,
+    a: BoolMatrix, b: BoolMatrix, i: np.ndarray, j: np.ndarray, q: np.ndarray, reps: int,
+    rng: np.random.Generator, lo: np.ndarray | None = None, hi: np.ndarray | None = None,
 ) -> tuple[WitnessMatrix, int]:
     """Boosted witness search on entry (i[t], j[t]) over a length-q[t] table, per target t.
 
@@ -647,13 +616,12 @@ def _run_entry_searches(
     first (the range defaults to the whole inner dimension). Targets go to the
     engine one block at a time, reps runs each; the best (minimum) final
     sorted position r of a target maps to the (r+1)-th largest of those
-    witnesses, and anything at or beyond their count verifies as a
-    non-witness, so the entry reports no witness. Only the witness matrix and
-    the query total outlive a block.
+    witnesses, which boolmat's witness-bit kernel reads off the words of A
+    and of B's transpose, and anything at or beyond their count verifies as
+    a non-witness, so the entry reports no witness. Only the witness matrix
+    and the query total outlive a block.
     """
     wa, wb = a.words, transpose(b).words
-    lo = np.broadcast_to(lo, q.shape)
-    hi = np.broadcast_to(a.cols if hi is None else hi, q.shape)
     w = np.full((a.rows, b.cols), -1, dtype=np.int64)
     total = 0
     runs = np.bincount(q) * reps  # the law rule weighs a length by its runs in all blocks
@@ -663,7 +631,8 @@ def _run_entry_searches(
         pos, queries = _dh_positions(np.repeat(q[t], reps), rng, runs)
         total += int(queries.sum())
         best = pos.reshape(-1, reps).min(axis=1)
-        w[i[t], j[t]] = _read_witnesses(wa, wb, i[t], j[t], lo[t], hi[t], best)
+        ranged = (None, None) if lo is None else (lo[t], hi[t])
+        w[i[t], j[t]] = _read_witnesses(wa, wb, i[t], j[t], *ranged, best)
     return WitnessMatrix(a.rows, w), total
 
 
@@ -674,17 +643,8 @@ def _run_entry_searches(
 
 def _stats(n, algo, beta, ell, entries, total_queries, seed) -> AlgoStats:
     mean = total_queries / entries if entries else 0.0
-    return AlgoStats(
-        n=n,
-        algo=algo,
-        beta=beta,
-        ell=ell,
-        entries=entries,
-        total_queries=total_queries,
-        mean_queries_per_entry=mean,
-        error_rate_vs_oracle=None,
-        seed=seed,
-    )
+    return AlgoStats(n, algo, beta, ell, entries, total_queries, mean_queries_per_entry=mean,
+                     error_rate_vs_oracle=None, seed=seed)
 
 
 def algorithm1(

@@ -5,9 +5,8 @@ Three families live here:
 * an exact solver that splits the inner dimension into strips, finds the
   highest strip whose partial product is 1 for each entry from one BLAS
   strip product per strip, and reads the top set bit inside that strip off
-  the factors' own uint64 words (``BoolMatrix.words``, padded with
-  ``np.pad``) with a byte table (identical output to the brute-force
-  oracle for every input);
+  the words that cover it, with boolmat's witness-bit kernel (identical
+  output to the brute-force oracle for every input);
 * single-witness / k-witness solvers built on random column sampling: a
   float32 count product (exact while the inner dimension is below 2^24)
   finds the entries where exactly one sampled column survives, and that lone
@@ -33,7 +32,7 @@ from .boolmat import (
     BoolMatrix,
     WitnessLists,
     WitnessMatrix,
-    _top_bit,
+    _witness_bits,
     product_dims,
     transpose,
 )
@@ -133,52 +132,45 @@ def _strip_products(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition):
         yield ad[:, s:e].astype(np.float32) @ bd[s:e].astype(np.float32) > 0
 
 
-def largest_nonzero_strip(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition) -> np.ndarray:
-    """For each entry, the highest strip p whose partial product is 1, else -1.
-
-    An entry keeps the largest p + 1 over the strips where its strip product
-    is nonzero.
-    """
+def _highest_strips(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition) -> np.ndarray:
+    """For each entry, the largest p + 1 over the strips p where its strip
+    product is nonzero, else 0, in the narrowest type that holds len(dec)."""
     best = np.zeros((a.rows, b.cols), np.min_scalar_type(len(dec)))
     for p, nonzero in enumerate(_strip_products(a, b, dec)):
         np.maximum(best, nonzero * best.dtype.type(p + 1), out=best)
-    return np.subtract(best, 1, dtype=np.int64)
+    return best
+
+
+def largest_nonzero_strip(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition) -> np.ndarray:
+    """For each entry, the highest strip p whose partial product is 1, else -1."""
+    return np.subtract(_highest_strips(a, b, dec), 1, dtype=np.int64)
 
 
 # entries the strip scan handles per block of whole rows
-_CHUNK_ENTRIES = 1 << 16
+_CHUNK_ENTRIES = 1 << 15
 
 
 def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = None) -> WitnessMatrix:
     """Exact maximum witnesses via strip decomposition.
 
     The maximum witness is the highest set bit of A[i] & B[:, j], and it lies
-    in the highest strip whose partial product is nonzero, so only that
-    strip's packed words are ANDed per entry; a byte table reads off the top
-    bit. Output is identical to max_witness_oracle for every input and every
-    strip width.
+    in the highest strip whose partial product is nonzero, so only the words
+    that cover that strip are ANDed per entry. Output is identical to
+    max_witness_oracle for every input and every strip width.
     """
     n, q = product_dims(a, b, square=True)
     if ell is None:
         ell = default_strip_width(q)
-    parr = largest_nonzero_strip(a, b, StripDecomposition.build(q, ell))
-    span = (ell + 62) // 64 + 1  # most words one strip can touch
-    words = a.words.shape[1] + span  # the padding keeps every strip's words in range
-    wa = np.pad(a.words, ((0, 0), (0, span))).ravel()
-    wb = np.pad(transpose(b).words, ((0, 0), (0, span))).ravel()
-    w = np.full((n, n), -1, dtype=np.int64)
+    best = _highest_strips(a, b, StripDecomposition.build(q, ell)).ravel()
+    wa, wb = a.words, transpose(b).words
+    wm = WitnessMatrix(n)
+    w = wm.array.ravel()
     step = n * max(1, _CHUNK_ENTRIES // n)  # whole rows of entries
     for s in range(0, n * n, step):
-        e = s + np.flatnonzero(parr.ravel()[s : s + step] >= 0)  # flat ids of the nonzero entries
-        lo = parr.ravel()[e] * ell // 64  # the first word of each entry's strip
-        ia, ib = e // n * words + lo, e % n * words + lo
-        top, off = np.zeros(e.size, np.uint64), np.zeros(e.size, np.int64)
-        for t in range(span):  # no witness lies above the strip, so the last nonzero word wins
-            x = wa[ia + t] & wb[ib + t]
-            nz = x != 0
-            top, off = np.where(nz, x, top), np.where(nz, t, off)
-        w.ravel()[e] = 64 * (lo + off) + _top_bit(top)
-    return WitnessMatrix(n, w)
+        e = s + np.flatnonzero(best[s : s + step])  # flat ids of the nonzero entries
+        lo = (best[e] - 1).astype(np.int64) * ell  # widened first: p * ell overflows the narrow type
+        w[e] = _witness_bits(wa, wb, e // n, e % n, lo, np.minimum(lo + ell, q))[:, 0]
+    return wm
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +192,16 @@ def _collect_witnesses(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Find min(k, W) distinct witnesses per entry of the product of 0/1 arrays.
 
-    Returns (found, counts, wcount): found is (p, r, k) int64 sorted
-    descending per entry and padded with -1; counts equals min(k, wcount)
-    for every entry, unconditionally. Where the optional (p, r) bool mask
-    ``want`` is False the entry is left out: its wcount and count are 0, its
-    slots stay -1, and it takes no part in the sampling.
+    Returns (found, counts, wcount): found is (p, r, k), int32 while q <
+    2^31 (else int64), sorted descending per entry and padded with -1;
+    counts equals min(k, wcount) for every entry, unconditionally. Where the
+    optional (p, r) bool mask ``want`` is False the entry is left out: its
+    wcount and count are 0, its slots stay -1, and it takes no part in the
+    sampling.
 
-    Entries with 1 <= W <= k take their complete witness set from the AND of
-    their packed uint64 rows, peeled top bit first. Entries with more than k
-    witnesses draw random column subsets at rate 2^-t near t = log2(W); a
+    Entries with 1 <= W <= k take their complete witness set from boolmat's
+    witness-bit kernel, in blocks of about 1 MiB of words. Entries with more
+    than k witnesses draw random column subsets at rate 2^-t near t = log2(W); a
     subset where exactly one witness survives hits, and that witness is the
     one set bit of the packed rows ANDed with the subset's column mask, so no
     index-sum product is needed. After each round's count product only the
@@ -226,7 +219,7 @@ def _collect_witnesses(
         wcount[~want] = 0
     # entries are addressed by flat index i * r + j from here on
     wc = wcount.ravel()
-    found = np.full((p * r, k), -1, dtype=np.int64)
+    found = np.full((p * r, k), -1, dtype=np.int32 if q < 1 << 31 else np.int64)
     cnt = np.zeros(p * r, dtype=np.int64)
     few = np.flatnonzero((wc > 0) & (wc <= k))
     unfinished = wcount > k  # the sampling serves these until each has k witnesses
@@ -237,16 +230,7 @@ def _collect_witnesses(
     step = max(1, _CHUNK_BYTES // (8 * words))
     for s in range(0, few.size, step):
         e = few[s : s + step]
-        x = wa[e // r]  # (entries, words): row m becomes the witness set of entry e[m]
-        x &= wb[e % r]
-        w = wc[e]
-        rows = np.arange(e.size)
-        for slot in range(int(w.max())):  # peel each entry's top bit, largest first
-            last = words - 1 - np.argmax(x[:, ::-1] != 0, axis=1)  # its top nonzero word
-            top = x[rows, last]
-            bit = _top_bit(top)
-            found[e, slot] = np.where(w > slot, 64 * last + bit, -1)
-            x[rows, last] = top & ~(np.uint64(1) << np.maximum(bit, 0).astype(np.uint64))
+        found[e] = _witness_bits(wa, wb, e // r, e % r, count=k)
     cnt[few] = wc[few]
 
     if left:

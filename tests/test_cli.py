@@ -508,12 +508,12 @@ def test_beta_out_of_range_is_a_config_error(capsys, argv, beta):
 def test_graph_commands_reject_non_finite_weights(tmp_path, capsys):
     g = tmp_path / "g.txt"
     g.write_text("3 3 weighted\n0 1\n1 2\n0 2\n1.0 nan 2.0\n")
-    for cmd in ("triangle", "two-edge"):
+    for cmd in ("lca", "triangle", "two-edge"):
         capsys.readouterr()
         assert main([cmd, "--graph", str(g), "--verify"]) == 1, cmd
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err == f"error: {g}: vertex weights must be finite\n", cmd
     with pytest.raises(ValueError):
         VertexWeightedGraph(2, ((0, 1),), (1.0, float("inf")))
 
@@ -618,7 +618,9 @@ def test_kwitness_job_memory(tmp_path, fmt):
     MiB for JSON while sampling held three 4 MiB word blocks, the check
     built (i, j, w) arrays over every witness and the CSV writer repeated
     whole columns; 19.2 MiB for both with blocked sampling, check and CSV
-    lines. The 23 MiB bound leaves 20% above the latter.
+    lines, which the sampling core's int64 witness slots set. With int32
+    slots the job peaks at 17.6 MiB, in report writing; the 18.5 MiB bound
+    leaves 5% above that and fails at the 19.2 MiB.
     """
     argv = ["kwitness", "--n", "512", "--density", "0.0765", "--seed", "1", "--k", "4", "--verify"]
     tracemalloc.start()
@@ -627,7 +629,7 @@ def test_kwitness_job_memory(tmp_path, fmt):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 23 * 2**20, peak / 2**20
+    assert peak < 18.5 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize(

@@ -20,3 +20,13 @@ def test_star_import_binds_every_name():
     for mod in (boolmat, graphs, qsim, witness):
         for name in mod.__all__:
             assert ns[name] is getattr(mod, name)
+
+
+def test_only_boolmat_binds_the_word_layout_helpers():
+    """The bit readers of the packed words stay private to boolmat: every
+    other module reads witnesses through its kernels."""
+    from maxwit import cli, io
+
+    layout = {"_top_bit", "_TOP_BIT", "_LOW_BITS", "_int_of"}
+    for mod in (qsim, witness, graphs, io, cli):
+        assert not layout & set(vars(mod)), mod.__name__

@@ -135,6 +135,20 @@ def test_exact_strips_trivial_inputs():
     assert exact_max_witness_strips(zero, ones, 4).present_count() == 0
 
 
+def test_exact_strips_memory_is_bounded():
+    # an int64 strip index, a witness array and the copy WitnessMatrix makes of it
+    # took 24.7 MiB here; a narrow strip index and the witnesses written into the
+    # result's own array take 9.7 MiB (8 MiB of it the result)
+    a, b = random_matrix(1024, 0.01, seed=71), random_matrix(1024, 0.01, seed=72)
+    tracemalloc.start()
+    try:
+        exact_max_witness_strips(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20, peak / 2**20
+
+
 def test_single_witness_product_validity():
     for seed in range(5):
         a = random_matrix(22, 0.3, seed=seed)

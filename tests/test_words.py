@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from maxwit.boolmat import (
     BoolMatrix,
     WitnessMatrix,
+    _witness_bits,
     bool_product,
     max_witness_oracle,
     rank_of,
@@ -96,6 +97,21 @@ def test_witness_kernels_and_checks_match_the_scalar_references(ab, data):
     assert max_witness_oracle(a, b).array.tolist() == best
     ell = data.draw(st.integers(1, q), label="ell")
     assert exact_max_witness_strips(a, b, ell).array.tolist() == best
+
+    # the witness-bit kernel: each entry's count highest witnesses in [lo, hi), padded with -1
+    i, j = np.divmod(np.arange(n * n), n)
+    lo, hi = np.zeros(n * n, np.int64), np.zeros(n * n, np.int64)
+    for m in range(n * n):
+        lo[m] = data.draw(st.sampled_from([c for c in (0, 63, 64, 65, 127, 128) if c < q]) | st.integers(0, q - 1))
+        hi[m] = data.draw(st.sampled_from([c for c in (64, 65, 128, 129, q) if lo[m] < c <= q])
+                          | st.integers(lo[m] + 1, q))
+    lists = [witness_list_entry(da, db, i[m], j[m]) for m in range(n * n)]
+    for ranged in (False, True):
+        wits = [[k for k in ws if lo[m] <= k < hi[m]] if ranged else ws for m, ws in enumerate(lists)]
+        count = data.draw(st.integers(1, max(map(len, wits)) + 1), label="count")
+        bounds = (lo, hi) if ranged else (None, None)
+        got = _witness_bits(a.words, transpose(b).words, i, j, *bounds, count)
+        assert got.tolist() == [(ws + [-1] * count)[:count] for ws in wits]
 
     # each entry reports some witness, a non-witness, or nothing
     w = np.full((n, n), -1, np.int64)
