@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -243,11 +243,12 @@ class WitnessMatrix:
     ) -> "WitnessMatrix":
         """Read {"n": n, "entries": [{"i", "j", "witness"}, ...]}; later entries win.
 
-        Every number must be an int (not a bool). "entries" may also be the
-        (count, 3) int64 array of (i, j, witness) rows that
-        ``io.read_witness_report`` decodes from a canonical report; both
-        forms go through ``_fill``. A given ``expect_n`` (the product's
-        n) is checked before anything of size n is allocated.
+        Every number must be an int (not a bool). "entries" may also be an
+        iterator over (count, 3) int64 arrays of (i, j, witness) rows, the
+        windows ``io.read_witness_report`` decodes from a canonical report;
+        each window goes through ``_fill`` in turn, as the list does at
+        once. A given ``expect_n`` (the product's n) is checked before
+        anything of size n is allocated.
         """
         if not isinstance(obj, dict):
             raise ValueError("a witness document must be a JSON object")
@@ -259,8 +260,11 @@ class WitnessMatrix:
             raise ValueError(f"n must be an integer, got {n!r}")
         if expect_n is not None and n != expect_n:
             raise ValueError(f"witness matrix has n={n} but the product is {expect_n}x{expect_n}")
-        if isinstance(entries, np.ndarray):
-            return cls(n)._fill(entries, one_based)
+        if isinstance(entries, Iterator):
+            wm = cls(n)
+            for rows in entries:
+                wm._fill(rows, one_based)
+            return wm
         if not isinstance(entries, list) or any(type(e) is not dict for e in entries):
             raise ValueError("entries must be a list of objects")
         wm = cls(n)
@@ -281,9 +285,9 @@ class WitnessMatrix:
 
     def _fill(self, rows: np.ndarray, one_based: bool) -> "WitnessMatrix":
         """Set the (i, j, witness) rows, 1-based when one_based, into this
-        empty matrix and return it. The first row in order that lies outside
-        the matrix or has a negative witness is the one reported; a later
-        row for a cell wins."""
+        matrix and return it; nothing is set if a row is rejected. The first
+        row in order that lies outside the matrix or has a negative witness
+        is the one reported; a later row for a cell wins."""
         n = self.n
         i, j, w = rows.T
         off = 1 if one_based else 0
@@ -297,11 +301,11 @@ class WitnessMatrix:
             if w[k] < off:
                 raise ValueError(f"{where} has negative witness {w[k]}")
             raise ValueError(f"{where} has witness {w[k]} outside the int64 range")
-        # an entry repeated for one cell: the last one wins
-        last = np.full(n * n, -1)
-        np.maximum.at(last, (i - off) * n + (j - off), np.arange(len(rows)))
-        cells = np.flatnonzero(last >= 0)
-        self._w.ravel()[cells] = w[last[cells]] - off
+        cells = (i - off) * n + (j - off)
+        if (cells[1:] <= cells[:-1]).any():  # a cell repeated, maybe: its last row wins
+            cells, last = np.unique(cells[::-1], return_index=True)  # the first of each in reverse
+            w = w[::-1][last]
+        self._w.ravel()[cells] = w - off
         return self
 
     def to_csv_rows(self, one_based: bool = False) -> list[tuple[int, int, int]]:

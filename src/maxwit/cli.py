@@ -15,14 +15,16 @@ files; wall-clock timings are included only on request (--timing) and never
 in campaign reports. Every report, JSON or CSV, is written piece by piece
 onto stdout or the --out file, which is opened only at the first write: a
 report that fails a writer's check leaves an existing file untouched. The
-verify command reads the whole --result file before it writes anything, and
-decodes it with ``io.read_witness_report``. The MAXWIT_THREADS environment
+verify command reads the --result file with ``io.read_witness_report``,
+which decodes a canonical report window by window into the witness matrix,
+and closes it before it writes anything. The MAXWIT_THREADS environment
 variable caps campaign parallelism; results are merged by trial index, so
 the thread count never changes a report.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -116,6 +118,25 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
     return seed
+
+
+# Above this, an n x n array of 8-byte values, such as the generators'
+# draws, exceeds numpy's size limit.
+_N_MAX = math.isqrt(np.iinfo(np.intp).max // 8)
+
+
+def _size(text: str) -> int:
+    """The --n value: an integer of at most _N_MAX, checked before anything
+    of size n is allocated."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n > _N_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {_N_MAX}, the largest n whose n x n array fits, got {text}"
+        )
+    return n
 
 
 def _max_rank(text: str) -> int:
@@ -638,9 +659,8 @@ def _cmd_campaign(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
-    a, b = _load_pair(args)
-    doc = io.read_witness_report(Path(args.result).read_bytes())  # all of it, before --out is opened
+def _report_matrix(a: BoolMatrix, b: BoolMatrix, doc) -> WitnessMatrix:
+    """The witnesses of the document doc, for the product of a and b."""
     one_based = False
     if isinstance(doc, dict) and "result" in doc:  # full report: its own config gives the index base
         config = doc.get("config")
@@ -649,8 +669,12 @@ def _cmd_verify(args) -> int:
             raise ConfigError(f"the report's config.one_based must be true or false, got {one_based!r}")
         doc = doc["result"]
     n, _ = product_dims(a, b, square=True)
-    wm = WitnessMatrix.from_json_dict(doc, one_based, expect_n=n)
-    del doc  # the decoded report is the largest object here; the checks need only wm
+    return WitnessMatrix.from_json_dict(doc, one_based, expect_n=n)
+
+
+def _cmd_verify(args) -> int:
+    a, b = _load_pair(args)
+    wm = io.read_witness_report(args.result, partial(_report_matrix, a, b))  # closed before --out opens
     viol, ranks = _violations_and_ranks(a, b, wm)  # rejects witnesses outside [0, inner dimension)
     diff = {
         "entries": wm.n * wm.n,
@@ -679,7 +703,7 @@ def _add_common(p, matrices: bool = True, graph: bool = False) -> None:
         p.add_argument("--b", type=str, default=None, help="right matrix file")
     if graph:
         p.add_argument("--graph", type=str, default=None, help="graph file")
-    p.add_argument("--n", type=int, default=None, help="size for generated instances")
+    p.add_argument("--n", type=_size, default=None, help="size for generated instances")
     p.add_argument("--density", type=float, default=0.5)
 
 
@@ -689,7 +713,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="write a random matrix, dag, or weighted graph file")
     p.add_argument("--kind", choices=("matrix", "dag", "graph"), default="matrix")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_size, default=None)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=str, default=None)
@@ -737,7 +761,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", choices=tuple(CAMPAIGNS), required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--q-grid", dest="q_grid", type=str, default="64,256,1024,4096")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_size, default=None)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--beta", type=_beta, default=2.0)
     p.add_argument("--density", type=float, default=0.5)

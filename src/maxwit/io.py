@@ -23,15 +23,19 @@ same block as CSV lines. Both write chunk by chunk into an open text stream,
 so no report is ever held as one string, and both make every check that can
 reject a report before their first write.
 
-``read_witness_report`` reads a witness report back. A canonical entries
-block is decoded by numpy in windows of about 1 MiB; any other document
-goes through ``json.loads``, with its errors.
+``read_witness_report`` reads a witness report back from its file. One
+pass finds the end of a canonical entries block and parses the small rest;
+a second decodes the block with numpy, one window of about 1 MiB at a
+time, so the witness matrix is filled without the file or its rows ever
+being held whole. Any other document is read once as text and goes
+through ``json.loads``, with its errors.
 """
 from __future__ import annotations
 
 import json
-from io import BytesIO, TextIOWrapper
+from io import TextIOWrapper
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -191,40 +195,83 @@ def canonical_json(obj, out) -> None:
     out.write(text[pos:] + "\n")
 
 
-def read_witness_report(raw: bytes):
-    """The JSON document in ``raw``, the bytes of a witness report.
+def read_witness_report(path: str | Path, build: Callable):
+    """``build(doc)`` for the JSON document ``doc`` in the witness report file
+    at ``path``; the file is closed when this returns.
 
-    When the first ``"entries": [`` in the document opens a block with
-    exactly the layout ``canonical_json`` writes for (i, j, witness) rows,
-    and that block is ``result.entries`` or, in a bare document,
-    ``entries``, numpy decodes it and the document holds it as a (count, 3)
-    int64 array of rows, which ``WitnessMatrix.from_json_dict`` reads like
-    the list. Any other document is ``json.loads`` of its text as
-    ``Path.read_text`` decodes it, so it fails with the errors of json.loads.
+    When the first ``"entries": [`` in the file opens a block with exactly
+    the layout ``canonical_json`` writes for (i, j, witness) rows, and that
+    block is ``result.entries`` or, in a bare document, ``entries``, the
+    document holds it as an iterator over its rows: (count, 3) int64 arrays
+    that numpy decodes from the open file, one window of about ``_WINDOW``
+    bytes at a time, and that ``WitnessMatrix.from_json_dict`` reads like the
+    list. The block must keep that layout to its end. If a window does not,
+    then whatever build returned or raised is dropped, and build gets
+    ``json.loads`` of the file's text as ``Path.read_text`` decodes it, so a
+    document that is not canonical fails with the errors of json.loads.
     """
-    doc = _canonical_witness_document(raw)
-    if doc is None:
-        doc = json.loads(TextIOWrapper(BytesIO(raw), encoding="locale").read())
-    return doc
+    with open(path, "rb") as fh:
+        found = _canonical_witness_document(fh)
+        if found is not None:
+            doc, windows = found
+            try:
+                result, error = build(doc), None
+            except Exception as exc:  # it stands only if the whole block is canonical
+                result, error = None, exc
+            for _ in windows:  # the layout of the windows build did not read
+                pass
+            if windows.canonical:
+                if error is not None:
+                    raise error
+                return result
+            del result, error  # a partly filled matrix, freed before the whole file is read
+        fh.seek(0)
+        # the text is read once, decoded as Path.read_text decodes it, and
+        # freed when json.loads returns
+        doc = json.loads(TextIOWrapper(fh, encoding="locale").read())
+    return build(doc)
 
 
-def _canonical_witness_document(raw: bytes):
-    """The document with its canonical witness block decoded, or None.
+def _find(fh, sub: bytes, pos: int) -> int:
+    """The first offset at or after pos where sub starts in the open binary
+    file fh, or -1; the file is read in chunks of _WINDOW bytes."""
+    fh.seek(pos)
+    keep = b""  # the end of the last chunk, where a match may start
+    while chunk := fh.read(_WINDOW):
+        buf = keep + chunk
+        at = buf.find(sub)
+        if at >= 0:
+            return pos - len(keep) + at
+        pos += len(chunk)
+        keep = buf[max(0, len(buf) - len(sub) + 1) :]
+    return -1
 
-    The block is cut out and ``NaN`` spliced in its place; json.loads of the
-    small rest must then meet exactly one constant, at the entries key. A
-    canonical block holds no "]", so its end is the first one after it.
+
+def _canonical_witness_document(fh):
+    """(document, windows) for a canonical witness report in the open binary
+    file fh, or None.
+
+    The block is left out and ``NaN`` spliced in its place; json.loads of
+    the small rest must then meet exactly one constant, at the entries key,
+    which becomes the block's ``_EntryWindows``. A canonical block holds no
+    "]", so its end is the first one after it.
     """
-    at = raw.find(_ENTRIES)
+    at = _find(fh, _ENTRIES, 0)
     if at < 0:
         return None
-    indent = raw[raw.rfind(b"\n", 0, at) + 1 : at]
     start = at + len(_ENTRIES) - 1  # the "["
-    close = raw.find(b"]", start)
+    fh.seek(0)
+    head = fh.read(start + 2)
+    indent = head[head.rfind(b"\n", 0, at) + 1 : at]
+    close = _find(fh, b"]", start)
     end = close - len(indent) - 1  # the "\n" before the closing line
-    if indent.strip(b" ") or raw[start + 1 : start + 2] != b"\n" or close < 0 or raw[end:close] != b"\n" + indent:
+    if indent.strip(b" ") or head[start + 1 :] != b"\n" or close < 0 or end <= start + 1:
+        return None  # empty blocks are left to json.loads
+    fh.seek(end)
+    if fh.read(close - end) != b"\n" + indent:
         return None
-    rest = raw[:start] + b"NaN" + raw[close + 1 :]
+    fh.seek(close + 1)
+    rest = head[:start] + b"NaN" + fh.read()
     if not rest.isascii():  # read_text could decode it differently
         return None
     constants: list[str] = []
@@ -240,35 +287,46 @@ def _canonical_witness_document(raw: bytes):
     holder = doc.get("result", doc) if isinstance(doc, dict) else None
     if constants != ["NaN"] or not isinstance(holder, dict) or holder.get("entries") is not constants:
         return None
-    rows = _decode_witness_rows(raw, start + 2, end, indent.decode())
-    if rows is None:
-        return None
-    holder["entries"] = rows
-    return doc
+    windows = _EntryWindows(fh, start + 2, end, indent.decode())
+    holder["entries"] = windows
+    return doc, windows
 
 
-def _decode_witness_rows(raw: bytes, body: int, end: int, indent: str) -> np.ndarray | None:
-    """The (count, 3) int64 (i, j, witness) rows of the entries in
-    ``raw[body:end]``, decoded in windows of about ``_WINDOW`` bytes cut at
-    entry boundaries; None if a window is not in the layout ``_json_rows``
-    writes at ``indent``."""
-    zeros = RowBlock({key: np.zeros(1, np.int64) for key in ("i", "j", "witness")})
-    # one entry with every value written "0", and the ",\n" that follows it
-    unit = "".join(_json_rows(zeros, indent))[2 : -len(indent) - 2].encode() + b",\n"
-    cut_mark = b"},\n" + unit[: unit.index(b"{") + 1]
-    data = np.frombuffer(raw, np.uint8)
-    windows, pos = [], body
-    while pos < end:
-        cut = raw.find(cut_mark, pos + _WINDOW, end)
-        stop = end if cut < 0 else cut + 3  # a window ends after its last entry's ",\n"
-        if stop - pos > 2 * _WINDOW:  # a canonical block has an entry boundary within one entry
-            return None
-        values = _window_values(data[pos:stop], unit, last=cut < 0)
+class _EntryWindows:
+    """Iterator over the (count, 3) int64 (i, j, witness) rows of the entries
+    at offsets [body, end) of the open binary file fh, decoded from windows
+    of about _WINDOW bytes cut at entry boundaries. It stops, with
+    ``canonical`` set False, at the first window that is not in the layout
+    ``_json_rows`` writes at ``indent``."""
+
+    def __init__(self, fh, body: int, end: int, indent: str):
+        zeros = RowBlock({key: np.zeros(1, np.int64) for key in ("i", "j", "witness")})
+        # one entry with every value written "0", and the ",\n" that follows it
+        self.unit = "".join(_json_rows(zeros, indent))[2 : -len(indent) - 2].encode() + b",\n"
+        self.cut_mark = b"},\n" + self.unit[: self.unit.index(b"{") + 1]
+        self.fh, self.pos, self.end = fh, body, end
+        self.canonical = True
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        if not self.canonical or self.pos >= self.end:
+            raise StopIteration
+        self.fh.seek(self.pos)
+        buf = self.fh.read(min(self.end - self.pos, 2 * _WINDOW + len(self.cut_mark)))
+        cut = buf.find(self.cut_mark, _WINDOW)
+        stop = len(buf) if cut < 0 else cut + 3  # a window ends after its last entry's ",\n"
+        # a canonical block has an entry boundary within one entry; with no
+        # cut, the window must reach the block's end
+        values = None
+        if stop <= 2 * _WINDOW and (cut >= 0 or self.pos + stop == self.end):
+            values = _window_values(np.frombuffer(buf, np.uint8, stop), self.unit, last=cut < 0)
         if values is None:
-            return None
-        windows.append(values)
-        pos = stop
-    return np.concatenate(windows).reshape(-1, 3) if windows else None
+            self.canonical = False
+            raise StopIteration
+        self.pos += stop
+        return values.reshape(-1, 3)
 
 
 def _window_values(window: np.ndarray, unit: bytes, last: bool) -> np.ndarray | None:
@@ -288,6 +346,7 @@ def _window_values(window: np.ndarray, unit: bytes, last: bool) -> np.ndarray | 
     keep = ~digit
     keep[starts] = True
     skeleton = window[keep]
+    del digit, keep  # a window's size each: freed before the comparison's copies
     skeleton[starts - np.cumsum(lengths - 1) + (lengths - 1)] = 48
     want = unit * (len(starts) // 3)
     if skeleton.tobytes() != (want[:-2] if last else want):

@@ -192,12 +192,13 @@ def _collect_witnesses(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Find min(k, W) distinct witnesses per entry of the product of 0/1 arrays.
 
-    Returns (found, counts, wcount): found is (p, r, k), int32 while q <
-    2^31 (else int64), sorted descending per entry and padded with -1;
-    counts equals min(k, wcount) for every entry, unconditionally. Where the
-    optional (p, r) bool mask ``want`` is False the entry is left out: its
-    wcount and count are 0, its slots stay -1, and it takes no part in the
-    sampling.
+    Returns (found, counts, wcount): found and wcount are int32 while q <
+    2^31 (else int64), counts is int64, the type of ``WitnessLists``
+    lengths. found is (p, r, k), sorted descending per entry and padded
+    with -1; counts equals min(k, wcount) for every entry, unconditionally.
+    Where the optional (p, r) bool mask ``want`` is False the entry is left
+    out: its wcount and count are 0, its slots stay -1, and it takes no part
+    in the sampling.
 
     Entries with 1 <= W <= k take their complete witness set from boolmat's
     witness-bit kernel, in blocks of about 1 MiB of words. Entries with more
@@ -212,14 +213,15 @@ def _collect_witnesses(
     p, q = a_dense.shape
     r = b_dense.shape[1]
     ftype = np.float32 if q < 1 << 24 else np.float64
+    itype = np.int32 if q < 1 << 31 else np.int64  # holds every witness and witness count
     af = a_dense.astype(ftype)
     bf = b_dense.astype(ftype)
-    wcount = (af @ bf).astype(np.int64)
+    wcount = (af @ bf).astype(itype)
     if want is not None:
         wcount[~want] = 0
     # entries are addressed by flat index i * r + j from here on
     wc = wcount.ravel()
-    found = np.full((p * r, k), -1, dtype=np.int32 if q < 1 << 31 else np.int64)
+    found = np.full((p * r, k), -1, dtype=itype)
     cnt = np.zeros(p * r, dtype=np.int64)
     few = np.flatnonzero((wc > 0) & (wc <= k))
     unfinished = wcount > k  # the sampling serves these until each has k witnesses
@@ -238,7 +240,8 @@ def _collect_witnesses(
         wa, wb = wa.T.copy(), wb.T.copy()  # word-major: one word of every row is contiguous
         pick = np.zeros(64 * words, dtype=bool)  # a round's sampled columns, padded to whole words
         for t in range(1, math.ceil(math.log2(max(q, 2))) + 1):
-            band = unfinished & (wcount >= (1 << (t - 1))) & (wcount <= (4 << t))
+            hi = min(4 << t, np.iinfo(itype).max)  # in itype's range; every count is below q
+            band = unfinished & (wcount >= (1 << (t - 1))) & (wcount <= hi)
             in_band = int(np.count_nonzero(band))
             if not in_band:
                 continue
@@ -326,32 +329,37 @@ def k_witness(a: BoolMatrix, b: BoolMatrix, k: int, seed: int = 0) -> WitnessLis
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     found, cnt = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))[:2]
-    # entry (i, j) lists the first cnt[i, j] slots of found[i, j], the ones that are not -1
-    return WitnessLists(n, k, cnt, found[found >= 0])
+    # entry (i, j) lists the first cnt[i, j] slots of found[i, j], the ones that are not -1;
+    # the slots are freed before WitnessLists widens the witnesses to int64
+    found = found[found >= 0]
+    return WitnessLists(n, k, cnt, found)
 
 
 def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -> WitnessMatrix:
     """Witness of rank at most ell per nonzero entry.
 
     Each entry takes one witness of the single-witness solver from the
-    highest strip whose partial product is nonzero (``largest_nonzero_strip``);
-    all greater witnesses lie inside that strip, so the rank is at most its
-    width. Strip p samples only the entries whose highest nonzero strip is p,
-    and strips that are no entry's highest are skipped. ell=1 degenerates to
-    exact maximum witnesses.
+    highest strip whose partial product is nonzero (``_highest_strips``, in
+    its narrow type); all greater witnesses lie inside that strip, so the
+    rank is at most its width. Strip p samples only the entries whose
+    highest nonzero strip is p, and strips that are no entry's highest are
+    skipped. Each strip's witnesses go straight into the result's array, and
+    its sampling arrays are freed before the next strip runs. ell=1
+    degenerates to exact maximum witnesses.
     """
     n, q = product_dims(a, b, square=True)
     dec = StripDecomposition.build(q, ell)
-    top = largest_nonzero_strip(a, b, dec)
+    top = _highest_strips(a, b, dec)  # p + 1 for the highest strip p, 0 for none
     ad = a.to_dense()
     bd = b.to_dense()
-    wit = np.full((n, n), -1, dtype=np.int64)
-    for p in np.unique(top[top >= 0]).tolist():
+    wm = WitnessMatrix(n)
+    for p in (np.unique(top[top > 0]) - 1).tolist():  # the strips that are some entry's highest
         s, e = dec.ranges[p]
-        want = top == p
-        found, _, _ = _collect_witnesses(ad[:, s:e], bd[s:e, :], 1, np_stream(seed, _TAG_RANK, p), want)
-        wit[want] = found[:, :, 0][want] + s
-    return WitnessMatrix(n, wit)
+        want = top == p + 1
+        found = _collect_witnesses(ad[:, s:e], bd[s:e, :], 1, np_stream(seed, _TAG_RANK, p), want)[0]
+        wm.array[want] = found[want, 0] + s
+        del found  # not held while the next strip samples
+    return wm
 
 
 def _multiwitness_rounds(n: int) -> int:

@@ -585,7 +585,15 @@ def test_report_emission_memory(tmp_path):
     4.4 and 15.1 MiB, the maxwit CSV at 3.6 MiB, and verify of the maxwit
     JSON report at 11.6 MiB (16.8 MiB through json.loads). With the
     kwitness lines expanded one chunk at a time, not as whole repeated
-    columns, its CSV peaks at 5.2 MiB.
+    columns, its CSV peaks at 5.2 MiB. Decoded window by window from the
+    open file into the witness matrix, that verify peaks at 6.8 MiB; the
+    8.5 MiB bound fails at the 11.6 MiB of reading the whole file.
+
+    A compact document goes through json.loads. Its verify peaked 2.4 MiB
+    above json.loads of the file's text alone while the 2.3 MiB file was
+    also held as bytes, and 1.25 MiB above it once the text is read from
+    the open file; the 1.8 MiB bound measures the excess, so the size of
+    the document's dicts, which varies with the Python version, cancels.
     """
     gen = ["--n", "256", "--density", "0.3", "--seed", "1"]
     a, b, full = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "full.json"
@@ -597,15 +605,26 @@ def test_report_emission_memory(tmp_path):
         (["maxwit", *gen, "--out", str(tmp_path / "m.json")], 5.5),
         (["kwitness", *gen, "--k", "4", "--format", "csv", "--out", str(tmp_path / "k.csv")], 6.5),
         (["maxwit", *gen, "--format", "csv", "--out", str(tmp_path / "m.csv")], 4.5),
-        (["verify", *pair, "--result", str(full), "--out", str(tmp_path / "v.json")], 14.5),
+        (["verify", *pair, "--result", str(full), "--out", str(tmp_path / "v.json")], 8.5),
     ):
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _peak(lambda: main(argv) == 0)
         assert peak < bound * 2**20, (argv[0], peak / 2**20)
+
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(full.read_text())["result"]))
+    verify = _peak(lambda: main(["verify", *pair, "--result", str(compact), "--out", str(tmp_path / "v.json")]) == 0)
+    loads = _peak(lambda: json.loads(compact.read_text()))
+    assert verify - loads < 1.8 * 2**20, (verify - loads) / 2**20
+
+
+def _peak(call) -> int:
+    """The tracemalloc peak of call(), which must return a true value."""
+    tracemalloc.start()
+    try:
+        assert call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -630,6 +649,37 @@ def test_kwitness_job_memory(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 18.5 * 2**20, peak / 2**20
+
+
+def test_verify_may_write_over_a_report_of_many_windows(tmp_path, capsys, monkeypatch):
+    """verify reads the --result file window by window and closes it before
+    the --out file, here the same one, is opened."""
+    monkeypatch.setattr("maxwit.io._WINDOW", 256)  # about four entries a window
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_matrix_text(a, random_matrix(12, 0.5, seed=240))
+    save_matrix_text(b, random_matrix(12, 0.5, seed=241))
+    pair = ["--a", str(a), "--b", str(b)]
+    rep, copy = tmp_path / "r.json", tmp_path / "copy.json"
+    assert main(["approx", "--method", "rank-bounded", *pair, "--ell", "4", "--out", str(rep)]) == 0
+    copy.write_bytes(rep.read_bytes())
+    assert rep.stat().st_size > 20 * 256
+    code, out = run(capsys, "verify", *pair, "--result", str(copy), "--max-rank", "4")
+    assert code == 0
+    assert main(["verify", *pair, "--result", str(rep), "--max-rank", "4", "--out", str(rep)]) == 0
+    got, want = json.loads(rep.read_text()), json.loads(out)
+    assert got["diff"] == want["diff"] and want["diff"]["passed"] is True
+    assert got["config"]["out"] == got["config"]["result"] == str(rep)
+
+
+@pytest.mark.parametrize("argv", [("gen", "--kind", "matrix", "--out", "m.txt"), ("maxwit",)])
+def test_n_too_large_for_any_array_is_rejected_before_allocating(tmp_path, capsys, monkeypatch, argv):
+    # an (n, n) array of 8-byte values for this n would take 8e22 bytes, past numpy's size limit
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--n", "99999999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: argument --n: must be at most ")
+    assert not (tmp_path / "m.txt").exists()
 
 
 @pytest.mark.parametrize(

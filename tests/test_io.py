@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import replace
 from unittest import mock
 
@@ -27,8 +28,10 @@ from maxwit.graphs import (
 )
 from maxwit.io import (
     _CHUNK_ROWS,
+    _ENTRIES,
     MATRIX_MAGIC,
     RowBlock,
+    _find,
     canonical_json,
     load_dag,
     load_graph,
@@ -511,22 +514,54 @@ def _holder(doc: dict) -> dict:
     return doc["result"] if "result" in doc else doc
 
 
+def _read(path, build) -> tuple[object, bool]:
+    """(outcome, decoded) of read_witness_report(path, build): the result or
+    the error's type and text, and whether numpy decoded the outcome's
+    entries: the last document build got held them as windows, all of them
+    canonical."""
+    docs = []
+
+    def spy(doc):
+        docs.append(doc)
+        return build(doc)
+
+    try:
+        outcome = read_witness_report(path, spy)
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    entries = _holder(docs[-1]).get("entries") if docs and isinstance(docs[-1], dict) else None
+    return outcome, isinstance(entries, Iterator) and entries.canonical
+
+
+def _read_both(path, build) -> tuple[object, bool]:
+    """_read's outcome, asserted equal to the json.loads route's, and decoded."""
+    fast, decoded = _read(path, build)
+    with mock.patch("maxwit.io._canonical_witness_document", return_value=None):
+        slow, _ = _read(path, build)
+    assert fast == slow
+    return fast, decoded
+
+
+def _matrix(one_based=False, expect_n=None):
+    """A build that reads a document's witnesses as the verify command does."""
+    return lambda doc: WitnessMatrix.from_json_dict(_holder(doc), one_based, expect_n)
+
+
 @settings(**READER)
-@given(case=witness_reports())
-def test_reader_decodes_valid_reports_like_json_loads(tmp_path, case):
+@given(case=witness_reports(), window=st.sampled_from([128, 1 << 20]))
+def test_reader_decodes_valid_reports_like_json_loads(tmp_path, case, window):
     _, rep = _write_witness_report(tmp_path, *case)
-    raw = rep.read_bytes()
-    fast, slow = read_witness_report(raw), json.loads(raw)
-    one_based = case[4]
+    slow = json.loads(rep.read_bytes())
+    with mock.patch("maxwit.io._WINDOW", window):
+        got, decoded = _read_both(rep, _matrix(case[4]))
+    assert isinstance(got, WitnessMatrix)
     # numpy decodes every canonical block with entries; the rest went through json.loads
-    decoded = isinstance(_holder(fast)["entries"], np.ndarray)
     assert decoded == (case[5] != "compact" and len(_holder(slow)["entries"]) > 0)
-    got = WitnessMatrix.from_json_dict(_holder(fast), one_based)
-    assert got == WitnessMatrix.from_json_dict(_holder(slow), one_based)
 
 
-def test_reader_decodes_only_the_block_at_the_entries_key():
+def test_reader_decodes_only_the_block_at_the_entries_key(tmp_path):
     block = RowBlock({"i": np.array([0, 1]), "j": np.array([2, 0]), "witness": np.array([1, 1])})
+    rep = tmp_path / "doc.json"
     for doc, decoded in [
         ({"result": {"entries": block, "n": 3}}, True),
         ({"entries": block, "n": 3}, True),
@@ -535,13 +570,86 @@ def test_reader_decodes_only_the_block_at_the_entries_key():
         ({"entries": block, "result": {"n": 3}}, False),  # a full report's entries are under result
         ({"config": {"entries": block}, "result": {"entries": block, "n": 3}}, False),
     ]:
-        raw = _json_text(doc).encode()
-        fast, slow = read_witness_report(raw), json.loads(raw)
-        assert isinstance(_holder(fast).get("entries"), np.ndarray) == decoded, doc
-        if decoded:
-            assert WitnessMatrix.from_json_dict(_holder(fast)) == WitnessMatrix.from_json_dict(_holder(slow))
-        else:
-            assert json.dumps(fast) == json.dumps(slow)
+        rep.write_text(_json_text(doc))
+        assert _read_both(rep, _matrix())[1] == decoded, doc
+        if not decoded:  # build got json.loads of the whole file
+            assert _read(rep, json.dumps) == (json.dumps(json.loads(rep.read_text())), False)
+
+
+def _window_report(tmp_path, rows, n=6, one_based=False, bare=False):
+    """A canonical witness report of the (i, j, witness) rows, full or bare,
+    as the path of its file and its text."""
+    cols = {key: np.array(col, np.int64) for key, col in zip(("i", "j", "witness"), zip(*rows))}
+    result = {"entries": RowBlock(cols), "n": n}
+    doc = result if bare else {"config": {"one_based": one_based}, "result": result}
+    rep = tmp_path / "report.json"
+    rep.write_text(_json_text(doc))
+    return rep, rep.read_text()
+
+
+def _full_rows(n, one_based=False):
+    off = int(one_based)
+    return [(i + off, j + off, (i + j) % n + off) for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("one_based", [False, True])
+@pytest.mark.parametrize("bare", [False, True])
+def test_reader_windows_match_json_loads(tmp_path, monkeypatch, one_based, bare):
+    """A report of many small windows decodes to what json.loads gives, and
+    every error is the one the json.loads route raises."""
+    monkeypatch.setattr("maxwit.io._WINDOW", 256)  # about four entries a window
+    one_based = one_based and not bare  # a bare document is 0-based
+    n, off = 6, int(one_based)
+    build = _matrix(one_based, expect_n=n)
+    rows = _full_rows(n, one_based)
+
+    # a duplicate cell whose later copy sits in a later window wins
+    rep, _ = _window_report(tmp_path, [*rows, (off, off, 5 + off)], n, one_based, bare)
+    got, decoded = _read_both(rep, build)
+    assert decoded and got.array[0, 0] == 5 and got.array[0, 1] == 1
+
+    # a bad entry in an early window: its error, if every later window is canonical
+    bad = [(n + off, off, off), *rows]
+    rep, text = _window_report(tmp_path, bad, n, one_based, bare)
+    got, decoded = _read_both(rep, build)
+    assert decoded and got == (ValueError, f"entry ({n + off}, {off}) lies outside an n={n} matrix")
+
+    # n mismatched together with that bad entry: the n error wins
+    got, decoded = _read_both(rep, _matrix(one_based, expect_n=n + 1))
+    assert decoded and got == (ValueError, f"witness matrix has n={n} but the product is {n + 1}x{n + 1}")
+
+    # a later window out of layout: the json.loads route's error wins
+    last = text.rindex('"witness": ')
+    for tail, want in [("1.0", "must have integer i, j and witness"), ("1,,", "Expecting property name")]:
+        rep.write_text(text[:last] + '"witness": ' + tail + text[text.index("\n", last):])
+        got, decoded = _read_both(rep, build)
+        assert not decoded and got[0] in (ValueError, json.JSONDecodeError) and want in got[1], tail
+
+
+@pytest.mark.parametrize("window", [1, 5, 11, 12, 13])
+def test_find_matches_across_chunks(monkeypatch, window):
+    monkeypatch.setattr("maxwit.io._WINDOW", window)
+    data = b'x"entries": [\n  "entries": [y]'
+    for sub in (_ENTRIES, b"]", b"\n"):
+        for pos in range(len(data) + 1):
+            assert _find(io.BytesIO(data), sub, pos) == data.find(sub, pos), (sub, pos)
+
+
+def test_reader_closes_the_file_before_it_returns(tmp_path, monkeypatch):
+    monkeypatch.setattr("maxwit.io._WINDOW", 256)
+    rep, text = _window_report(tmp_path, _full_rows(6))
+    opened = []
+    real_open = open
+
+    def spy(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr("builtins.open", spy)
+    for body in (text, text.replace('"j": 1,', '"j":  1,')):  # canonical, then not
+        rep.write_text(body)
+        assert isinstance(read_witness_report(rep, _matrix()), WitnessMatrix)
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
 
 
 def _nth(pattern: str, replace_with):
@@ -583,8 +691,8 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 @settings(**{**READER, "max_examples": 6})
-@given(case=witness_reports(), k=st.integers(0, 10**6))
-def test_reader_falls_back_to_json_loads_with_its_errors(tmp_path, capsys, mutation, case, k):
+@given(case=witness_reports(), k=st.integers(0, 10**6), window=st.sampled_from([128, 1 << 20]))
+def test_reader_falls_back_to_json_loads_with_its_errors(tmp_path, capsys, mutation, case, k, window):
     files, rep = _write_witness_report(tmp_path, *case)
     rep.write_bytes(MUTATIONS[mutation](rep.read_text(), k).encode())
 
@@ -593,7 +701,8 @@ def test_reader_falls_back_to_json_loads_with_its_errors(tmp_path, capsys, mutat
         code = main(["verify", *files, "--result", str(rep)])
         return code, *capsys.readouterr()
 
-    got = verify()
+    with mock.patch("maxwit.io._WINDOW", window):  # the mutation may land in any window
+        got = verify()
     with mock.patch("maxwit.io._canonical_witness_document", return_value=None):
         assert got == verify()
     if got[0] == 1:

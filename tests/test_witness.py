@@ -357,6 +357,24 @@ def test_rank_bounded_samples_each_entry_in_its_own_strip_only():
     assert np.array_equal(wm.array // ell, np.where(top >= 0, top, -1))
 
 
+def test_rank_bounded_memory_is_one_strips_arrays():
+    """Peaks of tracemalloc over approx_rank_bounded at n=1024, d=0.01,
+    ell=64: 63.6 MiB while every strip held an int64 strip index, int64
+    witness counts, the previous strip's arrays and a result copied at the
+    end; 36.7 MiB with the narrow strip index, int32 witness counts, one
+    strip's arrays at a time and the result written in place. The 40 MiB
+    bound fails at the first."""
+    a = random_matrix(1024, 0.01, seed=81)
+    b = random_matrix(1024, 0.01, seed=82)
+    tracemalloc.start()
+    try:
+        approx_rank_bounded(a, b, 64, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak / 2**20
+
+
 def test_collect_witnesses_memory_is_bounded():
     # an (entries, q) int32 block over all few-witness entries at once
     # would alone take about 80 MiB here
