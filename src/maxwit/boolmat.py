@@ -128,13 +128,6 @@ class BoolMatrix:
         return cls.from_rows([np.array(list(row), "U1") == "1" for row in rows])
 
     @classmethod
-    def from_bitsets(cls, cols: int, bitsets: Sequence[int]) -> "BoolMatrix":
-        """Build from one Python-int bitset per row: bit k of bitsets[i] is entry (i, k)."""
-        stride = -(-cols // 64) * 8
-        buf = b"".join(x.to_bytes(stride, "little") for x in bitsets)
-        return cls(len(bitsets), cols, np.frombuffer(buf, "<u8").reshape(len(bitsets), -1))
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BoolMatrix":
         arr = np.asarray(dense)
         if arr.ndim != 2:
@@ -588,11 +581,18 @@ def witness_violations(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> dict:
     empty; and "disagreements", the number of entries that differ from the
     maximum witness matrix.
     """
-    return _violations_and_ranks(a, b, wm)[0]
+    viol, _ = _violations_and_ranks(a, b, wm)
+    # row-major (i, j) tuples of Python ints; invalid ones carry the witness
+    keys = ("invalid", "missing", "spurious")
+    out = {key: [tuple(e) for e in np.argwhere(viol[key]).tolist()] for key in keys}
+    out["invalid"] = [(i, j, int(wm.array[i, j])) for i, j in out["invalid"]]
+    return {**out, "ok": not any(out.values()), "disagreements": viol["disagreements"]}
 
 
 def _violations_and_ranks(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> tuple[dict, np.ndarray]:
-    """witness_violations(a, b, wm) and witness_rank_matrix(a, b, wm) from one rank pass.
+    """The defects of witness_violations(a, b, wm), as n x n boolean masks,
+    with its "disagreements" count, and witness_rank_matrix(a, b, wm), from
+    one rank pass.
 
     The maximum witness is the witness of rank 1, so an entry differs from
     it exactly when its rank is not 1 and it is either in the product or
@@ -602,18 +602,10 @@ def _violations_and_ranks(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> tu
     present = bool_product(a, b).to_dense().astype(bool)
     w = wm.array
     ranks = _ranks(a, b, w)
-
-    def entries(mask: np.ndarray) -> list[tuple[int, ...]]:
-        return [tuple(e) for e in np.argwhere(mask).tolist()]  # row-major, Python ints
-
-    invalid = [(i, j, int(w[i, j])) for i, j in entries((ranks == -2) & present)]
-    missing = entries((w < 0) & present)
-    spurious = entries((w >= 0) & ~present)
-    report = {
-        "invalid": invalid,
-        "missing": missing,
-        "spurious": spurious,
-        "ok": not (invalid or missing or spurious),
+    masks = {
+        "invalid": (ranks == -2) & present,
+        "missing": (w < 0) & present,
+        "spurious": (w >= 0) & ~present,
         "disagreements": int(((ranks != 1) & (present | (w != -1))).sum()),
     }
-    return report, ranks
+    return masks, ranks

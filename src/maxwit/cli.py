@@ -44,7 +44,6 @@ from .boolmat import (
     product_dims,
     random_matrix,
     witness_rank_matrix,
-    witness_violations,
 )
 from .graphs import (
     LCA_SOLVERS,
@@ -126,12 +125,14 @@ _N_MAX = math.isqrt(np.iinfo(np.intp).max // 8)
 
 
 def _size(text: str) -> int:
-    """The --n value: an integer of at most _N_MAX, checked before anything
+    """The --n value: an integer from 1 to _N_MAX, checked before anything
     of size n is allocated."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     if n > _N_MAX:
         raise argparse.ArgumentTypeError(
             f"must be at most {_N_MAX}, the largest n whose n x n array fits, got {text}"
@@ -239,11 +240,11 @@ def _emit(args, write: Callable) -> None:
 def _witness_verdict(
     viol: dict, ranks: np.ndarray | None = None, max_rank: int | None = None, may_miss: bool = False
 ) -> dict:
-    """The defect counts of one rank pass (``_violations_and_ranks``) and
-    "passed": no invalid or spurious entry, no missing one unless may_miss,
-    and, when max_rank is given, no reported witness that is not a witness
-    or ranks above max_rank."""
-    verdict = {key: len(viol[key]) for key in ("invalid", "missing", "spurious")}
+    """The defect counts of the masks of one rank pass
+    (``_violations_and_ranks``) and "passed": no invalid or spurious entry,
+    no missing one unless may_miss, and, when max_rank is given, no reported
+    witness that is not a witness or ranks above max_rank."""
+    verdict = {key: int(viol[key].sum()) for key in ("invalid", "missing", "spurious")}
     bad = sum(verdict.values()) - (verdict["missing"] if may_miss else 0)
     if max_rank is not None:
         verdict["rank_violations"] = int(((ranks > max_rank) | (ranks == -2)).sum())
@@ -341,7 +342,7 @@ def _witness_report(args, ab, r, rows, verification) -> dict:
 def _check_maxwit(args, ab, r) -> dict:
     (a, b), (wm, _) = ab, r
     solver = SOLVERS[args.algo]
-    viol = witness_violations(a, b, wm)
+    viol, _ = _violations_and_ranks(a, b, wm)
     rate = viol["disagreements"] / (wm.n * wm.n)
     tolerance = solver.tolerance(wm.n, args.beta)
     verdict = _witness_verdict(viol, may_miss=not solver.exact)  # exact solvers may not drop entries
@@ -576,11 +577,8 @@ def _campaign_durr_hoyer(args) -> dict:
 
 
 def _campaign_n(args) -> int:
-    """--n, 64 when absent; the matrix campaigns need at least 1."""
-    n = 64 if args.n is None else args.n
-    if n < 1:
-        raise ConfigError(f"--n must be at least 1, got {n}")
-    return n
+    """--n, 64 when absent."""
+    return 64 if args.n is None else args.n
 
 
 def _campaign_multiwitness(args) -> dict:
@@ -620,7 +618,7 @@ def _campaign_maxwit_accuracy(args) -> dict:
         wm, stats = algorithm1(a, b, args.beta, spawn_seed(args.seed, 34, t))
         return {
             "trial": t,
-            "wrong_entries": witness_violations(a, b, wm)["disagreements"],
+            "wrong_entries": _violations_and_ranks(a, b, wm)[0]["disagreements"],
             "entries": n * n,
             "mean_queries_per_entry": stats.mean_queries_per_entry,
         }
@@ -679,7 +677,7 @@ def _cmd_verify(args) -> int:
     diff = {
         "entries": wm.n * wm.n,
         "max_witness_disagreements": viol["disagreements"],
-        "invalid_sample": [list(x) for x in viol["invalid"][:10]],
+        "invalid_sample": [[i, j, int(wm.array[i, j])] for i, j in np.argwhere(viol["invalid"])[:10].tolist()],
         **_witness_verdict(viol, ranks, args.max_rank),
     }
     _emit_report(args, {"diff": diff})

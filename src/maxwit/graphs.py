@@ -13,11 +13,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
-from .boolmat import BoolMatrix, WitnessMatrix, max_witness_oracle, transpose
+from .boolmat import BoolMatrix, max_witness_oracle, transpose
 from .rng import np_stream
 from .solvers import SOLVERS
 
@@ -61,18 +61,7 @@ class Dag:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one vertex")
-        edges = []
-        seen = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise CycleError([u, u])
-            if (u, v) not in seen:
-                seen.add((u, v))
-                edges.append((u, v))
-        self.edges = tuple(edges)
+        self.edges = _checked_edges(self.n, self.edges, True, lambda u: CycleError([u, u]))
         self.children: list[list[int]] = [[] for _ in range(self.n)]
         self.parents: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -114,31 +103,44 @@ class Dag:
         cycle.reverse()  # parent pointers were followed backwards
         return cycle
 
-    def ancestor_bitsets(self) -> tuple[int, ...]:
-        """Per-vertex reflexive ancestor sets as bit masks over vertex ids,
-        accumulated along the topological order once per dag."""
+    def ancestor_bitsets(self) -> BoolMatrix:
+        """The reflexive ancestor matrix: row v holds v's ancestors. Built once
+        per dag by ORing each vertex's parents' rows into its own, in
+        topological order."""
         return self._ancestors
 
-    def descendant_bitsets(self) -> tuple[int, ...]:
-        """Per-vertex reflexive descendant sets as bit masks, built once per dag."""
+    def descendant_bitsets(self) -> BoolMatrix:
+        """The reflexive descendant matrix, the transposed ancestor matrix."""
         return self._descendants
 
-    # the bitsets are tuples, so callers cannot change the cached copies
     @cached_property
-    def _ancestors(self) -> tuple[int, ...]:
-        anc = [1 << v for v in range(self.n)]
+    def _ancestors(self) -> BoolMatrix:
+        words = BoolMatrix.identity(self.n).words.copy()
         for v in self.topo_order:
-            for p in self.parents[v]:
-                anc[v] |= anc[p]
-        return tuple(anc)
+            if self.parents[v]:
+                words[v] |= np.bitwise_or.reduce(words[self.parents[v]], axis=0)
+        return BoolMatrix(self.n, self.n, words)
 
     @cached_property
-    def _descendants(self) -> tuple[int, ...]:
-        desc = [1 << v for v in range(self.n)]
-        for v in reversed(self.topo_order):
-            for c in self.children[v]:
-                desc[v] |= desc[c]
-        return tuple(desc)
+    def _descendants(self) -> BoolMatrix:
+        return transpose(self._ancestors)
+
+
+def _checked_edges(
+    n: int, edges: tuple[tuple[int, int], ...], directed: bool, loop_error: Callable[[int], Exception]
+) -> tuple[tuple[int, int], ...]:
+    """Edges as int pairs, duplicates dropped in first-seen order; an
+    undirected edge is stored as (min, max). The first bad edge raises:
+    ValueError when out of range, loop_error(u) when it is a loop (u, u)."""
+    out: dict[tuple[int, int], None] = {}
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        if u == v:
+            raise loop_error(u)
+        out[(u, v) if directed or u < v else (v, u)] = None
+    return tuple(out)
 
 
 def random_dag(n: int, density: float, seed: int) -> Dag:
@@ -163,7 +165,7 @@ def demo_dag() -> Dag:
 
 def ancestor_matrix(dag: Dag) -> BoolMatrix:
     """Reflexive ancestor relation: entry (u, v) is 1 iff v is an ancestor of u."""
-    return BoolMatrix.from_bitsets(dag.n, dag.ancestor_bitsets())
+    return dag.ancestor_bitsets()
 
 
 def lca_matrix(dag: Dag) -> tuple[BoolMatrix, tuple[int, ...]]:
@@ -197,28 +199,25 @@ def all_pairs_lca(
         raise ValueError(f"unknown solver {solver!r}")
     m, order = lca_matrix(dag)
     wm, _ = SOLVERS[LCA_SOLVERS[solver]].run(m, transpose(m), ell, beta, seed)
-    w = wm.array
-    order_arr = np.asarray(order, np.int64)
-    renum = np.where(w >= 0, order_arr[np.clip(w, 0, None)], np.int64(-1))
     rank_arr = np.asarray(dag.rank, np.int64)
-    return renum[np.ix_(rank_arr, rank_arr)]
+    return _in_order(wm.array, order)[np.ix_(rank_arr, rank_arr)]
 
 
-def _set_bits(x: int) -> Iterator[int]:
-    """Indices of the set bits of a nonnegative x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _in_order(w: np.ndarray, order) -> np.ndarray:
+    """order[k] for each witness k of w, and -1 where w is -1."""
+    order_arr = np.asarray(order, np.int64)
+    return np.where(w >= 0, order_arr[np.clip(w, 0, None)], np.int64(-1))
 
 
 def brute_force_lca_set(dag: Dag, u: int, v: int) -> list[int]:
     """All LCAs of (u, v) by definition: common ancestors that are maximal."""
-    anc = dag.ancestor_bitsets()
-    desc = dag.descendant_bitsets()
+    anc = dag.ancestor_bitsets().words
+    desc = dag.descendant_bitsets().words
     common = anc[u] & anc[v]
-    # keep w when no proper descendant of w is also common
-    return [w for w in _set_bits(common) if desc[w] & common == 1 << w]
+    ws = np.flatnonzero(BoolMatrix(1, dag.n, common[None]).to_dense()[0])
+    # keep w when it is the only common vertex among its descendants
+    lowest = np.bitwise_count(desc[ws] & common).sum(axis=1) == 1
+    return ws[lowest].tolist()
 
 
 def lca_errors(dag: Dag, lca: np.ndarray) -> int:
@@ -229,8 +228,7 @@ def lca_errors(dag: Dag, lca: np.ndarray) -> int:
     n = dag.n
     anc_matrix = ancestor_matrix(dag)
     anc, packed_anc = anc_matrix.to_dense(), anc_matrix.words
-    proper = [d ^ (1 << v) for v, d in enumerate(dag.descendant_bitsets())]
-    packed_below = BoolMatrix.from_bitsets(n, proper).words  # proper descendants
+    packed_below = dag.descendant_bitsets().words & ~BoolMatrix.identity(n).words  # proper descendants
     vs = np.arange(n)
     wrong = 0
     for u in range(n):  # one row of pairs at a time: temporaries of n * n/8 bytes
@@ -267,19 +265,9 @@ class VertexWeightedGraph:
         self.weights = tuple(float(w) for w in self.weights)
         if not np.isfinite(self.weights).all():
             raise ValueError("vertex weights must be finite")
-        edges = []
-        seen = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            key = (u, v) if self.directed else (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
-        self.edges = tuple(edges)
+        self.edges = _checked_edges(
+            self.n, self.edges, self.directed, lambda u: ValueError("self-loops are not allowed")
+        )
 
     def adjacency(self) -> BoolMatrix:
         dense = np.zeros((self.n, self.n), bool)
@@ -308,15 +296,15 @@ def random_weighted_graph(
     return VertexWeightedGraph(n, tuple(zip(u[keep].tolist(), v[keep].tolist())), weights, directed)
 
 
-def _permuted_witnesses(adj: BoolMatrix, order: list[int]) -> WitnessMatrix:
+def _permuted_witnesses(adj: BoolMatrix, order: list[int]) -> np.ndarray:
     # columns of the left factor and rows of the right factor follow `order`,
     # so witness k stands for original vertex order[k] and the maximum witness
-    # is the common neighbour that comes last in `order`
+    # is the common neighbour that comes last in `order`; returns the vertices
     dense = adj.to_dense()
     perm = np.asarray(order, np.int64)
     left = BoolMatrix.from_dense(dense[:, perm])
     right = BoolMatrix.from_dense(dense[perm, :])
-    return max_witness_oracle(left, right)
+    return _in_order(max_witness_oracle(left, right).array, order)
 
 
 def heaviest_triangle_per_edge(
@@ -330,14 +318,9 @@ def heaviest_triangle_per_edge(
     """
     if g.directed:
         raise ValueError("triangle search expects an undirected graph")
-    adj = g.adjacency()
-    order = g.weight_order(descending=lightest)
-    w = _permuted_witnesses(adj, order).array
-    out: dict[tuple[int, int], int | None] = {}
-    for u, v in g.edges:
-        k = int(w[u, v])
-        out[(u, v)] = order[k] if k >= 0 else None
-    return out
+    apex = _permuted_witnesses(g.adjacency(), g.weight_order(descending=lightest))
+    u, v = np.asarray(g.edges, np.int64).reshape(-1, 2).T
+    return {e: (k if k >= 0 else None) for e, k in zip(g.edges, apex[u, v].tolist())}
 
 
 def max_weight_two_edge_paths(g: VertexWeightedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -348,11 +331,7 @@ def max_weight_two_edge_paths(g: VertexWeightedGraph) -> tuple[np.ndarray, np.nd
     maximizing its weight (-1 when no such path; ties broken towards the
     larger id) and weight[u, v] is that vertex's weight (NaN where mid is -1).
     """
-    adj = g.adjacency()
-    order = g.weight_order()
-    w = _permuted_witnesses(adj, order).array
-    order_arr = np.asarray(order, np.int64)
-    mid = np.where(w >= 0, order_arr[np.clip(w, 0, None)], np.int64(-1))
+    mid = _permuted_witnesses(g.adjacency(), g.weight_order())
     warr = np.asarray(g.weights, np.float64)
     weight = np.where(mid >= 0, warr[np.clip(mid, 0, None)], np.nan)
     return mid, weight

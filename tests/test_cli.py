@@ -231,13 +231,22 @@ def test_campaign_reports(tmp_path, capsys):
     assert main(["campaign", "--target", "durr-hoyer", "--q-grid", "64"]) == 1
 
 
-@pytest.mark.parametrize("target", ["multiwitness", "maxwit-accuracy"])
+@pytest.mark.parametrize("target", [
+    *(pytest.param(["campaign", "--target", t, "--trials", "1"], id=t)
+      for t in ("multiwitness", "maxwit-accuracy", "durr-hoyer")),
+    pytest.param(["two-edge"], id="two-edge"),
+    pytest.param(["triangle"], id="triangle"),
+    pytest.param(["gen", "--kind", "graph"], id="gen-graph"),
+    pytest.param(["lca"], id="lca"),
+    pytest.param(["maxwit"], id="maxwit"),
+])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_campaign_rejects_n_below_one(capsys, target, n):
-    assert main(["campaign", "--target", target, "--n", n, "--trials", "1"]) == 1
+    # every command that takes --n rejects it with one message, before any work
+    assert main([*target, "--n", n]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --n must be at least 1, got {n}\n"
+    assert captured.err == f"error: argument --n: must be at least 1, got {n}\n"
 
 
 def test_campaign_rerun_is_byte_identical(tmp_path):
@@ -615,6 +624,26 @@ def test_report_emission_memory(tmp_path):
     verify = _peak(lambda: main(["verify", *pair, "--result", str(compact), "--out", str(tmp_path / "v.json")]) == 0)
     loads = _peak(lambda: json.loads(compact.read_text()))
     assert verify - loads < 1.8 * 2**20, (verify - loads) / 2**20
+
+
+def test_verify_memory_does_not_grow_with_defects(tmp_path):
+    """verify counts defects from the rank pass's masks, not a tuple per defect.
+
+    An empty report against an n=512, density 0.3 pair has 262,144 missing
+    entries. Built as lists of tuples they peaked at 49.0 MiB of tracemalloc;
+    the masks peak at 5.8 MiB.
+    """
+    a, b, res = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "empty.json"
+    save_matrix_text(a, random_matrix(512, 0.3, 1))
+    save_matrix_text(b, random_matrix(512, 0.3, 2))
+    res.write_text(json.dumps({"n": 512, "entries": []}))
+    out = tmp_path / "v.json"
+    argv = ["verify", "--a", str(a), "--b", str(b), "--result", str(res), "--out", str(out)]
+    peak = _peak(lambda: main(argv) == 3)
+    assert peak < 10 * 2**20, peak / 2**20
+    diff = json.loads(out.read_text())["diff"]
+    assert diff["missing"] == diff["max_witness_disagreements"] == 512 * 512
+    assert diff["invalid"] == diff["spurious"] == 0 and diff["invalid_sample"] == []
 
 
 def _peak(call) -> int:

@@ -20,6 +20,7 @@ from maxwit.graphs import (
     random_dag,
     random_weighted_graph,
 )
+from maxwit.boolmat import transpose
 from maxwit.rng import np_stream
 
 from scalar_oracles import best_two_edge_path, closure_by_squaring, heaviest_triangle_apex, lca_set
@@ -148,12 +149,17 @@ def test_lca_solvers_agree():
         all_pairs_lca(dag, solver="bogus")
 
 
-def test_lca_sets_match_scalar_oracle():
-    for seed in range(5):
-        dag = random_dag(12, 0.25, seed=seed + 40)
-        for u in range(12):
-            for v in range(u, 12):
-                assert set(brute_force_lca_set(dag, u, v)) == lca_set(12, list(dag.edges), u, v)
+@pytest.mark.parametrize("n", [18, 63, 64, 65, 129])
+def test_lca_sets_match_scalar_oracle(n):
+    for seed in range(5 if n < 32 else 1):
+        dag = random_dag(n, 0.25 if n < 32 else 4 / n, seed=seed + 40)
+        if n < 32:
+            pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        else:  # random pairs, and pairs at the 64-bit word edges of the packed rows
+            edge = [w for w in (0, 62, 63, 64, 65, n - 1) if w < n]
+            pairs = np_stream(n, 8).integers(0, n, (40, 2)).tolist() + [(u, v) for u in edge for v in edge]
+        for u, v in pairs:
+            assert set(brute_force_lca_set(dag, u, v)) == lca_set(n, list(dag.edges), u, v)
 
 
 def test_cycles_are_rejected_with_certificate():
@@ -201,7 +207,7 @@ def test_lca_errors_on_packed_words_across_word_boundaries(n):
     for u, v in rng.integers(0, n, (40, 2)).tolist() + edge_pairs.tolist():
         if good[u, v] >= 0:
             if rng.random() < 0.5:  # a wrong vertex: a common ancestor above the LCA if there is one
-                above = [w for w in range(n) if (anc[u] & anc[v]) >> w & 1 and w != good[u, v]]
+                above = [w for w in range(n) if anc.get(u, w) and anc.get(v, w) and w != good[u, v]]
                 bad[u, v] = rng.choice(above) if above else next(
                     w for w in (63, 64, n - 1, 0, 1) if w < n and w != good[u, v])
             else:  # -1 where a common ancestor exists
@@ -219,9 +225,10 @@ def test_lca_errors_on_packed_words_across_word_boundaries(n):
     assert lca_errors(dag, bad) == want
 
 
-def test_ancestor_matrix_routes_agree():
-    for seed in range(6):
-        dag = random_dag(18, 0.25, seed=seed + 60)
+@pytest.mark.parametrize("n", [18, 63, 64, 65, 129])
+def test_ancestor_matrix_routes_agree(n):
+    for seed in range(6 if n < 32 else 1):
+        dag = random_dag(n, 0.25 if n < 32 else 3 / n, seed=seed + 60)
         reach = closure_by_squaring(dag.n, list(dag.edges))  # reach[u][v]: u is an ancestor of v
         assert ancestor_matrix(dag).to_dense().T.tolist() == reach
 
@@ -229,13 +236,35 @@ def test_ancestor_matrix_routes_agree():
 def test_dag_bitsets_are_built_once_and_immutable():
     dag = random_dag(20, 0.3, seed=64)
     anc, desc = dag.ancestor_bitsets(), dag.descendant_bitsets()
-    assert isinstance(anc, tuple) and isinstance(desc, tuple)
+    assert not anc.words.flags.writeable and not desc.words.flags.writeable
     assert dag.ancestor_bitsets() is anc and dag.descendant_bitsets() is desc
     reach = closure_by_squaring(dag.n, list(dag.edges))
-    assert anc == tuple(sum(reach[u][v] << u for u in range(dag.n)) for v in range(dag.n))
-    for u in range(dag.n):
-        for v in range(dag.n):
-            assert bool(anc[u] >> v & 1) == bool(desc[v] >> u & 1)
+    assert anc.to_dense().T.tolist() == reach
+    assert desc == transpose(anc)
+
+
+@pytest.mark.parametrize("make, loop", [
+    (lambda n, edges: Dag(n, edges), CycleError),
+    (lambda n, edges: VertexWeightedGraph(n, edges, (0.0,) * n), ValueError),
+], ids=["dag", "weighted"])
+def test_edge_checks_are_shared_and_ordered(make, loop):
+    # the first bad edge decides the error, whichever kind comes later
+    with pytest.raises(ValueError, match=r"edge \(0, 7\) out of range"):
+        make(4, ((0, 1), (0, 7), (2, 2)))
+    with pytest.raises(loop) as info:
+        make(4, ((0, 1), (2, 2), (0, 7)))
+    assert "out of range" not in str(info.value)
+    if loop is CycleError:
+        assert info.value.cycle == [2, 2]
+    else:
+        assert str(info.value) == "self-loops are not allowed"
+    # duplicates are kept once, in first-seen order
+    assert make(5, ((3, 4), (0, 1), (3, 4), (1, 2), (0, 1))).edges == ((3, 4), (0, 1), (1, 2))
+    # an undirected (v, u) folds into (min, max); a dag keeps its direction
+    g = VertexWeightedGraph(4, ((3, 1), (1, 3), (0, 2)), (0.0,) * 4)
+    assert g.edges == ((1, 3), (0, 2))
+    assert VertexWeightedGraph(4, ((3, 1), (1, 3)), (0.0,) * 4, directed=True).edges == ((3, 1), (1, 3))
+    assert Dag(4, ((3, 1), (0, 2))).edges == ((3, 1), (0, 2))
 
 
 def test_vertex_weighted_graph_validation():
