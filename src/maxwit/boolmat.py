@@ -46,8 +46,11 @@ __all__ = [
 # the low k bits of a word, k = 0..64
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
 # bytes of one (entries, words) block of gathered words in the rank check, and
-# of one block of float32 rows in bool_product
+# of one float32 block of A's rows or of B's columns in bool_product
 _CHUNK_BYTES = 1 << 20
+# entries of the whole rows that one block of the rank check, or one chunk of
+# report rows, covers
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _packed_words(dense: np.ndarray, words: int) -> np.ndarray:
@@ -56,6 +59,11 @@ def _packed_words(dense: np.ndarray, words: int) -> np.ndarray:
     packed = np.zeros((dense.shape[0], 8 * words), np.uint8)
     packed[:, : (dense.shape[1] + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
     return packed.view("<u8")
+
+
+def _unpacked(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of each row of packed words as a uint8 0/1 array."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
 
 
 def _top_bit(x: np.ndarray) -> np.ndarray:
@@ -144,7 +152,7 @@ class BoolMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Return an (rows, cols) uint8 array of 0/1 values."""
-        return np.unpackbits(self.words.view(np.uint8), axis=1, count=self.cols, bitorder="little")
+        return _unpacked(self.words, self.cols)
 
     def popcount(self) -> int:
         """Number of ones."""
@@ -221,11 +229,20 @@ class WitnessMatrix:
     def __hash__(self) -> int:  # mutable content; not hashable
         raise TypeError("WitnessMatrix is not hashable")
 
-    def columns(self, one_based: bool = False) -> dict[str, np.ndarray]:
-        """The present entries in row-major order as "i", "j", "witness" arrays."""
+    def columns(self, one_based: bool = False, start: int = 0, stop: int | None = None) -> dict[str, np.ndarray]:
+        """The present entries of rows [start, stop) in row-major order as
+        "i", "j", "witness" arrays."""
         off = int(one_based)
-        i, j = np.nonzero(self._w >= 0)
-        return {"i": i + off, "j": j + off, "witness": self._w[i, j] + off}
+        rows = self._w[start:stop]
+        i, j = np.nonzero(rows >= 0)
+        w = rows[i, j]
+        i += start + off
+        return {"i": i, "j": j + off, "witness": w + off}
+
+    def row_chunks(self, one_based: bool = False) -> Iterator[dict[str, np.ndarray]]:
+        """``columns`` of successive blocks of whole rows of about _BLOCK_ENTRIES entries."""
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        return (self.columns(one_based, s, s + step) for s in range(0, self.n, step))
 
     def to_json_dict(self, one_based: bool = False) -> dict:
         return {"n": self.n, "entries": _dict_rows(self.columns(one_based))}
@@ -322,14 +339,16 @@ class WitnessLists:
     Produced by the k-witness solver: entry (i, j) holds min(k, W) distinct
     witnesses where W is that entry's witness count, so the list is empty
     exactly where the Boolean product is 0. Stored flat: the (n, n) list
-    lengths and one array of every witness in row-major order.
+    lengths and one array of every witness in row-major order, both kept in
+    the integer type they are given (widened to int64 before any offset).
     """
 
     __slots__ = ("n", "k", "_lengths", "witnesses", "_starts")
 
     def __init__(self, n: int, k: int, lengths: np.ndarray, witnesses: np.ndarray):
-        lengths = np.asarray(lengths, dtype=np.int64)
-        witnesses = np.asarray(witnesses, dtype=np.int64)
+        lengths, witnesses = (
+            x if x.dtype.kind in "iu" else x.astype(np.int64) for x in map(np.asarray, (lengths, witnesses))
+        )
         if lengths.shape != (n, n) or (lengths < 0).any():
             raise ValueError("lengths must be an n x n array of nonnegative counts")
         if witnesses.shape != (int(lengths.sum()),):
@@ -379,14 +398,25 @@ class WitnessLists:
             raise ValueError("list not strictly decreasing")
         return self.lengths(), wits
 
-    def columns(self, one_based: bool = False) -> tuple:
-        """The nonempty entries in row-major order: their "i" and "j" arrays,
-        the list key "witnesses", their list lengths and all their
-        witnesses, flat (the arguments of ``io.RowBlock``)."""
+    def columns(self, one_based: bool = False, start: int = 0, stop: int | None = None, first: int = 0) -> tuple:
+        """The nonempty entries of rows [start, stop) in row-major order: their
+        "i" and "j" arrays, the list key "witnesses", their list lengths and
+        all their witnesses, flat (the arguments of ``io.RowBlock``); row
+        start's first witness is witnesses[first]."""
         off = int(one_based)
-        i, j = np.nonzero(self._lengths)
-        wits = self.witnesses + off if off else self.witnesses
-        return {"i": i + off, "j": j + off}, "witnesses", self._lengths[i, j], wits
+        rows = self._lengths[start:stop]
+        i, j = np.nonzero(rows)
+        lengths = rows[i, j]
+        count = int(lengths.sum())
+        wits = self.witnesses if count == self.witnesses.size else self.witnesses[first : first + count]
+        i += start + off
+        return {"i": i, "j": j + off}, "witnesses", lengths, np.add(wits, off, dtype=np.int64) if off else wits
+
+    def row_chunks(self, one_based: bool = False) -> Iterator[tuple]:
+        """``columns`` of successive blocks of whole rows of about _BLOCK_ENTRIES entries."""
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        ends = np.cumsum(self._lengths.sum(axis=1)).tolist()  # row i's witnesses end at ends[i]
+        return (self.columns(one_based, s, s + step, ends[s - 1] if s else 0) for s in range(0, self.n, step))
 
     def to_json_dict(self, one_based: bool = False) -> dict:
         return {"n": self.n, "k": self.k, "entries": _dict_rows(*self.columns(one_based))}
@@ -421,18 +451,25 @@ def product_dims(
 
 
 def bool_product(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    """Boolean matrix product from float32 BLAS products over blocks of A's rows.
+    """Boolean matrix product from float32 BLAS products over blocks of A's
+    rows and of B's columns.
 
     A sum of nonnegative 0/1 products is positive exactly where some term
     is, whatever its rounding, so ``> 0`` is exact at any inner dimension.
-    Each block of rows holds about _CHUNK_BYTES of float32 products.
+    Each block, of A's rows or of whole words of B's columns, is unpacked
+    into about _CHUNK_BYTES of float32; B's zero padding bits give zero
+    products.
     """
     product_dims(a, b)
-    ad, bf = a.to_dense(), b.to_dense().astype(np.float32)
     words = np.empty((a.rows, -(-b.cols // 64)), np.uint64)
-    step = max(1, _CHUNK_BYTES // (4 * max(a.cols, b.cols)))
-    for s in range(0, a.rows, step):
-        words[s : s + step] = _packed_words(ad[s : s + step].astype(np.float32) @ bf > 0, words.shape[1])
+    rows = max(1, _CHUNK_BYTES // (4 * a.cols))
+    span = max(1, _CHUNK_BYTES // (4 * 64 * b.rows))  # words of B's columns per block
+    for c in range(0, words.shape[1], span):
+        part = b.words[:, c : c + span]
+        bf = _unpacked(part, 64 * part.shape[1]).astype(np.float32)
+        for s in range(0, a.rows, rows):
+            af = _unpacked(a.words[s : s + rows], a.cols).astype(np.float32)
+            words[s : s + rows, c : c + span] = _packed_words(af @ bf > 0, part.shape[1])
     return BoolMatrix(a.rows, b.cols, words)
 
 
@@ -445,19 +482,19 @@ def max_witness_oracle(a: BoolMatrix, b: BoolMatrix) -> WitnessMatrix:
 
     The product must be square (a.rows == b.cols). Row i's words are ANDed
     with all of B's transpose at once; the highest set bit of row j of that
-    AND is the witness of entry (i, j).
+    AND is the witness of entry (i, j), written into the result's own array.
     """
     n, _ = product_dims(a, b, square=True)
     bt = transpose(b).words
     top_word = bt.shape[1] - 1
     cols = np.arange(n)
-    w = np.empty((n, n), dtype=np.int64)
+    wm = WitnessMatrix(n)
     for i, row in enumerate(a.words):
         x = row & bt
         last = top_word - np.argmax(x[:, ::-1] != 0, axis=1)
         top = x[cols, last]
-        w[i] = np.where(top != 0, 64 * last + _top_bit(top), -1)
-    return WitnessMatrix(n, w)
+        wm.array[i] = np.where(top != 0, 64 * last + _top_bit(top), -1)
+    return wm
 
 
 def _witness_bits(
@@ -527,39 +564,48 @@ def rank_of(a: BoolMatrix, b: BoolMatrix, i: int, j: int, k: int) -> int:
     return 1 + (mask >> (k + 1)).bit_count()
 
 
-def _ranks(a: BoolMatrix, b: BoolMatrix, w: np.ndarray) -> np.ndarray:
-    """Rank of each witness w[i, j]: -1 where w < 0, -2 where it is not a witness.
+def _rank_blocks(a: BoolMatrix, b: BoolMatrix, w: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (s, ranks) for blocks of whole rows of the witness array w of
+    about _BLOCK_ENTRIES entries: ranks[r, j] is the rank of w[s + r, j], -1
+    where it is negative, -2 where it is not a witness.
 
-    As in rank_of: 1 plus the popcount of the bits above k in the AND of row i
-    of A with row j of B's transpose, gathered by blocks of rows of at most
-    _CHUNK_BYTES. Witnesses must lie in [0, a.cols), which product_dims checks.
+    As in rank_of: 1 plus the popcount of the bits above k in the AND of row
+    i of A with row j of B's transpose, gathered about _CHUNK_BYTES at a
+    time. Witnesses must lie in [0, a.cols), which product_dims checks.
     """
     bt = transpose(b).words
-    words = bt.shape[1]
-    ranks = np.full(w.shape, -1, dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // (8 * words * w.shape[1]))
-    for s in range(0, w.shape[0], step):
-        i, j = np.nonzero(w[s : s + step] >= 0)
-        i += s
-        k = w[i, j]
-        x = a.words[i]
-        x &= bt[j]  # row m: the witness set of entry (i[m], j[m])
-        at = x[np.arange(k.size), k // 64] >> (k % 64).astype(np.uint64)  # bit k, lowest
-        above = np.bitwise_count(at >> np.uint64(1)).astype(np.int64)
-        count = np.bitwise_count(x)
-        count[np.arange(words) <= k[:, None] // 64] = 0  # only the words above k's word
-        above += count.sum(axis=1, dtype=np.int64)
-        ranks[i, j] = np.where(at & np.uint64(1), 1 + above, -2)
-    return ranks
+    words, n = bt.shape[1], w.shape[1]
+    rows = max(1, _BLOCK_ENTRIES // n)
+    span = max(1, _CHUNK_BYTES // (8 * words))
+    for s in range(0, w.shape[0], rows):
+        block = w[s : s + rows]
+        ranks = np.full(block.shape, -1, dtype=np.int64)
+        given = np.flatnonzero(block >= 0)
+        for t in range(0, given.size, span):
+            e = given[t : t + span]  # flat ids in the block
+            i, j = np.divmod(e, n)
+            k = block[i, j]
+            x = a.words[i + s]
+            x &= bt[j]  # row m: the witness set of entry (s + i[m], j[m])
+            at = x[np.arange(k.size), k // 64] >> (k % 64).astype(np.uint64)  # bit k, lowest
+            above = np.bitwise_count(at >> np.uint64(1)).astype(np.int64)
+            count = np.bitwise_count(x)
+            count[np.arange(words) <= k[:, None] // 64] = 0  # only the words above k's word
+            above += count.sum(axis=1, dtype=np.int64)
+            ranks.ravel()[e] = np.where(at & np.uint64(1), 1 + above, -2)
+        yield s, ranks
 
 
 def witness_rank_matrix(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> np.ndarray:
     """Rank of every reported witness: -1 where absent, -2 where invalid.
 
-    O(n^2) memory: one packed-row AND per reported entry.
+    O(n^2) memory: the (n, n) ranks, filled one block of rows at a time.
     """
     product_dims(a, b, wm=wm)
-    return _ranks(a, b, wm.array)
+    ranks = np.empty(wm.array.shape, dtype=np.int64)
+    for s, block in _rank_blocks(a, b, wm.array):
+        ranks[s : s + len(block)] = block
+    return ranks
 
 
 def random_matrix(n: int, density: float, seed: int) -> BoolMatrix:
@@ -581,31 +627,46 @@ def witness_violations(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> dict:
     empty; and "disagreements", the number of entries that differ from the
     maximum witness matrix.
     """
-    viol, _ = _violations_and_ranks(a, b, wm)
-    # row-major (i, j) tuples of Python ints; invalid ones carry the witness
-    keys = ("invalid", "missing", "spurious")
-    out = {key: [tuple(e) for e in np.argwhere(viol[key]).tolist()] for key in keys}
-    out["invalid"] = [(i, j, int(wm.array[i, j])) for i, j in out["invalid"]]
-    return {**out, "ok": not any(out.values()), "disagreements": viol["disagreements"]}
+    counts, lists = _check_pass(a, b, wm, listed=None)
+    return {**lists, "ok": not any(lists.values()), "disagreements": counts["disagreements"]}
 
 
-def _violations_and_ranks(a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix) -> tuple[dict, np.ndarray]:
-    """The defects of witness_violations(a, b, wm), as n x n boolean masks,
-    with its "disagreements" count, and witness_rank_matrix(a, b, wm), from
-    one rank pass.
+def _check_pass(
+    a: BoolMatrix, b: BoolMatrix, wm: WitnessMatrix, max_rank: int | None = None, listed: int | None = 10
+) -> tuple[dict, dict]:
+    """(counts, lists) of the defects of wm, from one rank pass over blocks
+    of rows, each reading the product's words of its own rows only.
 
-    The maximum witness is the witness of rank 1, so an entry differs from
-    it exactly when its rank is not 1 and it is either in the product or
-    holds anything but the absence marker -1.
+    counts has the "invalid", "missing" and "spurious" entries of
+    ``witness_violations``, its "disagreements" and, with a max_rank,
+    "rank_violations": the witnesses that are none or rank above max_rank.
+    lists has the first ``listed`` (None: all) entries of each class in
+    row-major order, as witness_violations lists them. An entry differs
+    from the maximum witness, the one of rank 1, exactly when its rank is
+    not 1 and it is in the product or holds anything but -1.
     """
     product_dims(a, b, wm=wm)
-    present = bool_product(a, b).to_dense().astype(bool)
+    product = bool_product(a, b).words
     w = wm.array
-    ranks = _ranks(a, b, w)
-    masks = {
-        "invalid": (ranks == -2) & present,
-        "missing": (w < 0) & present,
-        "spurious": (w >= 0) & ~present,
-        "disagreements": int(((ranks != 1) & (present | (w != -1))).sum()),
-    }
-    return masks, ranks
+    counts = dict.fromkeys(("invalid", "missing", "spurious", "disagreements"), 0)
+    if max_rank is not None:
+        counts["rank_violations"] = 0
+    lists: dict[str, list] = {"invalid": [], "missing": [], "spurious": []}
+    for s, ranks in _rank_blocks(a, b, w):
+        block = w[s : s + len(ranks)]
+        present = _unpacked(product[s : s + len(ranks)], wm.n).view(bool)
+        given = block >= 0
+        counts["disagreements"] += int(np.count_nonzero((ranks != 1) & (present | (block != -1))))
+        if max_rank is not None:
+            counts["rank_violations"] += int(np.count_nonzero((ranks > max_rank) | (ranks == -2)))
+        masks = {"invalid": (ranks == -2) & present, "missing": ~given & present, "spurious": given & ~present}
+        for key, mask in masks.items():
+            count = int(np.count_nonzero(mask))
+            counts[key] += count
+            room = None if listed is None else listed - len(lists[key])
+            if count and room != 0:
+                at = np.argwhere(mask)[:room]
+                at[:, 0] += s
+                lists[key] += map(tuple, at.tolist())
+    lists["invalid"] = [(i, j, int(w[i, j])) for i, j in lists["invalid"]]
+    return counts, lists

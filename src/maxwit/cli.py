@@ -4,17 +4,19 @@ Exit codes: 0 success, 1 invalid configuration, 2 file I/O failure,
 3 verification failure.
 
 Every witness check (--verify on maxwit and approx, the verify command and
-the maxwit-accuracy campaign) is one rank pass,
-``boolmat._violations_and_ranks``. The maximum witness is the witness of
-rank 1, so that pass also counts the entries that differ from it; no check
-runs ``max_witness_oracle``.
+the maxwit-accuracy campaign) is one rank pass over blocks of rows,
+``boolmat._check_pass``. The maximum witness is the witness of rank 1, so
+that pass also counts the entries that differ from it; no check runs
+``max_witness_oracle``.
 
 Reports are canonical JSON (sorted keys, two-space indent) and embed the
 full run configuration, so identical configurations yield byte-identical
 files; wall-clock timings are included only on request (--timing) and never
 in campaign reports. Every report, JSON or CSV, is written piece by piece
 onto stdout or the --out file, which is opened only at the first write: a
-report that fails a writer's check leaves an existing file untouched. The
+report that fails a writer's check leaves an existing file untouched.
+Witness and k-witness rows reach the writers one block of matrix rows at a
+time (``io.RowBlock.chunked``). The
 verify command reads the --result file with ``io.read_witness_report``,
 which decodes a canonical report window by window into the witness matrix,
 and closes it before it writes anything. The MAXWIT_THREADS environment
@@ -40,7 +42,7 @@ from . import __version__, io
 from .boolmat import (
     BoolMatrix,
     WitnessMatrix,
-    _violations_and_ranks,
+    _check_pass,
     product_dims,
     random_matrix,
     witness_rank_matrix,
@@ -237,17 +239,15 @@ def _emit(args, write: Callable) -> None:
             out.fh.close()
 
 
-def _witness_verdict(
-    viol: dict, ranks: np.ndarray | None = None, max_rank: int | None = None, may_miss: bool = False
-) -> dict:
-    """The defect counts of the masks of one rank pass
-    (``_violations_and_ranks``) and "passed": no invalid or spurious entry,
-    no missing one unless may_miss, and, when max_rank is given, no reported
+def _witness_verdict(counts: dict, max_rank: int | None = None, may_miss: bool = False) -> dict:
+    """The defect counts of one rank pass (``_check_pass``, given max_rank
+    when it is not None) and "passed": no invalid or spurious entry, no
+    missing one unless may_miss, and, when max_rank is given, no reported
     witness that is not a witness or ranks above max_rank."""
-    verdict = {key: int(viol[key].sum()) for key in ("invalid", "missing", "spurious")}
+    verdict = {key: counts[key] for key in ("invalid", "missing", "spurious")}
     bad = sum(verdict.values()) - (verdict["missing"] if may_miss else 0)
     if max_rank is not None:
-        verdict["rank_violations"] = int(((ranks > max_rank) | (ranks == -2)).sum())
+        verdict["rank_violations"] = counts["rank_violations"]
         verdict["max_rank_allowed"] = max_rank
         bad += verdict["rank_violations"]
     verdict["passed"] = bad == 0
@@ -332,7 +332,7 @@ class Pipeline:
 
 
 def _witness_rows(args, ab, r, off) -> io.RowBlock:
-    return io.RowBlock(r[0].columns(off))
+    return io.RowBlock.chunked(("i", "j", "witness"), lambda: map(io.RowBlock, r[0].row_chunks(off)))
 
 
 def _witness_report(args, ab, r, rows, verification) -> dict:
@@ -342,13 +342,13 @@ def _witness_report(args, ab, r, rows, verification) -> dict:
 def _check_maxwit(args, ab, r) -> dict:
     (a, b), (wm, _) = ab, r
     solver = SOLVERS[args.algo]
-    viol, _ = _violations_and_ranks(a, b, wm)
-    rate = viol["disagreements"] / (wm.n * wm.n)
+    counts, _ = _check_pass(a, b, wm)
+    rate = counts["disagreements"] / (wm.n * wm.n)
     tolerance = solver.tolerance(wm.n, args.beta)
-    verdict = _witness_verdict(viol, may_miss=not solver.exact)  # exact solvers may not drop entries
+    verdict = _witness_verdict(counts, may_miss=not solver.exact)  # exact solvers may not drop entries
     return {
         **verdict,
-        "disagreements": viol["disagreements"],
+        "disagreements": counts["disagreements"],
         "disagreement_rate": rate,
         "tolerance": tolerance,
         "passed": verdict["passed"] and rate <= tolerance,
@@ -386,7 +386,7 @@ def _solve_approx(args, ab) -> tuple[WitnessMatrix, int | None]:
 
 def _check_approx(args, ab, r) -> dict:
     (a, b), (wm, ell) = ab, r
-    return _witness_verdict(*_violations_and_ranks(a, b, wm), ell)
+    return _witness_verdict(_check_pass(a, b, wm, ell)[0], ell)
 
 
 APPROX = Pipeline(
@@ -442,7 +442,9 @@ KWITNESS = Pipeline(
     solve=_solve_kwitness,
     check=_check_kwitness,
     header="i,j,witness",
-    rows=lambda args, ab, wl, off: io.RowBlock(*wl.columns(off)),
+    rows=lambda args, ab, wl, off: io.RowBlock.chunked(
+        ("i", "j"), lambda: (io.RowBlock(*c) for c in wl.row_chunks(off)), "witnesses"
+    ),
     report=lambda args, ab, wl, rows, verification: {"result": {"n": wl.n, "k": wl.k, "entries": rows}},
 )
 
@@ -618,7 +620,7 @@ def _campaign_maxwit_accuracy(args) -> dict:
         wm, stats = algorithm1(a, b, args.beta, spawn_seed(args.seed, 34, t))
         return {
             "trial": t,
-            "wrong_entries": _violations_and_ranks(a, b, wm)[0]["disagreements"],
+            "wrong_entries": _check_pass(a, b, wm)[0]["disagreements"],
             "entries": n * n,
             "mean_queries_per_entry": stats.mean_queries_per_entry,
         }
@@ -673,12 +675,12 @@ def _report_matrix(a: BoolMatrix, b: BoolMatrix, doc) -> WitnessMatrix:
 def _cmd_verify(args) -> int:
     a, b = _load_pair(args)
     wm = io.read_witness_report(args.result, partial(_report_matrix, a, b))  # closed before --out opens
-    viol, ranks = _violations_and_ranks(a, b, wm)  # rejects witnesses outside [0, inner dimension)
+    counts, lists = _check_pass(a, b, wm, args.max_rank)  # rejects witnesses outside [0, inner dimension)
     diff = {
         "entries": wm.n * wm.n,
-        "max_witness_disagreements": viol["disagreements"],
-        "invalid_sample": [[i, j, int(wm.array[i, j])] for i, j in np.argwhere(viol["invalid"])[:10].tolist()],
-        **_witness_verdict(viol, ranks, args.max_rank),
+        "max_witness_disagreements": counts["disagreements"],
+        "invalid_sample": [list(entry) for entry in lists["invalid"]],
+        **_witness_verdict(counts, args.max_rank),
     }
     _emit_report(args, {"diff": diff})
     return EXIT_OK if diff["passed"] else EXIT_VERIFY

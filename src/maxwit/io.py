@@ -21,7 +21,9 @@ of rows and the rest of the report with ``json.dumps``, giving the same bytes
 as ``json.dumps`` of the list of its rows' dicts. ``write_csv`` writes the
 same block as CSV lines. Both write chunk by chunk into an open text stream,
 so no report is ever held as one string, and both make every check that can
-reject a report before their first write.
+reject a report before their first write; a ``RowBlock.chunked`` block,
+whose rows are made one chunk at a time, has each chunk checked as it is
+made (the package's sources make only integer columns).
 
 ``read_witness_report`` reads a witness report back from its file. One
 pass finds the end of a canonical entries block and parses the small rest;
@@ -80,7 +82,7 @@ class RowBlock:
     line per list element.
     """
 
-    __slots__ = ("columns", "list_key", "lengths", "flat")
+    __slots__ = ("columns", "list_key", "lengths", "flat", "keys", "source")
 
     def __init__(self, columns: dict, list_key: str | None = None, lengths=None, flat=None):
         cols = list(columns.values())
@@ -95,56 +97,83 @@ class RowBlock:
         if not all(np.isfinite(c).all() for c in cols + lists if c.dtype.kind == "f"):
             raise ValueError("row block floats must be finite")
         self.columns, self.list_key, self.lengths, self.flat = columns, list_key, lengths, flat
+        self.keys, self.source = tuple(columns), None
+
+    @classmethod
+    def chunked(cls, keys, source: Callable, list_key: str | None = None) -> "RowBlock":
+        """A block of the rows of the plain blocks ``source()`` yields, each
+        with the columns ``keys`` and ``list_key``; writers take one at a time."""
+        block = cls.__new__(cls)
+        block.columns = block.lengths = block.flat = None
+        block.keys, block.list_key, block.source = tuple(keys), list_key, source
+        return block
+
+    def chunks(self):
+        """The plain blocks that hold this block's rows, in order."""
+        if self.source is None:
+            yield self
+            return
+        for chunk in self.source():
+            if chunk.keys != self.keys or chunk.list_key != self.list_key:
+                raise ValueError(f"a chunk has the columns {chunk.keys}, not {self.keys}")
+            yield chunk
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
 
 
-def _interleave(cols: list[np.ndarray], lengths: np.ndarray, at: int, flat) -> np.ndarray:
+def _interleave(cols: list[np.ndarray], lengths, at: int, flat) -> np.ndarray:
     """All values row after row: each row's cols in order, with its
     lengths[r] next values of flat (if any) placed before column ``at``."""
+    ints = all(c.dtype.kind in "iu" for c in cols) and (flat is None or flat.dtype.kind in "iu")
+    if flat is None:
+        out = np.empty((len(cols[0]), len(cols)), np.int64 if ints else object)
+        for pos, c in enumerate(cols):
+            out[:, pos] = c
+        return out.ravel()
     width = len(cols) + lengths
     start = np.cumsum(width) - width
-    ints = all(c.dtype.kind in "iu" for c in cols) and (flat is None or flat.dtype.kind in "iu")
     out = np.empty(int(width.sum()), np.int64 if ints else object)
     scalar = np.zeros(out.size, dtype=bool)
     for pos, c in enumerate(cols):
         idx = start + pos + (lengths if pos >= at else 0)
         out[idx] = c
         scalar[idx] = True
-    if flat is not None:
-        out[~scalar] = flat
+    out[~scalar] = flat
     return out
 
 
-def _format_rows(cols: list[np.ndarray], lengths: np.ndarray, at: int, flat, template, lead: str, sep: str):
+def _format_rows(cols: list[np.ndarray], lengths, at: int, flat, template, lead: str, sep: str):
     """Yield the rows' text, one piece per chunk of rows.
 
     Row r is ``template(lengths[r]) % values``, its values being the row's
     cols with its lengths[r] next values of flat placed before column at.
+    Without flat, lengths is None and every row takes ``template(0)``.
     Rows are joined by sep and the first is preceded by lead.
     """
-    ends = np.cumsum(lengths)
+    ends = None if flat is None else np.cumsum(lengths)
     cache: dict[int, str] = {}
-    for s in range(0, len(lengths), _CHUNK_ROWS):
-        lens = lengths[s : s + _CHUNK_ROWS]
-        part = None if flat is None else flat[ends[s] - lens[0] : ends[s + len(lens) - 1]]
-        values = _interleave([c[s : s + len(lens)] for c in cols], lens, at, part)
-        chunk = lens.tolist()
-        for length in set(chunk) - cache.keys():
-            cache[length] = template(length)
-        text = (sep if s else lead) + sep.join([cache[length] for length in chunk])
+    for s in range(0, len(cols[0]), _CHUNK_ROWS):
+        part = [c[s : s + _CHUNK_ROWS] for c in cols]
+        if flat is None:
+            values = _interleave(part, None, at, None)
+            pieces = [cache.setdefault(0, template(0))] * len(part[0])
+        else:
+            lens = lengths[s : s + _CHUNK_ROWS]
+            values = _interleave(part, lens, at, flat[ends[s] - lens[0] : ends[s + len(lens) - 1]])
+            chunk = lens.tolist()
+            for length in set(chunk) - cache.keys():
+                cache[length] = template(length)
+            pieces = [cache[length] for length in chunk]
+        text = (sep if s else lead) + sep.join(pieces)
         yield text % tuple(values.tolist())
 
 
 def _json_rows(block: RowBlock, indent: str):
     """Pieces of json.dumps(rows, indent=2, sort_keys=True) for the list of
     the block's rows as dicts, nested at ``indent``."""
-    if not len(block):
-        yield "[]"
-        return
     pad, inner = indent + "  ", indent + "    "
-    keys = sorted([*block.columns, *([block.list_key] if block.list_key is not None else [])])
+    keys = sorted([*block.keys, *([block.list_key] if block.list_key is not None else [])])
     names = {key: json.dumps(key).replace("%", "%%") for key in keys}
 
     def template(length: int) -> str:
@@ -159,13 +188,14 @@ def _json_rows(block: RowBlock, indent: str):
             items.append(f"{inner}{names[key]}: {value}")
         return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
 
-    cols = [block.columns[key] for key in keys if key != block.list_key]
-    if block.list_key is None:
-        lengths, at = np.zeros(len(block), np.int64), 0
-    else:
-        lengths, at = block.lengths, keys.index(block.list_key)
-    yield from _format_rows(cols, lengths, at, block.flat, template, "[\n", ",\n")
-    yield "\n" + indent + "]"
+    at = 0 if block.list_key is None else keys.index(block.list_key)
+    lead = "[\n"
+    for chunk in block.chunks():
+        if len(chunk):
+            cols = [chunk.columns[key] for key in keys if key != block.list_key]
+            yield from _format_rows(cols, chunk.lengths, at, chunk.flat, template, lead, ",\n")
+            lead = ",\n"
+    yield "[]" if lead == "[\n" else "\n" + indent + "]"
 
 
 def canonical_json(obj, out) -> None:
@@ -504,12 +534,13 @@ def write_csv(header: str, block: RowBlock, out) -> None:
     """Write the header line, then one comma-separated line per row (per list
     element when the block has a list column), newline-terminated, to the
     text stream ``out``. The header is checked before the first write."""
-    width = len(block.columns) + (block.list_key is not None)
+    width = len(block.keys) + (block.list_key is not None)
     if len(header.split(",")) != width:
         raise ValueError(f"CSV header {header!r} does not name {width} columns")
     line = ",".join(["%s"] * width)
     out.write(header)
-    pieces = [list(block.columns.values())] if block.list_key is None else _list_lines(block)
-    for cols in pieces:
-        out.writelines(_format_rows(cols, np.zeros(len(cols[0]), np.int64), 0, None, lambda _: line, "\n", "\n"))
+    for chunk in block.chunks():
+        pieces = [list(chunk.columns.values())] if block.list_key is None else _list_lines(chunk)
+        for cols in pieces:
+            out.writelines(_format_rows(cols, None, 0, None, lambda _: line, "\n", "\n"))
     out.write("\n")

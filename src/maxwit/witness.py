@@ -180,6 +180,8 @@ def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = Non
 
 # bytes of the (entries, words) uint64 AND block the few-witness branch holds at once
 _CHUNK_BYTES = 1 << 20
+# hits of one sampling round whose lone survivors are read at once
+_CHUNK_HITS = 1 << 15
 
 
 def _sample_rounds(n_scale: int, k: int) -> int:
@@ -187,33 +189,48 @@ def _sample_rounds(n_scale: int, k: int) -> int:
     return 2 * math.ceil(math.log2(max(n_scale, 2))) + 2 * k
 
 
+def _index_type(m: int) -> np.dtype:
+    """The narrowest signed integer type that holds -1 and every value up to m."""
+    return np.min_scalar_type(-m - 1)
+
+
+def _live_part(unfinished: np.ndarray, af: np.ndarray, bf: np.ndarray):
+    """(rows, columns, A's rows, B's columns, mask) of the rows and columns
+    that hold unfinished entries; None if they span over half the product."""
+    rows, cols = np.flatnonzero(unfinished.any(axis=1)), np.flatnonzero(unfinished.any(axis=0))
+    if 2 * rows.size * cols.size > unfinished.size:
+        return None
+    sub = unfinished.take(rows, axis=0).take(cols, axis=1)
+    return rows, cols, af.take(rows, axis=0), bf.take(cols, axis=1), sub
+
+
 def _collect_witnesses(
     a_dense: np.ndarray, b_dense: np.ndarray, k: int, rng: np.random.Generator, want: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Find min(k, W) distinct witnesses per entry of the product of 0/1 arrays.
 
-    Returns (found, counts, wcount): found and wcount are int32 while q <
-    2^31 (else int64), counts is int64, the type of ``WitnessLists``
-    lengths. found is (p, r, k), sorted descending per entry and padded
-    with -1; counts equals min(k, wcount) for every entry, unconditionally.
-    Where the optional (p, r) bool mask ``want`` is False the entry is left
-    out: its wcount and count are 0, its slots stay -1, and it takes no part
-    in the sampling.
+    Returns (found, counts, wcount) in ``_index_type(max(q, k))``, to be
+    widened before any offset is added. found is (p, r, k), sorted
+    descending per entry and padded with -1; counts equals min(k, wcount)
+    for every entry, unconditionally. Where the optional (p, r) bool mask
+    ``want`` is False the entry is left out: its wcount and count are 0, its
+    slots stay -1, and it takes no part in the sampling.
 
     Entries with 1 <= W <= k take their complete witness set from boolmat's
     witness-bit kernel, in blocks of about 1 MiB of words. Entries with more
     than k witnesses draw random column subsets at rate 2^-t near t = log2(W); a
     subset where exactly one witness survives hits, and that witness is the
     one set bit of the packed rows ANDed with the subset's column mask, so no
-    index-sum product is needed. After each round's count product only the
-    entries that hit are read, and only those that finish leave the masks.
-    A final deterministic scan fills whatever the sampling missed. Counts are
+    index-sum product is needed. Once few entries are left, a round's count
+    product covers only their rows and columns; hits are read _CHUNK_HITS at
+    a time, and only the entries that finish leave the masks. A final
+    deterministic scan fills whatever the sampling missed. Counts are
     float32 products, exact while q < 2^24 (float64 above).
     """
     p, q = a_dense.shape
     r = b_dense.shape[1]
     ftype = np.float32 if q < 1 << 24 else np.float64
-    itype = np.int32 if q < 1 << 31 else np.int64  # holds every witness and witness count
+    itype = _index_type(max(q, k))
     af = a_dense.astype(ftype)
     bf = b_dense.astype(ftype)
     wcount = (af @ bf).astype(itype)
@@ -222,7 +239,7 @@ def _collect_witnesses(
     # entries are addressed by flat index i * r + j from here on
     wc = wcount.ravel()
     found = np.full((p * r, k), -1, dtype=itype)
-    cnt = np.zeros(p * r, dtype=np.int64)
+    cnt = np.zeros(p * r, dtype=itype)
     few = np.flatnonzero((wc > 0) & (wc <= k))
     unfinished = wcount > k  # the sampling serves these until each has k witnesses
     left = int(np.count_nonzero(unfinished))
@@ -234,11 +251,13 @@ def _collect_witnesses(
         e = few[s : s + step]
         found[e] = _witness_bits(wa, wb, e // r, e % r, count=k)
     cnt[few] = wc[few]
+    del few
 
     if left:
         rounds = _sample_rounds(max(p, q, r), k)
         wa, wb = wa.T.copy(), wb.T.copy()  # word-major: one word of every row is contiguous
         pick = np.zeros(64 * words, dtype=bool)  # a round's sampled columns, padded to whole words
+        taken, live = left, None  # live: _live_part when `taken` entries were left
         for t in range(1, math.ceil(math.log2(max(q, 2))) + 1):
             hi = min(4 << t, np.iinfo(itype).max)  # in itype's range; every count is below q
             band = unfinished & (wcount >= (1 << (t - 1))) & (wcount <= hi)
@@ -251,37 +270,48 @@ def _collect_witnesses(
                 cols = np.flatnonzero(pick)
                 if cols.size == 0:
                     continue
-                e = np.flatnonzero((af[:, cols] @ bf[cols, :] == 1) & unfinished)
-                if e.size == 0:
+                # taken again each time half of them finish, once they may span half the product
+                if 2 * left <= taken and 2 * min(p, left) * min(r, left) <= p * r:
+                    taken, live = left, _live_part(unfinished, af, bf)
+                if live is None:
+                    hits = np.flatnonzero((af[:, cols] @ bf[cols, :] == 1) & unfinished)
+                else:
+                    rows, at, a_live, b_live, sub = live
+                    hits = np.flatnonzero((a_live[:, cols] @ b_live[cols] == 1) & sub)
+                    hits = rows[hits // at.size] * r + at[hits % at.size]  # flat ids, row-major
+                    hits = hits[unfinished.ravel()[hits]]  # not finished since sub was taken
+                if hits.size == 0:
                     continue
                 # the lone survivor is the one set bit of the masked AND; a power
                 # of two converts to float64 exactly, so frexp gives its index
-                ii, jj = np.divmod(e, r)
                 mask = np.packbits(pick, bitorder="little").view("<u8")
-                w = np.full(e.size, -1, dtype=np.int64)
-                for word in np.flatnonzero(mask).tolist():
-                    x = wa[word, ii]
-                    x &= wb[word, jj]
-                    x &= mask[word]
-                    bit = np.frexp(x.astype(np.float64))[1]  # 1 + the bit's index; 0 if no bit
-                    w += bit
-                    if word:
-                        w += (bit > 0) * (64 * word)
-                fresh = ~(found[e] == w[:, None]).any(axis=1)
-                e, w = e[fresh], w[fresh]
-                if e.size == 0:
-                    continue
-                slots = cnt[e]
-                found[e, slots] = w
-                cnt[e] = slots + 1
-                e = e[slots + 1 == k]
-                if e.size:  # only the entries that just finished leave the masks
-                    unfinished.ravel()[e] = False
-                    left -= e.size
-                    in_band -= int(np.count_nonzero(band.ravel()[e]))
-                    band.ravel()[e] = False
-                    if not in_band:
-                        break
+                for c in range(0, hits.size, _CHUNK_HITS):
+                    e = hits[c : c + _CHUNK_HITS]
+                    ii, jj = np.divmod(e, r)
+                    w = np.full(e.size, -1, dtype=np.int64)
+                    for word in np.flatnonzero(mask).tolist():
+                        x = wa[word, ii]
+                        x &= wb[word, jj]
+                        x &= mask[word]
+                        bit = np.frexp(x.astype(np.float64))[1]  # 1 + the bit's index; 0 if no bit
+                        w += bit
+                        if word:
+                            w += (bit > 0) * (64 * word)
+                    fresh = ~(found[e] == w[:, None]).any(axis=1)
+                    e, w = e[fresh], w[fresh]
+                    if e.size == 0:
+                        continue
+                    slots = cnt[e]
+                    found[e, slots] = w
+                    cnt[e] = slots + 1
+                    e = e[slots + 1 == k]
+                    if e.size:  # only the entries that just finished leave the masks
+                        unfinished.ravel()[e] = False
+                        left -= e.size
+                        in_band -= int(np.count_nonzero(band.ravel()[e]))
+                        band.ravel()[e] = False
+                if not in_band:
+                    break
             if not left:
                 break
 
@@ -296,10 +326,11 @@ def _collect_witnesses(
                 found[e, cnt[e]] = kk
                 cnt[e] += 1
 
-    # descending with the -1 padding last, in place: sort the negated values
-    np.negative(found, out=found)
-    found.sort(axis=1)
-    np.negative(found, out=found)
+    # the few-witness lists are descending already; sort the sampled ones, -1 last
+    sampled = np.flatnonzero(wc > k)
+    lists = np.negative(found[sampled])
+    lists.sort(axis=1)
+    found[sampled] = np.negative(lists, out=lists)
     assert (cnt == np.minimum(wc, k)).all()
     return found.reshape(p, r, k), cnt.reshape(p, r), wcount
 
@@ -329,10 +360,8 @@ def k_witness(a: BoolMatrix, b: BoolMatrix, k: int, seed: int = 0) -> WitnessLis
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     found, cnt = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))[:2]
-    # entry (i, j) lists the first cnt[i, j] slots of found[i, j], the ones that are not -1;
-    # the slots are freed before WitnessLists widens the witnesses to int64
-    found = found[found >= 0]
-    return WitnessLists(n, k, cnt, found)
+    # entry (i, j) lists the first cnt[i, j] slots of found[i, j], the ones that are not -1
+    return WitnessLists(n, k, cnt, found[found >= 0])
 
 
 def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -> WitnessMatrix:
@@ -357,7 +386,7 @@ def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -
         s, e = dec.ranges[p]
         want = top == p + 1
         found = _collect_witnesses(ad[:, s:e], bd[s:e, :], 1, np_stream(seed, _TAG_RANK, p), want)[0]
-        wm.array[want] = found[want, 0] + s
+        wm.array[want] = np.add(found[want, 0], s, dtype=np.int64)  # widened first: s may not fit found's type
         del found  # not held while the next strip samples
     return wm
 

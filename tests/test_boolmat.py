@@ -68,9 +68,24 @@ def test_product_matches_scalar_loops(monkeypatch):
             assert _dense(bool_product(a, b)) == want, (seed, chunk)
 
 
+def test_product_column_blocks_match_scalar_loops(monkeypatch):
+    # B's columns span several words, so blocks of one word and of a few
+    # words meet the padding of B's last word
+    for seed in range(4):
+        rng = np_stream(seed, 901)
+        n, m, r = (int(x) for x in rng.integers(1, 200, 3))
+        a = BoolMatrix.from_dense(rng.random((n, m)) < 0.1)
+        b = BoolMatrix.from_dense(rng.random((m, r)) < 0.1)
+        want = dense_product(_dense(a), _dense(b))
+        for chunk in (1, 4 * 64 * m, 3 * 4 * 64 * m + 1):
+            monkeypatch.setattr(boolmat, "_CHUNK_BYTES", chunk)
+            assert _dense(bool_product(a, b)) == want, (seed, chunk)
+
+
 def test_product_memory_is_one_float_factor_plus_blocks():
     # at n=1024 the float32 copies of both factors and the float32 product
-    # took 12.0 MiB of tracemalloc; B's copy and 1 MiB row blocks take 7.1
+    # took 12.0 MiB of tracemalloc; B's copy and 1 MiB row blocks took 7.1;
+    # 1 MiB blocks of both A's rows and B's columns take 3.4
     a = random_matrix(1024, 0.01, seed=71)
     b = random_matrix(1024, 0.01, seed=72)
     tracemalloc.start()
@@ -79,7 +94,7 @@ def test_product_memory_is_one_float_factor_plus_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8.5 * 2**20, peak / 2**20
+    assert peak < 4.5 * 2**20, peak / 2**20
 
 
 def test_product_rejects_dimension_mismatch():
@@ -323,6 +338,52 @@ def test_rank_checks_match_scalar_ranks(n, q):
         for check in (witness_rank_matrix, witness_violations):
             with pytest.raises(ValueError, match=rf"entry \({n - 1}, 0\) has witness {q} outside"):
                 check(a, b, WitnessMatrix(n, w))
+
+
+def test_check_pass_counts_and_lists_across_blocks(monkeypatch):
+    """The check pass gives the counts of witness_violations and its first
+    entries, whatever the blocks of rows it runs over."""
+    rng = np_stream(5, 902)
+    a = BoolMatrix.from_dense(rng.random((30, 70)) < 0.05)
+    b = BoolMatrix.from_dense(rng.random((70, 30)) < 0.05)
+    w = max_witness_oracle(a, b).array.copy()
+    w[rng.random(w.shape) < 0.2] = -1  # missing where the product is 1
+    w[rng.random(w.shape) < 0.2] = 69  # invalid or spurious, unless 69 is a witness
+    wm = WitnessMatrix(30, w)
+    want = witness_violations(a, b, wm)
+    ranks = witness_rank_matrix(a, b, wm)
+    assert all(want[key] for key in ("invalid", "missing", "spurious"))
+    for rows in (1, 7, 1 << 15):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 30 * rows)
+        for max_rank in (None, 1, 2):
+            counts, lists = boolmat._check_pass(a, b, wm, max_rank)
+            for key in ("invalid", "missing", "spurious"):
+                assert counts[key] == len(want[key]) and lists[key] == want[key][:10]
+            assert counts["disagreements"] == want["disagreements"]
+            if max_rank is None:
+                assert "rank_violations" not in counts
+            else:
+                assert counts["rank_violations"] == int(((ranks > max_rank) | (ranks == -2)).sum())
+        assert witness_violations(a, b, wm) == want
+        assert np.array_equal(witness_rank_matrix(a, b, wm), ranks)
+    counts, lists = boolmat._check_pass(a, b, wm, listed=0)
+    assert lists == {"invalid": [], "missing": [], "spurious": []} and counts["missing"] > 0
+
+
+def test_check_pass_holds_no_quadratic_arrays():
+    # the check at n=1024, d=0.01 held n^2 int64 ranks, n^2 masks and a dense
+    # copy of the product: 14.0 MiB of tracemalloc; over blocks of rows it
+    # takes 3.4 MiB, set by bool_product's blocks
+    a = random_matrix(1024, 0.01, seed=71)
+    b = random_matrix(1024, 0.01, seed=72)
+    wm = max_witness_oracle(a, b)
+    tracemalloc.start()
+    try:
+        boolmat._check_pass(a, b, wm, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20, peak / 2**20
 
 
 def test_rank_checks_use_quadratic_memory():

@@ -596,7 +596,10 @@ def test_report_emission_memory(tmp_path):
     kwitness lines expanded one chunk at a time, not as whole repeated
     columns, its CSV peaks at 5.2 MiB. Decoded window by window from the
     open file into the witness matrix, that verify peaks at 6.8 MiB; the
-    8.5 MiB bound fails at the 11.6 MiB of reading the whole file.
+    8.5 MiB bound fails at the 11.6 MiB of reading the whole file. With the
+    --verify check over blocks of rows and the witness rows handed to the
+    writer one block of matrix rows at a time, the maxwit JSON report peaks
+    at 3.15 MiB; the 3.5 MiB bound fails at the 4.4 MiB of whole columns.
 
     A compact document goes through json.loads. Its verify peaked 2.4 MiB
     above json.loads of the file's text alone while the 2.3 MiB file was
@@ -611,7 +614,7 @@ def test_report_emission_memory(tmp_path):
     pair = ["--a", str(a), "--b", str(b)]
     assert main(["maxwit", *pair, "--out", str(full)]) == 0
     for argv, bound in (
-        (["maxwit", *gen, "--out", str(tmp_path / "m.json")], 5.5),
+        (["maxwit", *gen, "--out", str(tmp_path / "m.json")], 3.5),
         (["kwitness", *gen, "--k", "4", "--format", "csv", "--out", str(tmp_path / "k.csv")], 6.5),
         (["maxwit", *gen, "--format", "csv", "--out", str(tmp_path / "m.csv")], 4.5),
         (["verify", *pair, "--result", str(full), "--out", str(tmp_path / "v.json")], 8.5),
@@ -627,11 +630,11 @@ def test_report_emission_memory(tmp_path):
 
 
 def test_verify_memory_does_not_grow_with_defects(tmp_path):
-    """verify counts defects from the rank pass's masks, not a tuple per defect.
+    """verify counts defects in the rank pass, not a tuple per defect.
 
     An empty report against an n=512, density 0.3 pair has 262,144 missing
     entries. Built as lists of tuples they peaked at 49.0 MiB of tracemalloc;
-    the masks peak at 5.8 MiB.
+    counted from n x n masks, at 5.8 MiB; counted block by block, at 5.4 MiB.
     """
     a, b, res = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "empty.json"
     save_matrix_text(a, random_matrix(512, 0.3, 1))
@@ -667,8 +670,10 @@ def test_kwitness_job_memory(tmp_path, fmt):
     built (i, j, w) arrays over every witness and the CSV writer repeated
     whole columns; 19.2 MiB for both with blocked sampling, check and CSV
     lines, which the sampling core's int64 witness slots set. With int32
-    slots the job peaks at 17.6 MiB, in report writing; the 18.5 MiB bound
-    leaves 5% above that and fails at the 19.2 MiB.
+    slots the job peaked at 17.6 MiB, in report writing. With slots, counts
+    and lists kept in the narrowest type that holds q, k and -1 (int8 here)
+    and the report rows made one block of matrix rows at a time, it peaks at
+    10.1 MiB; the 11.5 MiB bound fails at the 17.6 MiB.
     """
     argv = ["kwitness", "--n", "512", "--density", "0.0765", "--seed", "1", "--k", "4", "--verify"]
     tracemalloc.start()
@@ -677,7 +682,25 @@ def test_kwitness_job_memory(tmp_path, fmt):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 18.5 * 2**20, peak / 2**20
+    assert peak < 11.5 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("algo", ["strips", "oracle"])
+def test_exact_job_memory_after_the_solver(tmp_path, algo):
+    """The --verify check and the report writer hold no n x n temporaries.
+
+    Peaks of tracemalloc over the whole command at n=1024, density 0.01:
+    22.3 MiB for both solvers while the check held n^2 int64 ranks, n^2
+    masks and a dense product, max_witness_oracle filled its own n^2 array
+    that WitnessMatrix then copied, and the CSV writer held whole i, j and
+    witness columns. With the check over blocks of rows, the oracle writing
+    into the result's array and the rows made one block of matrix rows at a
+    time, both peak at 13.7 MiB, 8 MiB of it the int64 witness matrix; the
+    15 MiB bound fails at the 22.3 MiB.
+    """
+    argv = ["maxwit", "--algo", algo, "--n", "1024", "--density", "0.01", "--verify", "--format", "csv"]
+    peak = _peak(lambda: main([*argv, "--out", str(tmp_path / "w.csv")]) == 0)
+    assert peak < 15 * 2**20, peak / 2**20
 
 
 def test_verify_may_write_over_a_report_of_many_windows(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from maxwit import cli
 from maxwit.boolmat import BoolMatrix, WitnessMatrix, max_witness_oracle, random_matrix
+from maxwit.witness import k_witness
 from maxwit.cli import main
 from maxwit.graphs import (
     Dag,
@@ -310,6 +311,90 @@ def test_streamed_writers_match_json_dumps_and_joined_lines(block, stats):
     else:
         lines = [(*(r[k] for k in block.columns), w) for r in rows for w in r[block.list_key]]
     assert _csv_text(",".join(keys), block) == _csv(",".join(keys), lines)
+
+
+def _chunked(block: RowBlock, sizes: list[int]) -> RowBlock:
+    """block's rows cut into plain chunks of the given row counts (the last takes the rest)."""
+    ends = np.cumsum([0, *sizes, len(block)]).clip(max=len(block))
+    starts = np.cumsum(block.lengths) - block.lengths if block.list_key else None
+
+    def source():
+        for s, e in zip(ends[:-1], ends[1:]):
+            cols = {key: c[s:e] for key, c in block.columns.items()}
+            if block.list_key is None:
+                yield RowBlock(cols)
+            else:
+                first = int(starts[s]) if s < len(block) else block.flat.size
+                lengths = block.lengths[s:e]
+                yield RowBlock(cols, block.list_key, lengths, block.flat[first : first + int(lengths.sum())])
+
+    return RowBlock.chunked(block.columns, source, block.list_key)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [_witness_block(0), _witness_block(9), _witness_block(2 * _CHUNK_ROWS + 5), _list_block([]),
+     _list_block([0, 3, 1, 0, 2, 0, 0, 4]), _list_block([0, _CHUNK_ROWS + 3, 0, 2])],
+    ids=["empty", "rows", "rows-over-chunks", "empty-lists", "lists", "list-longer-than-a-chunk"],
+)
+@pytest.mark.parametrize("sizes", [[], [0, 0], [1, 0, 2], [3, 3, 3], [0, 2 * _CHUNK_ROWS + 1]])
+def test_chunked_row_blocks_write_the_bytes_of_the_whole_block(block, sizes):
+    # empty chunks anywhere, including first and last, leave no trace
+    chunked = _chunked(block, sizes)
+    keys = ",".join([*block.columns, *([block.list_key] if block.list_key else [])])
+    for doc in ({"result": {"n": 5, "entries": block}}, {"entries": block, "z": [block]}):
+        assert _json_text(_swap(doc, block, chunked)) == _json_text(doc)
+    assert _csv_text(keys, chunked) == _csv_text(keys, block)
+
+
+def _swap(obj, old, new):
+    if obj is old:
+        return new
+    if isinstance(obj, dict):
+        return {k: _swap(v, old, new) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_swap(v, old, new) for v in obj]
+    return obj
+
+
+def test_chunked_row_block_checks_each_chunk():
+    def source():
+        yield RowBlock({"i": np.arange(2), "j": np.arange(2)})
+        yield RowBlock({"j": np.arange(2), "i": np.arange(2)})
+
+    block = RowBlock.chunked(("i", "j"), source)
+    with pytest.raises(ValueError, match="a chunk has the columns"):
+        _json_text({"entries": block})
+    with pytest.raises(ValueError, match="a chunk has the columns"):
+        _csv_text("i,j", block)
+    with pytest.raises(ValueError, match="does not name 2 columns"):
+        _csv_text("i", RowBlock.chunked(("i", "j"), lambda: iter(())))
+    assert _json_text({"entries": RowBlock.chunked(("i",), lambda: iter(()))}) == _dumps({"entries": []})
+
+
+@pytest.mark.parametrize("step", [1, 7, 1 << 15])
+@pytest.mark.parametrize("one_based", [False, True])
+def test_witness_row_chunks_cover_the_whole_columns(monkeypatch, step, one_based):
+    """Witness matrices and k-witness lists hand out their report rows one
+    block of whole rows at a time; together the blocks are their columns."""
+    monkeypatch.setattr("maxwit.boolmat._BLOCK_ENTRIES", step)
+    a, b = random_matrix(13, 0.3, seed=5), random_matrix(13, 0.3, seed=6)
+    wm = max_witness_oracle(a, b)
+    chunks = list(wm.row_chunks(one_based))
+    assert len(chunks) == -(-13 // max(1, step // 13))
+    for key, column in wm.columns(one_based).items():
+        assert np.array_equal(np.concatenate([c[key] for c in chunks]), column)
+    wl = k_witness(a, b, 3, seed=2)
+    whole = wl.columns(one_based)
+    chunks = list(wl.row_chunks(one_based))
+    for key in ("i", "j"):
+        assert np.array_equal(np.concatenate([c[0][key] for c in chunks]), whole[0][key])
+    for part in (2, 3):
+        assert np.array_equal(np.concatenate([c[part] for c in chunks]), whole[part])
+    rows = cli._witness_rows(None, None, (wm, None), int(one_based))
+    plain = RowBlock(wm.columns(one_based))
+    assert _json_text({"entries": rows}) == _json_text({"entries": plain})
+    assert _csv_text("i,j,witness", rows) == _csv_text("i,j,witness", plain)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -362,8 +362,10 @@ def test_rank_bounded_memory_is_one_strips_arrays():
     ell=64: 63.6 MiB while every strip held an int64 strip index, int64
     witness counts, the previous strip's arrays and a result copied at the
     end; 36.7 MiB with the narrow strip index, int32 witness counts, one
-    strip's arrays at a time and the result written in place. The 40 MiB
-    bound fails at the first."""
+    strip's arrays at a time and the result written in place; 23.6 MiB with
+    witness slots, counts and witness counts in the narrowest type that
+    holds the strip width (int8 here). The 26 MiB bound fails at the
+    second."""
     a = random_matrix(1024, 0.01, seed=81)
     b = random_matrix(1024, 0.01, seed=82)
     tracemalloc.start()
@@ -372,7 +374,7 @@ def test_rank_bounded_memory_is_one_strips_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20, peak / 2**20
+    assert peak < 26 * 2**20, peak / 2**20
 
 
 def test_collect_witnesses_memory_is_bounded():
@@ -387,6 +389,22 @@ def test_collect_witnesses_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
+
+
+def test_collect_witnesses_reads_hits_in_blocks_with_the_same_draws():
+    """Lone survivors read a few hits at a time give the same lists as one
+    read of every hit: the draws and their order do not change."""
+    for case, (p, q, r, density, k) in enumerate([(40, 200, 33, 0.35, 4), (17, 96, 6, 0.8, 2), (60, 60, 60, 0.5, 1)]):
+        rng = np.random.default_rng(case + 90)
+        ad = (rng.random((p, q)) < density).astype(np.uint8)
+        bd = (rng.random((q, r)) < density).astype(np.uint8)
+        want = witness._collect_witnesses(ad, bd, k, np_stream(case, 9))
+        for hits in (1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(witness, "_CHUNK_HITS", hits)
+                got = witness._collect_witnesses(ad, bd, k, np_stream(case, 9))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (case, hits)
 
 
 def test_k_witness_rejects_bad_k():
