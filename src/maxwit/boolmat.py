@@ -457,8 +457,7 @@ def bool_product(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     A sum of nonnegative 0/1 products is positive exactly where some term
     is, whatever its rounding, so ``> 0`` is exact at any inner dimension.
     Each block, of A's rows or of whole words of B's columns, is unpacked
-    into about _CHUNK_BYTES of float32; B's zero padding bits give zero
-    products.
+    into about _CHUNK_BYTES of float32.
     """
     product_dims(a, b)
     words = np.empty((a.rows, -(-b.cols // 64)), np.uint64)
@@ -466,7 +465,7 @@ def bool_product(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     span = max(1, _CHUNK_BYTES // (4 * 64 * b.rows))  # words of B's columns per block
     for c in range(0, words.shape[1], span):
         part = b.words[:, c : c + span]
-        bf = _unpacked(part, 64 * part.shape[1]).astype(np.float32)
+        bf = _unpacked(part, min(64 * part.shape[1], b.cols - 64 * c)).astype(np.float32)
         for s in range(0, a.rows, rows):
             af = _unpacked(a.words[s : s + rows], a.cols).astype(np.float32)
             words[s : s + rows, c : c + span] = _packed_words(af @ bf > 0, part.shape[1])

@@ -80,6 +80,17 @@ def test_product_column_blocks_match_scalar_loops(monkeypatch):
         for chunk in (1, 4 * 64 * m, 3 * 4 * 64 * m + 1):
             monkeypatch.setattr(boolmat, "_CHUNK_BYTES", chunk)
             assert _dense(bool_product(a, b)) == want, (seed, chunk)
+    # a narrow B unpacks only its own columns: 64 float32 columns of 2^15
+    # rows would alone take 8 MiB
+    monkeypatch.undo()
+    a, b = BoolMatrix.ones(2, 1 << 15), BoolMatrix.ones(1 << 15, 2)
+    tracemalloc.start()
+    try:
+        assert bool_product(a, b) == BoolMatrix.ones(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak / 2**20
 
 
 def test_product_memory_is_one_float_factor_plus_blocks():
