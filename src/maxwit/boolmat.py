@@ -398,11 +398,20 @@ class WitnessLists:
             raise ValueError("list not strictly decreasing")
         return self.lengths(), wits
 
-    def columns(self, one_based: bool = False, start: int = 0, stop: int | None = None, first: int = 0) -> tuple:
-        """The nonempty entries of rows [start, stop) in row-major order: their
-        "i" and "j" arrays, the list key "witnesses", their list lengths and
-        all their witnesses, flat (the arguments of ``io.RowBlock``); row
-        start's first witness is witnesses[first]."""
+    def columns(self, one_based: bool = False) -> tuple:
+        """The nonempty entries in row-major order: their "i" and "j" arrays,
+        the list key "witnesses", their list lengths and all their
+        witnesses, flat (the arguments of ``io.RowBlock``)."""
+        return self._row_columns(one_based, 0, self.n, 0)
+
+    def row_chunks(self, one_based: bool = False) -> Iterator[tuple]:
+        """``columns`` of successive blocks of whole rows of about _BLOCK_ENTRIES entries."""
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        ends = [0, *np.cumsum(self._lengths.sum(axis=1)).tolist()]  # row i's witnesses start at ends[i]
+        return (self._row_columns(one_based, s, s + step, ends[s]) for s in range(0, self.n, step))
+
+    def _row_columns(self, one_based: bool, start: int, stop: int, first: int) -> tuple:
+        """``columns`` of rows [start, stop), whose first witness is witnesses[first]."""
         off = int(one_based)
         rows = self._lengths[start:stop]
         i, j = np.nonzero(rows)
@@ -411,12 +420,6 @@ class WitnessLists:
         wits = self.witnesses if count == self.witnesses.size else self.witnesses[first : first + count]
         i += start + off
         return {"i": i, "j": j + off}, "witnesses", lengths, np.add(wits, off, dtype=np.int64) if off else wits
-
-    def row_chunks(self, one_based: bool = False) -> Iterator[tuple]:
-        """``columns`` of successive blocks of whole rows of about _BLOCK_ENTRIES entries."""
-        step = max(1, _BLOCK_ENTRIES // self.n)
-        ends = np.cumsum(self._lengths.sum(axis=1)).tolist()  # row i's witnesses end at ends[i]
-        return (self.columns(one_based, s, s + step, ends[s - 1] if s else 0) for s in range(0, self.n, step))
 
     def to_json_dict(self, one_based: bool = False) -> dict:
         return {"n": self.n, "k": self.k, "entries": _dict_rows(*self.columns(one_based))}

@@ -14,10 +14,12 @@ full run configuration, so identical configurations yield byte-identical
 files; wall-clock timings are included only on request (--timing) and never
 in campaign reports. Every report, JSON or CSV, is written piece by piece
 onto stdout or the --out file, which is opened only at the first write: a
-report that fails a writer's check leaves an existing file untouched.
-Witness and k-witness rows reach the writers one block of matrix rows at a
-time (``io.RowBlock.chunked``). The
-verify command reads the --result file with ``io.read_witness_report``,
+report that fails a writer's check before that write leaves an existing
+file untouched. Witness and k-witness rows reach the writers one block of
+matrix rows at a time (``io.RowBlock.chunked``), and each block is checked
+as it is made, so a block that failed would leave a partial file; these
+blocks hold only integer columns, which pass every check. The verify
+command reads the --result file with ``io.read_witness_report``,
 which decodes a canonical report window by window into the witness matrix,
 and closes it before it writes anything. The MAXWIT_THREADS environment
 variable caps campaign parallelism; results are merged by trial index, so

@@ -119,6 +119,8 @@ class RowBlock:
             yield chunk
 
     def __len__(self) -> int:
+        if self.source is not None:
+            raise TypeError("a chunked row block has no length until its chunks are made")
         return len(next(iter(self.columns.values())))
 
 
@@ -131,7 +133,7 @@ def _interleave(cols: list[np.ndarray], lengths, at: int, flat) -> np.ndarray:
         for pos, c in enumerate(cols):
             out[:, pos] = c
         return out.ravel()
-    width = len(cols) + lengths
+    width = lengths.astype(np.int64) + len(cols)  # widened first: lengths may be int8
     start = np.cumsum(width) - width
     out = np.empty(int(width.sum()), np.int64 if ints else object)
     scalar = np.zeros(out.size, dtype=bool)

@@ -194,16 +194,6 @@ def _index_type(m: int) -> np.dtype:
     return np.min_scalar_type(-m - 1)
 
 
-def _live_part(unfinished: np.ndarray, af: np.ndarray, bf: np.ndarray):
-    """(rows, columns, A's rows, B's columns, mask) of the rows and columns
-    that hold unfinished entries; None if they span over half the product."""
-    rows, cols = np.flatnonzero(unfinished.any(axis=1)), np.flatnonzero(unfinished.any(axis=0))
-    if 2 * rows.size * cols.size > unfinished.size:
-        return None
-    sub = unfinished.take(rows, axis=0).take(cols, axis=1)
-    return rows, cols, af.take(rows, axis=0), bf.take(cols, axis=1), sub
-
-
 def _collect_witnesses(
     a_dense: np.ndarray, b_dense: np.ndarray, k: int, rng: np.random.Generator, want: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,11 +211,11 @@ def _collect_witnesses(
     than k witnesses draw random column subsets at rate 2^-t near t = log2(W); a
     subset where exactly one witness survives hits, and that witness is the
     one set bit of the packed rows ANDed with the subset's column mask, so no
-    index-sum product is needed. Once few entries are left, a round's count
-    product covers only their rows and columns; hits are read _CHUNK_HITS at
-    a time, and only the entries that finish leave the masks. A final
-    deterministic scan fills whatever the sampling missed. Counts are
-    float32 products, exact while q < 2^24 (float64 above).
+    index-sum product is needed. After each round's count product only the
+    entries that hit are read, _CHUNK_HITS at a time, and only those that
+    finish leave the masks. A final deterministic scan fills whatever the
+    sampling missed. Counts are float32 products, exact while q < 2^24
+    (float64 above).
     """
     p, q = a_dense.shape
     r = b_dense.shape[1]
@@ -257,7 +247,6 @@ def _collect_witnesses(
         rounds = _sample_rounds(max(p, q, r), k)
         wa, wb = wa.T.copy(), wb.T.copy()  # word-major: one word of every row is contiguous
         pick = np.zeros(64 * words, dtype=bool)  # a round's sampled columns, padded to whole words
-        taken, live = left, None  # live: _live_part when `taken` entries were left
         for t in range(1, math.ceil(math.log2(max(q, 2))) + 1):
             hi = min(4 << t, np.iinfo(itype).max)  # in itype's range; every count is below q
             band = unfinished & (wcount >= (1 << (t - 1))) & (wcount <= hi)
@@ -270,16 +259,7 @@ def _collect_witnesses(
                 cols = np.flatnonzero(pick)
                 if cols.size == 0:
                     continue
-                # taken again each time half of them finish, once they may span half the product
-                if 2 * left <= taken and 2 * min(p, left) * min(r, left) <= p * r:
-                    taken, live = left, _live_part(unfinished, af, bf)
-                if live is None:
-                    hits = np.flatnonzero((af[:, cols] @ bf[cols, :] == 1) & unfinished)
-                else:
-                    rows, at, a_live, b_live, sub = live
-                    hits = np.flatnonzero((a_live[:, cols] @ b_live[cols] == 1) & sub)
-                    hits = rows[hits // at.size] * r + at[hits % at.size]  # flat ids, row-major
-                    hits = hits[unfinished.ravel()[hits]]  # not finished since sub was taken
+                hits = np.flatnonzero((af[:, cols] @ bf[cols, :] == 1) & unfinished)
                 if hits.size == 0:
                     continue
                 # the lone survivor is the one set bit of the masked AND; a power

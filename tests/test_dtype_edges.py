@@ -183,3 +183,23 @@ def test_kwitness_command_with_k_at_the_int8_edge(capsys):
     assert len(lines) == 1 + 128**3
     assert lines[1:129] == [f"1,1,{w}" for w in range(128, 0, -1)]
     assert lines[-1] == "128,128,1"
+
+
+@pytest.mark.parametrize("k", [126, 127])
+def test_kwitness_json_with_list_lengths_at_the_int8_edge(tmp_path, k):
+    # n = q = 127 keeps the list lengths int8; a row of the report is 2 + k
+    # values wide, which is above 127 here
+    out = tmp_path / "kwit.json"
+    argv = ["kwitness", "--n", "127", "--density", "1.0", "--k", str(k), "--verify", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verification"]["passed"] is True
+    entries = doc["result"]["entries"]
+    ones = np.ones((127, 127), np.uint8).tolist()
+    full = witness_list_entry(ones, ones, 0, 0)  # every entry's: 126, ..., 0
+    assert [(e["i"], e["j"]) for e in entries] == [(i, j) for i in range(127) for j in range(127)]
+    for e in entries:
+        got = e["witnesses"]
+        assert len(got) == k and got == sorted(set(got), reverse=True) and set(got) <= set(full)
+        if k == 127:
+            assert got == full

@@ -370,6 +370,8 @@ def test_chunked_row_block_checks_each_chunk():
     with pytest.raises(ValueError, match="does not name 2 columns"):
         _csv_text("i", RowBlock.chunked(("i", "j"), lambda: iter(())))
     assert _json_text({"entries": RowBlock.chunked(("i",), lambda: iter(()))}) == _dumps({"entries": []})
+    with pytest.raises(TypeError, match="no length"):
+        len(block)
 
 
 @pytest.mark.parametrize("step", [1, 7, 1 << 15])
