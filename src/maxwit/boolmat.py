@@ -131,11 +131,6 @@ class BoolMatrix:
         return cls.from_dense(dense)
 
     @classmethod
-    def from_strings(cls, rows: Sequence[str]) -> "BoolMatrix":
-        """Build from strings of '0'/'1'; leftmost character is column 0."""
-        return cls.from_rows([np.array(list(row), "U1") == "1" for row in rows])
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BoolMatrix":
         arr = np.asarray(dense)
         if arr.ndim != 2:
@@ -206,18 +201,6 @@ class WitnessMatrix:
 
     def set(self, i: int, j: int, witness: int | None) -> None:
         self._w[i, j] = -1 if witness is None else int(witness)
-
-    def present_mask(self) -> np.ndarray:
-        return self._w >= 0
-
-    def present_count(self) -> int:
-        return int((self._w >= 0).sum())
-
-    def agreement(self, other: "WitnessMatrix") -> float:
-        """Fraction of entries (including absent ones) that match exactly."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return float((self._w == other._w).mean())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -322,14 +305,13 @@ class WitnessMatrix:
         return list(zip(*(c.tolist() for c in self.columns(one_based).values())))
 
 
-def _dict_rows(columns: dict[str, np.ndarray], list_key=None, lengths=None, flat=None) -> list[dict]:
+def _dict_rows(columns: dict[str, np.ndarray], list_key=None, lists=None) -> list[dict]:
     """One dict per row of equal-length columns, keys in columns order; with
-    list_key, row r also gets the next lengths[r] values of flat."""
+    list_key, row r also gets the non-negative cells of lists[r]."""
     rows = [dict(zip(columns, vals)) for vals in zip(*(c.tolist() for c in columns.values()))]
     if list_key is not None:
-        ends, flat = np.cumsum(lengths).tolist(), flat.tolist()
-        for row, start, end in zip(rows, [0, *ends], ends):
-            row[list_key] = flat[start:end]
+        for row, cells in zip(rows, lists.tolist()):
+            row[list_key] = [w for w in cells if w >= 0]
     return rows
 
 
@@ -338,88 +320,70 @@ class WitnessLists:
 
     Produced by the k-witness solver: entry (i, j) holds min(k, W) distinct
     witnesses where W is that entry's witness count, so the list is empty
-    exactly where the Boolean product is 0. Stored flat: the (n, n) list
-    lengths and one array of every witness in row-major order, both kept in
-    the integer type they are given (widened to int64 before any offset).
+    exactly where the Boolean product is 0. Stored as the sampling core's
+    (n, n, k) ``slots``, kept as given (no copy, in their integer type):
+    entry (i, j) lists the non-negative cells of slots[i, j], largest first,
+    and negative cells pad the rest. Slots are widened to int64 before any
+    offset is added.
     """
 
-    __slots__ = ("n", "k", "_lengths", "witnesses", "_starts")
+    __slots__ = ("n", "k", "slots")
 
-    def __init__(self, n: int, k: int, lengths: np.ndarray, witnesses: np.ndarray):
-        lengths, witnesses = (
-            x if x.dtype.kind in "iu" else x.astype(np.int64) for x in map(np.asarray, (lengths, witnesses))
-        )
-        if lengths.shape != (n, n) or (lengths < 0).any():
-            raise ValueError("lengths must be an n x n array of nonnegative counts")
-        if witnesses.shape != (int(lengths.sum()),):
-            raise ValueError("witnesses must hold lengths.sum() values")
+    def __init__(self, n: int, k: int, slots: np.ndarray):
+        slots = np.asarray(slots)
+        if slots.shape != (n, n, k) or slots.dtype.kind not in "iu":
+            raise ValueError("slots must be an n x n x k integer array")
         self.n = n
         self.k = k
-        self._lengths = lengths
-        self.witnesses = witnesses
-        self._starts = None  # each entry's first index into witnesses, built by the first get
+        self.slots = slots
 
     @classmethod
     def from_lists(cls, n: int, k: int, lists: list[list[list[int]]]) -> "WitnessLists":
         """Build from nested lists: lists[i][j] is the list of entry (i, j)."""
         if len(lists) != n or any(len(row) != n for row in lists):
             raise ValueError("lists must be n x n")
-        cells = list(chain.from_iterable(lists))
-        lengths = np.fromiter(map(len, cells), np.int64, n * n).reshape(n, n)
-        return cls(n, k, lengths, np.fromiter(chain.from_iterable(cells), np.int64, int(lengths.sum())))
+        slots = np.full((n, n, k), -1, np.int64)
+        for i, row in enumerate(lists):
+            for j, cell in enumerate(row):
+                if len(cell) > k:
+                    raise ValueError(f"the list of entry ({i}, {j}) is longer than k={k}")
+                slots[i, j, : len(cell)] = cell
+        return cls(n, k, slots)
 
     def get(self, i: int, j: int) -> list[int]:
-        if self._starts is None:
-            self._starts = np.cumsum(self._lengths.ravel()) - self._lengths.ravel()
-        start = self._starts[i * self.n + j]
-        return self.witnesses[start : start + self._lengths[i, j]].tolist()
+        cells = self.slots[i, j]
+        return cells[cells >= 0].tolist()
 
     def lengths(self) -> np.ndarray:
-        return self._lengths.copy()
+        return np.count_nonzero(self.slots >= 0, axis=-1)
 
-    def validate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Check length, sortedness and distinctness; raises ValueError on violation.
+    def validate(self) -> None:
+        """Check that every list is strictly decreasing over its non-negative
+        slots, one block of rows at a time; raises ValueError on violation. A
+        negative slot before a non-negative one counts as disorder."""
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        for s in range(0, self.n, step):
+            block = self.slots[s : s + step]
+            if ((block[..., 1:] >= 0) & (block[..., :-1] <= block[..., 1:])).any():
+                raise ValueError("list not strictly decreasing")
 
-        The first offending list in row-major order decides the error, and a
-        list longer than k is reported as such. Returns what was checked:
-        the (n, n) lengths and every witness in row-major order.
-        """
-        lengths, wits = self._lengths.ravel(), self.witnesses
-        ends = np.cumsum(lengths)
-        first = np.zeros(wits.size, dtype=bool)
-        first[(ends - lengths)[lengths > 0]] = True
-        # witness t breaks the order when it is not first in its list and t-1 is not above it
-        rising = np.flatnonzero((wits[1:] >= wits[:-1]) & ~first[1:]) + 1
-        too_long = np.flatnonzero(lengths > self.k)
-        bad_order = int(np.searchsorted(ends, rising[0], side="right")) if rising.size else lengths.size
-        if too_long.size and too_long[0] <= bad_order:
-            raise ValueError("list longer than k")
-        if rising.size:
-            raise ValueError("list not strictly decreasing")
-        return self.lengths(), wits
-
-    def columns(self, one_based: bool = False) -> tuple:
-        """The nonempty entries in row-major order: their "i" and "j" arrays,
-        the list key "witnesses", their list lengths and all their
-        witnesses, flat (the arguments of ``io.RowBlock``)."""
-        return self._row_columns(one_based, 0, self.n, 0)
+    def columns(self, one_based: bool = False, start: int = 0, stop: int | None = None) -> tuple:
+        """The nonempty entries of rows [start, stop) in row-major order: their
+        "i" and "j" arrays, the list key "witnesses" and their (entries, k)
+        slots (the arguments of ``io.RowBlock``)."""
+        off = int(one_based)
+        block = self.slots[start:stop]
+        i, j = np.nonzero((block >= 0).any(axis=-1))
+        lists = block[i, j]
+        if off:
+            lists = np.add(lists, lists >= 0, dtype=np.int64)  # widened first; padding stays negative
+        i += start + off
+        return {"i": i, "j": j + off}, "witnesses", lists
 
     def row_chunks(self, one_based: bool = False) -> Iterator[tuple]:
         """``columns`` of successive blocks of whole rows of about _BLOCK_ENTRIES entries."""
         step = max(1, _BLOCK_ENTRIES // self.n)
-        ends = [0, *np.cumsum(self._lengths.sum(axis=1)).tolist()]  # row i's witnesses start at ends[i]
-        return (self._row_columns(one_based, s, s + step, ends[s]) for s in range(0, self.n, step))
-
-    def _row_columns(self, one_based: bool, start: int, stop: int, first: int) -> tuple:
-        """``columns`` of rows [start, stop), whose first witness is witnesses[first]."""
-        off = int(one_based)
-        rows = self._lengths[start:stop]
-        i, j = np.nonzero(rows)
-        lengths = rows[i, j]
-        count = int(lengths.sum())
-        wits = self.witnesses if count == self.witnesses.size else self.witnesses[first : first + count]
-        i += start + off
-        return {"i": i, "j": j + off}, "witnesses", lengths, np.add(wits, off, dtype=np.int64) if off else wits
+        return (self.columns(one_based, s, s + step) for s in range(0, self.n, step))
 
     def to_json_dict(self, one_based: bool = False) -> dict:
         return {"n": self.n, "k": self.k, "entries": _dict_rows(*self.columns(one_based))}

@@ -407,31 +407,35 @@ def _solve_kwitness(args, ab):
     return k_witness(*ab, args.k, args.seed)
 
 
-# bytes of int64 witness indices the k-witness check gathers per block of rows
-_CHECK_BYTES = 1 << 20
+# bytes of the int64 indices of the slots the k-witness check gathers per block of rows
+_CHECK_BYTES = 1 << 18
 
 
 def _check_kwitness(args, ab, wl) -> dict:
     """Count the lists whose length is not min(k, W) and the listed indices
-    that are no witness, over blocks of rows. A block's W are one float32
-    count product, exact while the inner dimension is below 2^24 (float64
-    above), as in the solver."""
+    that are no witness, over blocks of rows of the lists' slots. A block's
+    W are one float32 count product, exact while the inner dimension is
+    below 2^24 (float64 above), as in the solver. Slot x of entry (i, j) is
+    checked by gathering A[i, x] and B[x, j] for every slot of the block at
+    once; a padding slot gathers index 0 and is not counted."""
     a, b = ab
-    got, w = wl.validate()
+    wl.validate()
     ad, bd = a.to_dense(), b.to_dense()
     ftype = np.float32 if a.cols < 1 << 24 else np.float64
     bf = bd.astype(ftype)
-    n = wl.n
-    first = np.concatenate([[0], np.cumsum(got.sum(axis=1))])  # row i lists w[first[i]:first[i + 1]]
-    step = max(1, _CHECK_BYTES // (8 * n * args.k))
+    q = a.cols
+    af, bt = ad.ravel(), np.ascontiguousarray(bd.T).ravel()  # af[i * q + x] = A[i, x], bt[j * q + x] = B[x, j]
+    cols = np.arange(wl.n)[:, None] * q
+    step = max(1, _CHECK_BYTES // (8 * wl.n * wl.k))
     length_bad = invalid = 0
-    for s in range(0, n, step):
-        lens = got[s : s + step]
-        length_bad += int((np.minimum(ad[s : s + step].astype(ftype) @ bf, args.k) != lens).sum())
-        # one (i, j, w) triple per listed witness, in row-major order
-        i, j = np.divmod(np.repeat(np.arange(s * n, s * n + lens.size), lens.ravel()), n)
-        x = w[first[s] : first[s] + i.size]
-        invalid += int(((ad[i, x] & bd[x, j]) == 0).sum())
+    for s in range(0, wl.n, step):
+        slots = wl.slots[s : s + step]
+        listed = slots >= 0
+        length_bad += int((np.minimum(ad[s : s + step].astype(ftype) @ bf, args.k) != listed.sum(axis=-1)).sum())
+        x = slots.astype(np.intp)
+        np.maximum(x, 0, out=x)
+        hit = af[x + np.arange(s, s + len(x))[:, None, None] * q] & bt[x + cols]
+        invalid += int(np.count_nonzero(listed & (hit == 0)))
     return {
         "length_mismatches": length_bad,
         "invalid": invalid,

@@ -15,15 +15,17 @@ Reports are written with ``canonical_json``: the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a trailing newline, so
 equal runs produce byte-identical files. The rows of a report (witness
 entries, k-witness lists, LCA, triangle and two-edge rows) are passed as a
-``RowBlock``: named numpy columns, plus at most one variable-length list
-column. ``canonical_json`` renders a block with ``%``-templates over chunks
-of rows and the rest of the report with ``json.dumps``, giving the same bytes
-as ``json.dumps`` of the list of its rows' dicts. ``write_csv`` writes the
-same block as CSV lines. Both write chunk by chunk into an open text stream,
-so no report is ever held as one string, and both make every check that can
-reject a report before their first write; a ``RowBlock.chunked`` block,
-whose rows are made one chunk at a time, has each chunk checked as it is
-made (the package's sources make only integer columns).
+``RowBlock``: named numpy columns, plus at most one list column, given as
+one 2-D integer array whose negative cells are padding (the k-witness
+solver's slots). ``canonical_json`` renders a block with ``%``-templates
+over chunks of rows and the rest of the report with ``json.dumps``, giving
+the same bytes as ``json.dumps`` of the list of its rows' dicts.
+``write_csv`` writes the same block as CSV lines. Both write chunk by chunk
+into an open text stream, so no report is ever held as one string, and both
+make every check that can reject a report before their first write; a
+``RowBlock.chunked`` block, whose rows are made one chunk at a time, has
+each chunk checked as it is made (the package's sources make only integer
+columns).
 
 ``read_witness_report`` reads a witness report back from its file. One
 pass finds the end of a canonical entries block and parses the small rest;
@@ -77,26 +79,28 @@ class RowBlock:
 
     ``columns`` maps each key to a 1-D integer or finite float array holding
     one value per row. ``list_key``, when given, names one more key whose value
-    is a list: row r holds the next ``lengths[r]`` values of ``flat``. As CSV,
-    the columns come in ``columns`` order and the list column last, with one
-    line per list element.
+    is a list: row r lists the non-negative cells of ``lists[r]``, a 2-D
+    integer array whose negative cells are padding. As CSV, the columns come
+    in ``columns`` order and the list column last, with one line per listed
+    value.
     """
 
-    __slots__ = ("columns", "list_key", "lengths", "flat", "keys", "source")
+    __slots__ = ("columns", "list_key", "lists", "keys", "source")
 
-    def __init__(self, columns: dict, list_key: str | None = None, lengths=None, flat=None):
+    def __init__(self, columns: dict, list_key: str | None = None, lists=None):
         cols = list(columns.values())
-        lists = [] if list_key is None else [lengths, flat]
-        if not cols or any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols + lists[:1]):
+        if not cols or any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
             raise ValueError("row block columns must be 1-D arrays of one length")
-        if lists and (flat.ndim != 1 or flat.size != int(lengths.sum())):
-            raise ValueError("flat must hold lengths.sum() values")
-        if any(c.dtype.kind not in "iuf" for c in cols + lists):
+        if any(c.dtype.kind not in "iuf" for c in cols):
             raise ValueError("row block columns must hold integers or floats")
         # a finite float's JSON is its repr, which the templates write
-        if not all(np.isfinite(c).all() for c in cols + lists if c.dtype.kind == "f"):
+        if not all(np.isfinite(c).all() for c in cols if c.dtype.kind == "f"):
             raise ValueError("row block floats must be finite")
-        self.columns, self.list_key, self.lengths, self.flat = columns, list_key, lengths, flat
+        if list_key is not None and (
+            lists is None or lists.ndim != 2 or len(lists) != len(cols[0]) or lists.dtype.kind not in "iu"
+        ):
+            raise ValueError("lists must be a 2-D integer array with one row per row of the block")
+        self.columns, self.list_key, self.lists = columns, list_key, lists
         self.keys, self.source = tuple(columns), None
 
     @classmethod
@@ -104,7 +108,7 @@ class RowBlock:
         """A block of the rows of the plain blocks ``source()`` yields, each
         with the columns ``keys`` and ``list_key``; writers take one at a time."""
         block = cls.__new__(cls)
-        block.columns = block.lengths = block.flat = None
+        block.columns = block.lists = None
         block.keys, block.list_key, block.source = tuple(keys), list_key, source
         return block
 
@@ -124,46 +128,40 @@ class RowBlock:
         return len(next(iter(self.columns.values())))
 
 
-def _interleave(cols: list[np.ndarray], lengths, at: int, flat) -> np.ndarray:
-    """All values row after row: each row's cols in order, with its
-    lengths[r] next values of flat (if any) placed before column ``at``."""
-    ints = all(c.dtype.kind in "iu" for c in cols) and (flat is None or flat.dtype.kind in "iu")
-    if flat is None:
-        out = np.empty((len(cols[0]), len(cols)), np.int64 if ints else object)
-        for pos, c in enumerate(cols):
-            out[:, pos] = c
-        return out.ravel()
-    width = lengths.astype(np.int64) + len(cols)  # widened first: lengths may be int8
-    start = np.cumsum(width) - width
-    out = np.empty(int(width.sum()), np.int64 if ints else object)
-    scalar = np.zeros(out.size, dtype=bool)
+def _interleave(cols: list[np.ndarray], lists, at: int) -> np.ndarray:
+    """All values row after row: each row's cols in order, with the
+    non-negative cells of its row of lists (if any) placed before column ``at``."""
+    width = 0 if lists is None else lists.shape[1]
+    ints = all(c.dtype.kind in "iu" for c in cols)  # lists are integers
+    out = np.empty((len(cols[0]), len(cols) + width), np.int64 if ints else object)
     for pos, c in enumerate(cols):
-        idx = start + pos + (lengths if pos >= at else 0)
-        out[idx] = c
-        scalar[idx] = True
-    out[~scalar] = flat
-    return out
+        out[:, pos + (width if pos >= at else 0)] = c
+    if lists is None:
+        return out.ravel()
+    out[:, at : at + width] = lists
+    keep = np.ones(out.shape, bool)
+    keep[:, at : at + width] = lists >= 0
+    return out[keep]
 
 
-def _format_rows(cols: list[np.ndarray], lengths, at: int, flat, template, lead: str, sep: str):
+def _format_rows(cols: list[np.ndarray], lists, at: int, template, lead: str, sep: str):
     """Yield the rows' text, one piece per chunk of rows.
 
-    Row r is ``template(lengths[r]) % values``, its values being the row's
-    cols with its lengths[r] next values of flat placed before column at.
-    Without flat, lengths is None and every row takes ``template(0)``.
+    Row r is ``template(length) % values``, its values being the row's cols
+    with the ``length`` non-negative cells of lists[r] placed before column
+    at. Without lists, lists is None and every row takes ``template(0)``.
     Rows are joined by sep and the first is preceded by lead.
     """
-    ends = None if flat is None else np.cumsum(lengths)
     cache: dict[int, str] = {}
     for s in range(0, len(cols[0]), _CHUNK_ROWS):
         part = [c[s : s + _CHUNK_ROWS] for c in cols]
-        if flat is None:
-            values = _interleave(part, None, at, None)
+        if lists is None:
+            values = _interleave(part, None, at)
             pieces = [cache.setdefault(0, template(0))] * len(part[0])
         else:
-            lens = lengths[s : s + _CHUNK_ROWS]
-            values = _interleave(part, lens, at, flat[ends[s] - lens[0] : ends[s + len(lens) - 1]])
-            chunk = lens.tolist()
+            cells = lists[s : s + _CHUNK_ROWS]
+            values = _interleave(part, cells, at)
+            chunk = np.count_nonzero(cells >= 0, axis=1).tolist()
             for length in set(chunk) - cache.keys():
                 cache[length] = template(length)
             pieces = [cache[length] for length in chunk]
@@ -195,7 +193,7 @@ def _json_rows(block: RowBlock, indent: str):
     for chunk in block.chunks():
         if len(chunk):
             cols = [chunk.columns[key] for key in keys if key != block.list_key]
-            yield from _format_rows(cols, chunk.lengths, at, chunk.flat, template, lead, ",\n")
+            yield from _format_rows(cols, chunk.lists, at, template, lead, ",\n")
             lead = ",\n"
     yield "[]" if lead == "[\n" else "\n" + indent + "]"
 
@@ -523,13 +521,14 @@ def load_dag(path: str | Path) -> Dag:
 
 
 def _list_lines(block: RowBlock):
-    """The columns of a list block's CSV lines, _CHUNK_ROWS lines at a time:
-    line t holds the columns of the row that lists flat[t], then flat[t]."""
-    ends = np.cumsum(block.lengths)
-    for s in range(0, block.flat.size, _CHUNK_ROWS):
-        t = np.arange(s, min(s + _CHUNK_ROWS, block.flat.size))
-        rows = np.searchsorted(ends, t, side="right")
-        yield [c[rows] for c in block.columns.values()] + [block.flat[t]]
+    """The columns of a list block's CSV lines, one line per listed value:
+    the columns of the row that lists it, then the value. Rows are taken
+    about _CHUNK_ROWS list cells at a time."""
+    step = max(1, _CHUNK_ROWS // max(1, block.lists.shape[1]))
+    for s in range(0, len(block.lists), step):
+        cells = block.lists[s : s + step]
+        r, t = np.nonzero(cells >= 0)
+        yield [c[s + r] for c in block.columns.values()] + [cells[r, t]]
 
 
 def write_csv(header: str, block: RowBlock, out) -> None:
@@ -544,5 +543,5 @@ def write_csv(header: str, block: RowBlock, out) -> None:
     for chunk in block.chunks():
         pieces = [list(chunk.columns.values())] if block.list_key is None else _list_lines(chunk)
         for cols in pieces:
-            out.writelines(_format_rows(cols, None, 0, None, lambda _: line, "\n", "\n"))
+            out.writelines(_format_rows(cols, None, 0, lambda _: line, "\n", "\n"))
     out.write("\n")

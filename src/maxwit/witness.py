@@ -80,11 +80,6 @@ class StripDecomposition:
             raise ValueError(f"strip width must satisfy 1 <= ell <= n, got ell={ell}, n={n}")
         return cls(n, ell, tuple((s, min(s + ell, n)) for s in range(0, n, ell)))
 
-    def strip_of(self, k: int) -> int:
-        if not 0 <= k < self.n:
-            raise IndexError(f"index {k} outside [0, {self.n})")
-        return k // self.ell
-
     def __len__(self) -> int:
         return len(self.ranges)
 
@@ -339,9 +334,8 @@ def k_witness(a: BoolMatrix, b: BoolMatrix, k: int, seed: int = 0) -> WitnessLis
     n, q = product_dims(a, b, square=True)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    found, cnt = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))[:2]
-    # entry (i, j) lists the first cnt[i, j] slots of found[i, j], the ones that are not -1
-    return WitnessLists(n, k, cnt, found[found >= 0])
+    found = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))[0]
+    return WitnessLists(n, k, found)  # the solver's slots, as they are
 
 
 def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -> WitnessMatrix:
@@ -376,7 +370,10 @@ def _multiwitness_rounds(n: int) -> int:
 
 
 def _multiwitness_run(a: BoolMatrix, b: BoolMatrix, k: int, seed: int, rep: int) -> np.ndarray:
-    n, _ = product_dims(a, b, square=True)
+    n, q = product_dims(a, b, square=True)
+    # an entry has at most q witnesses, so any k >= q collects all of them,
+    # with no sampling draw: the result is the same for every such k
+    k = min(k, q)
     ad = a.to_dense()
     d = b.to_dense().copy()
     wit = np.full((n, n), -1, dtype=np.int64)

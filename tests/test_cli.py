@@ -16,7 +16,9 @@ from maxwit.boolmat import BoolMatrix, WitnessLists, WitnessMatrix, max_witness_
 from maxwit.cli import _thread_count, main
 from maxwit.graphs import LCA_SOLVERS, VertexWeightedGraph
 from maxwit.io import load_matrix, save_matrix_text
+from maxwit.rng import spawn_seed
 from maxwit.solvers import SOLVERS
+from maxwit.witness import k_witness
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -671,9 +673,10 @@ def test_kwitness_job_memory(tmp_path, fmt):
     whole columns; 19.2 MiB for both with blocked sampling, check and CSV
     lines, which the sampling core's int64 witness slots set. With int32
     slots the job peaked at 17.6 MiB, in report writing. With slots, counts
-    and lists kept in the narrowest type that holds q, k and -1 (int8 here)
-    and the report rows made one block of matrix rows at a time, it peaks at
-    10.1 MiB; the 11.5 MiB bound fails at the 17.6 MiB.
+    and lists kept in the narrowest type that holds q, k and -1 (int16 here:
+    2.00 MiB for the 512^2 * 4 slots) and the report rows made one block of
+    matrix rows at a time, it peaks at 10.1 MiB; the 11.5 MiB bound fails
+    at the 17.6 MiB.
     """
     argv = ["kwitness", "--n", "512", "--density", "0.0765", "--seed", "1", "--k", "4", "--verify"]
     tracemalloc.start()
@@ -683,6 +686,24 @@ def test_kwitness_job_memory(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 11.5 * 2**20, peak / 2**20
+
+
+def test_kwitness_check_memory():
+    """The k-witness check, validate included, reads the lists' slots one
+    block of rows at a time.
+
+    Peaks of tracemalloc over ``_check_kwitness`` on the kwit512 pair (n=512,
+    density 0.0765, k=4, seed 1): 6.8 MiB while validate and the check took
+    every list's start from cumulative sums of the (n, n) lengths over the
+    flat witnesses; 2.4 MiB over the slots, of which 1.75 MiB are the dense
+    factors, B's transpose and the float32 copy of B. The 3.5 MiB bound fails
+    at the 6.8 MiB.
+    """
+    a = random_matrix(512, 0.0765, spawn_seed(1, 0))
+    b = random_matrix(512, 0.0765, spawn_seed(1, 1))
+    wl = k_witness(a, b, 4, seed=1)
+    peak = _peak(lambda: cli._check_kwitness(Namespace(k=4), (a, b), wl)["passed"])
+    assert peak < 3.5 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("algo", ["strips", "oracle"])

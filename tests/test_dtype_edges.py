@@ -2,7 +2,7 @@
 
 The sampling core keeps witness slots, counts and witness counts in the
 narrowest signed type that holds q, k and -1: int8 up to 127, int16 up to
-32767, int32 above. ``WitnessLists`` keeps those arrays, and every consumer
+32767, int32 above. ``WitnessLists`` keeps the slots, and every consumer
 widens them to int64 before it adds an offset (a strip start, or 1 for
 --one-based). Each case here sits on one side of such an edge; the results
 are checked against the scalar oracles. Non-square inner dimensions (n=2,
@@ -82,14 +82,14 @@ def test_k_witness_at_type_edges(n):
     ones = BoolMatrix.ones(n)
     for k in (n, n - 1):
         wl = k_witness(ones, ones, k, seed=3)
-        lengths, wits = wl.validate()
-        assert (lengths == k).all()
-        assert wl.witnesses.dtype == _expected_type(n)
+        wl.validate()
+        assert (wl.lengths() == k).all()
+        assert wl.slots.dtype == _expected_type(n)
         if k == n:
-            assert np.array_equal(wits.reshape(n * n, n), np.broadcast_to(np.arange(n)[::-1], (n * n, n)))
+            assert np.array_equal(wl.slots, np.broadcast_to(np.arange(n)[::-1], (n, n, n)))
         assert wl.get(n - 1, 0)[0] <= n - 1
-        flat = wl.row_chunks(one_based=True)
-        assert max(int(f[3].max()) for f in flat) <= n
+        chunks = wl.row_chunks(one_based=True)
+        assert max(int(c[2].max()) for c in chunks) <= n
     rng = np.random.default_rng(n)
     a = BoolMatrix.from_dense(rng.random((n, n)) < 0.05)
     b = BoolMatrix.from_dense(rng.random((n, n)) < 0.05)
@@ -130,15 +130,15 @@ def test_rank_bounded_and_checks_at_type_edges(q):
 
 
 def test_witness_lists_keep_their_types_and_widen_for_reports():
-    lengths = np.array([[1, 0], [2, 1]], np.int8)
-    wits = np.array([127, 127, 3, 0], np.int8)
-    wl = WitnessLists(2, 2, lengths, wits)
-    assert wl.witnesses is wits and wl.lengths().dtype == np.int8
-    cols, key, lens, flat = wl.columns(one_based=True)
-    assert flat.dtype == np.int64 and flat.tolist() == [128, 128, 4, 1]
-    assert cols["i"].tolist() == [1, 2, 2] and cols["j"].tolist() == [1, 1, 2] and lens.tolist() == [1, 2, 1]
-    assert [c[3].tolist() for c in wl.row_chunks(one_based=True)] == [[128, 128, 4, 1]]
-    assert wl.get(1, 0) == [127, 3] and wl.validate()[1] is wits
+    slots = np.array([[[127, -1], [-1, -1]], [[127, 3], [0, -1]]], np.int8)
+    wl = WitnessLists(2, 2, slots)
+    assert wl.slots is slots
+    cols, key, lists = wl.columns(one_based=True)
+    assert lists.dtype == np.int64 and lists.tolist() == [[128, -1], [128, 4], [1, -1]]
+    assert cols["i"].tolist() == [1, 2, 2] and cols["j"].tolist() == [1, 1, 2]
+    assert [c[2].tolist() for c in wl.row_chunks(one_based=True)] == [[[128, -1], [128, 4], [1, -1]]]
+    assert wl.get(1, 0) == [127, 3] and wl.lengths().tolist() == [[1, 0], [2, 1]]
+    wl.validate()
 
 
 def _write_pair(tmp_path, ad, bd) -> list[str]:

@@ -68,7 +68,7 @@ def test_matrix_text_roundtrip(tmp_path):
 
 def test_matrix_text_format_is_human_readable(tmp_path):
     p = tmp_path / "m.txt"
-    save_matrix_text(p, BoolMatrix.from_strings(["101", "010"]))
+    save_matrix_text(p, BoolMatrix.from_rows([[1, 0, 1], [0, 1, 0]]))
     assert p.read_text() == "2 3\n101\n010\n"
 
 
@@ -243,15 +243,15 @@ def test_row_block_floats_and_nesting_match_json_dumps():
 
 
 def test_row_block_lists_match_json_dumps():
-    lengths = np.array([0, 1, 3, 0, 2])
-    flat = np.array([9, 8, 7, 6, 5, 4])
-    block = RowBlock({"i": np.arange(5), "j": np.arange(5)[::-1]}, "ws", lengths, flat)
+    # every negative cell is padding, wherever it sits
+    lists = np.array([[-1, -1, -1], [9, -1, -1], [8, 7, 6], [-5, -1, -1], [-1, 5, 4]], np.int8)
+    block = RowBlock({"i": np.arange(5), "j": np.arange(5)[::-1]}, "ws", lists)
     plain = [{"i": 0, "j": 4, "ws": []}, {"i": 1, "j": 3, "ws": [9]}, {"i": 2, "j": 2, "ws": [8, 7, 6]},
              {"i": 3, "j": 1, "ws": []}, {"i": 4, "j": 0, "ws": [5, 4]}]
     assert _json_text({"entries": block, "n": 5}) == _dumps({"entries": plain, "n": 5})
     rows = [(r["i"], r["j"], w) for r in plain for w in r["ws"]]
     assert _csv_text("i,j,w", block) == _csv("i,j,w", rows)
-    empty = RowBlock({"i": np.zeros(0, np.int64)}, "ws", np.zeros(0, np.int64), np.zeros(0, np.int64))
+    empty = RowBlock({"i": np.zeros(0, np.int64)}, "ws", np.zeros((0, 2), np.int64))
     assert _json_text({"entries": empty}) == _dumps({"entries": []})
     assert _csv_text("i,w", empty) == "i,w\n"
 
@@ -260,9 +260,8 @@ def _plain_rows(block: RowBlock) -> list[dict]:
     """The block's rows as dicts, built without io."""
     rows = [dict(zip(block.columns, vals)) for vals in zip(*(c.tolist() for c in block.columns.values()))]
     if block.list_key is not None:
-        ends = np.cumsum(block.lengths).tolist()
-        for row, start, end in zip(rows, [0, *ends], ends):
-            row[block.list_key] = block.flat[start:end].tolist()
+        for row, cells in zip(rows, block.lists.tolist()):
+            row[block.list_key] = [w for w in cells if w >= 0]
     return rows
 
 
@@ -275,7 +274,9 @@ def _list_block(lengths: list[int], seed: int = 0) -> RowBlock:
     rng = np.random.default_rng(seed)
     lengths = np.array(lengths, np.int64)
     cols = {"i": rng.integers(0, 50, lengths.size), "j": rng.integers(0, 50, lengths.size)}
-    return RowBlock(cols, "witnesses", lengths, rng.integers(0, 10**9, int(lengths.sum())))
+    lists = rng.integers(0, 10**9, (lengths.size, int(lengths.max(initial=0))))
+    lists[np.arange(lists.shape[1]) >= lengths[:, None]] = -1  # each row's first lengths[r] cells are listed
+    return RowBlock(cols, "witnesses", lists)
 
 
 @pytest.mark.parametrize(
@@ -316,7 +317,6 @@ def test_streamed_writers_match_json_dumps_and_joined_lines(block, stats):
 def _chunked(block: RowBlock, sizes: list[int]) -> RowBlock:
     """block's rows cut into plain chunks of the given row counts (the last takes the rest)."""
     ends = np.cumsum([0, *sizes, len(block)]).clip(max=len(block))
-    starts = np.cumsum(block.lengths) - block.lengths if block.list_key else None
 
     def source():
         for s, e in zip(ends[:-1], ends[1:]):
@@ -324,9 +324,7 @@ def _chunked(block: RowBlock, sizes: list[int]) -> RowBlock:
             if block.list_key is None:
                 yield RowBlock(cols)
             else:
-                first = int(starts[s]) if s < len(block) else block.flat.size
-                lengths = block.lengths[s:e]
-                yield RowBlock(cols, block.list_key, lengths, block.flat[first : first + int(lengths.sum())])
+                yield RowBlock(cols, block.list_key, block.lists[s:e])
 
     return RowBlock.chunked(block.columns, source, block.list_key)
 
@@ -391,8 +389,7 @@ def test_witness_row_chunks_cover_the_whole_columns(monkeypatch, step, one_based
     chunks = list(wl.row_chunks(one_based))
     for key in ("i", "j"):
         assert np.array_equal(np.concatenate([c[0][key] for c in chunks]), whole[0][key])
-    for part in (2, 3):
-        assert np.array_equal(np.concatenate([c[part] for c in chunks]), whole[part])
+    assert np.array_equal(np.concatenate([c[2] for c in chunks]), whole[2])
     rows = cli._witness_rows(None, None, (wm, None), int(one_based))
     plain = RowBlock(wm.columns(one_based))
     assert _json_text({"entries": rows}) == _json_text({"entries": plain})
@@ -429,9 +426,11 @@ def test_row_block_rejects_malformed_columns():
         lambda: RowBlock({"i": np.arange(3), "j": np.arange(4)}),
         lambda: RowBlock({"i": np.zeros((2, 2))}),
         lambda: RowBlock({"i": np.array([True, False])}),
-        lambda: RowBlock({"i": np.arange(2)}, "w", np.array([1, 1]), np.arange(3)),
+        lambda: RowBlock({"i": np.arange(2)}, "w", np.zeros((3, 1), np.int64)),
+        lambda: RowBlock({"i": np.arange(2)}, "w", np.arange(2)),
+        lambda: RowBlock({"i": np.arange(2)}, "w"),
         lambda: RowBlock({"x": np.array([1.0, float("nan")])}),
-        lambda: RowBlock({"i": np.arange(1)}, "w", np.array([1]), np.array([float("inf")])),
+        lambda: RowBlock({"i": np.arange(1)}, "w", np.array([[1.0]])),
     ):
         with pytest.raises(ValueError):
             bad()
