@@ -48,8 +48,8 @@ _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
 # bytes of one (entries, words) block of gathered words in the rank check, and
 # of one float32 block of A's rows or of B's columns in bool_product
 _CHUNK_BYTES = 1 << 20
-# entries of the whole rows that one block of the rank check, or one chunk of
-# report rows, covers
+# entries of the whole rows that one block of the rank check, or of the
+# k-witness lists' validation, covers
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -212,23 +212,11 @@ class WitnessMatrix:
     def __hash__(self) -> int:  # mutable content; not hashable
         raise TypeError("WitnessMatrix is not hashable")
 
-    def columns(self, one_based: bool = False, start: int = 0, stop: int | None = None) -> dict[str, np.ndarray]:
-        """The present entries of rows [start, stop) in row-major order as
-        "i", "j", "witness" arrays."""
-        off = int(one_based)
-        rows = self._w[start:stop]
-        i, j = np.nonzero(rows >= 0)
-        w = rows[i, j]
-        i += start + off
-        return {"i": i, "j": j + off, "witness": w + off}
-
-    def row_chunks(self, one_based: bool = False) -> Iterator[dict[str, np.ndarray]]:
-        """``columns`` of successive blocks of whole rows of about _BLOCK_ENTRIES entries."""
-        step = max(1, _BLOCK_ENTRIES // self.n)
-        return (self.columns(one_based, s, s + step) for s in range(0, self.n, step))
-
     def to_json_dict(self, one_based: bool = False) -> dict:
-        return {"n": self.n, "entries": _dict_rows(self.columns(one_based))}
+        i, j = np.nonzero(self._w >= 0)
+        off = int(one_based)
+        rows = zip(i.tolist(), j.tolist(), self._w[i, j].tolist())
+        return {"n": self.n, "entries": [{"i": r + off, "j": c + off, "witness": w + off} for r, c, w in rows]}
 
     @classmethod
     def from_json_dict(
@@ -302,17 +290,9 @@ class WitnessMatrix:
         return self
 
     def to_csv_rows(self, one_based: bool = False) -> list[tuple[int, int, int]]:
-        return list(zip(*(c.tolist() for c in self.columns(one_based).values())))
-
-
-def _dict_rows(columns: dict[str, np.ndarray], list_key=None, lists=None) -> list[dict]:
-    """One dict per row of equal-length columns, keys in columns order; with
-    list_key, row r also gets the non-negative cells of lists[r]."""
-    rows = [dict(zip(columns, vals)) for vals in zip(*(c.tolist() for c in columns.values()))]
-    if list_key is not None:
-        for row, cells in zip(rows, lists.tolist()):
-            row[list_key] = [w for w in cells if w >= 0]
-    return rows
+        i, j = np.nonzero(self._w >= 0)
+        off = int(one_based)
+        return list(zip((i + off).tolist(), (j + off).tolist(), (self._w[i, j] + off).tolist()))
 
 
 class WitnessLists:
@@ -323,8 +303,7 @@ class WitnessLists:
     exactly where the Boolean product is 0. Stored as the sampling core's
     (n, n, k) ``slots``, kept as given (no copy, in their integer type):
     entry (i, j) lists the non-negative cells of slots[i, j], largest first,
-    and negative cells pad the rest. Slots are widened to int64 before any
-    offset is added.
+    and negative cells pad the rest.
     """
 
     __slots__ = ("n", "k", "slots")
@@ -367,26 +346,12 @@ class WitnessLists:
             if ((block[..., 1:] >= 0) & (block[..., :-1] <= block[..., 1:])).any():
                 raise ValueError("list not strictly decreasing")
 
-    def columns(self, one_based: bool = False, start: int = 0, stop: int | None = None) -> tuple:
-        """The nonempty entries of rows [start, stop) in row-major order: their
-        "i" and "j" arrays, the list key "witnesses" and their (entries, k)
-        slots (the arguments of ``io.RowBlock``)."""
-        off = int(one_based)
-        block = self.slots[start:stop]
-        i, j = np.nonzero((block >= 0).any(axis=-1))
-        lists = block[i, j]
-        if off:
-            lists = np.add(lists, lists >= 0, dtype=np.int64)  # widened first; padding stays negative
-        i += start + off
-        return {"i": i, "j": j + off}, "witnesses", lists
-
-    def row_chunks(self, one_based: bool = False) -> Iterator[tuple]:
-        """``columns`` of successive blocks of whole rows of about _BLOCK_ENTRIES entries."""
-        step = max(1, _BLOCK_ENTRIES // self.n)
-        return (self.columns(one_based, s, s + step) for s in range(0, self.n, step))
-
     def to_json_dict(self, one_based: bool = False) -> dict:
-        return {"n": self.n, "k": self.k, "entries": _dict_rows(*self.columns(one_based))}
+        i, j = np.nonzero((self.slots >= 0).any(axis=-1))
+        off = int(one_based)
+        rows = zip(i.tolist(), j.tolist(), self.slots[i, j].tolist())
+        entries = [{"i": r + off, "j": c + off, "witnesses": [w + off for w in ws if w >= 0]} for r, c, ws in rows]
+        return {"n": self.n, "k": self.k, "entries": entries}
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 invalid configuration, 2 file I/O failure,
 3 verification failure.
 
 Every witness check (--verify on maxwit and approx, the verify command and
-the maxwit-accuracy campaign) is one rank pass over blocks of rows,
-``boolmat._check_pass``. The maximum witness is the witness of rank 1, so
-that pass also counts the entries that differ from it; no check runs
-``max_witness_oracle``.
+the multiwitness and maxwit-accuracy campaigns) is one rank pass over
+blocks of rows, ``boolmat._check_pass``. The maximum witness is the witness
+of rank 1, so that pass also counts the entries that differ from it; no
+check runs ``max_witness_oracle``.
 
 Reports are canonical JSON (sorted keys, two-space indent) and embed the
 full run configuration, so identical configurations yield byte-identical
@@ -15,15 +15,16 @@ files; wall-clock timings are included only on request (--timing) and never
 in campaign reports. Every report, JSON or CSV, is written piece by piece
 onto stdout or the --out file, which is opened only at the first write: a
 report that fails a writer's check before that write leaves an existing
-file untouched. Witness and k-witness rows reach the writers one block of
-matrix rows at a time (``io.RowBlock.chunked``), and each block is checked
-as it is made, so a block that failed would leave a partial file; these
-blocks hold only integer columns, which pass every check. The verify
-command reads the --result file with ``io.read_witness_report``,
-which decodes a canonical report window by window into the witness matrix,
-and closes it before it writes anything. The MAXWIT_THREADS environment
-variable caps campaign parallelism; results are merged by trial index, so
-the thread count never changes a report.
+file untouched. Every report table reaches the writers as one
+``io.RowBlock`` over the result's n x n arrays, checked when it is built
+and made one block of rows at a time; the two-edge weight is the one float
+column, and it is finite because graph weights are checked on load, so no
+block can fail once writing has begun. The verify command reads the
+--result file with ``io.read_witness_report``, which decodes a canonical
+report window by window into the witness matrix, and closes it before it
+writes anything. The MAXWIT_THREADS environment variable caps campaign
+parallelism; results are merged by trial index, so the thread count never
+changes a report.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ from .boolmat import (
     _check_pass,
     product_dims,
     random_matrix,
-    witness_rank_matrix,
 )
 from .graphs import (
     LCA_SOLVERS,
@@ -334,7 +334,7 @@ class Pipeline:
 
 
 def _witness_rows(args, ab, r, off) -> io.RowBlock:
-    return io.RowBlock.chunked(("i", "j", "witness"), lambda: map(io.RowBlock, r[0].row_chunks(off)))
+    return io.RowBlock(("i", "j"), {"witness": r[0].array}, off)
 
 
 def _witness_report(args, ab, r, rows, verification) -> dict:
@@ -448,9 +448,7 @@ KWITNESS = Pipeline(
     solve=_solve_kwitness,
     check=_check_kwitness,
     header="i,j,witness",
-    rows=lambda args, ab, wl, off: io.RowBlock.chunked(
-        ("i", "j"), lambda: (io.RowBlock(*c) for c in wl.row_chunks(off)), "witnesses"
-    ),
+    rows=lambda args, ab, wl, off: io.RowBlock(("i", "j"), {}, off, "witnesses", wl.slots),
     report=lambda args, ab, wl, rows, verification: {"result": {"n": wl.n, "k": wl.k, "entries": rows}},
 )
 
@@ -471,17 +469,12 @@ def _check_lca(args, dag, lca) -> dict:
     return {"wrong_pairs": wrong, "rate": rate, "tolerance": tolerance, "passed": rate <= tolerance}
 
 
-def _lca_rows(args, dag, lca, off) -> io.RowBlock:
-    u, v = np.nonzero(lca >= 0)
-    return io.RowBlock({"u": u + off, "v": v + off, "lca": lca[u, v] + off})
-
-
 LCA = _graph_pipeline(
     load=lambda args: _load_graph(args, io.load_dag, random_dag),
     solve=lambda args, dag: all_pairs_lca(dag, args.solver, args.ell, args.beta, args.seed),
     check=_check_lca,
     header="u,v,lca",
-    rows=_lca_rows,
+    rows=lambda args, dag, lca, off: io.RowBlock(("u", "v"), {"lca": lca}, off),
 )
 
 
@@ -492,9 +485,11 @@ def _check_triangle(args, g, apex) -> dict:
 
 
 def _triangle_rows(args, g, apex, off) -> io.RowBlock:
-    found = sorted((*e, w) for e, w in apex.items() if w is not None)
-    u, v, w = np.array(found, np.int64).reshape(-1, 3).T + off
-    return io.RowBlock({"u": u, "v": v, "apex": w})
+    """The apex of each edge (u, v), u < v, found as an (n, n) table, -1 elsewhere."""
+    table = np.full((g.n, g.n), -1, np.int64)
+    u, v, w = np.array([(*e, w) for e, w in apex.items() if w is not None], np.int64).reshape(-1, 3).T
+    table[u, v] = w
+    return io.RowBlock(("u", "v"), {"apex": table}, off)
 
 
 TRIANGLE = _graph_pipeline(
@@ -515,18 +510,12 @@ def _check_two_edge(args, g, r) -> dict:
     return {"wrong_pairs": wrong, "passed": wrong == 0}
 
 
-def _two_edge_rows(args, g, r, off) -> io.RowBlock:
-    mid, weight = r
-    i, j = np.nonzero(mid >= 0)
-    return io.RowBlock({"i": i + off, "j": j + off, "mid": mid[i, j] + off, "weight": weight[i, j]})
-
-
 TWO_EDGE = _graph_pipeline(
     load=lambda args: _load_graph(args, io.load_graph, partial(random_weighted_graph, directed=True)),
     solve=lambda args, g: max_weight_two_edge_paths(g),
     check=_check_two_edge,
     header="i,j,mid,weight",
-    rows=_two_edge_rows,
+    rows=lambda args, g, r, off: io.RowBlock(("i", "j"), {"mid": r[0], "weight": r[1]}, off),
 )
 
 
@@ -596,13 +585,11 @@ def _campaign_multiwitness(args) -> dict:
 
     def run_trial(t):
         wm = approx_multiwitness(a, b, ApproxParams(k, 1, spawn_seed(args.seed, 32, t)))
-        ranks = witness_rank_matrix(a, b, wm)
-        ok = (ranks >= 1) & (ranks <= bound)
-        validity = int((ranks < 0).sum())  # invalid, or absent from a nonzero entry
+        counts = _check_pass(a, b, wm, bound)[0]  # every entry of a x b is nonzero: none is spurious
         return {
             "trial": t,
-            "success_rate": float(ok.mean()),
-            "validity_violations": validity,
+            "success_rate": (n * n - counts["missing"] - counts["rank_violations"]) / (n * n),
+            "validity_violations": counts["missing"] + counts["invalid"],
         }
 
     trials = _map_indexed(run_trial, list(range(args.trials)))

@@ -13,19 +13,16 @@ then, when weighted, one line of n vertex weights.
 
 Reports are written with ``canonical_json``: the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True)`` plus a trailing newline, so
-equal runs produce byte-identical files. The rows of a report (witness
-entries, k-witness lists, LCA, triangle and two-edge rows) are passed as a
-``RowBlock``: named numpy columns, plus at most one list column, given as
-one 2-D integer array whose negative cells are padding (the k-witness
-solver's slots). ``canonical_json`` renders a block with ``%``-templates
-over chunks of rows and the rest of the report with ``json.dumps``, giving
-the same bytes as ``json.dumps`` of the list of its rows' dicts.
-``write_csv`` writes the same block as CSV lines. Both write chunk by chunk
-into an open text stream, so no report is ever held as one string, and both
-make every check that can reject a report before their first write; a
-``RowBlock.chunked`` block, whose rows are made one chunk at a time, has
-each chunk checked as it is made (the package's sources make only integer
-columns).
+equal runs produce byte-identical files. Every output of the package's
+problems is a set of entries of an n x n result, so every report table is
+a ``RowBlock`` over the result's (n, n) arrays; this module alone knows the
+row format. ``canonical_json`` renders a table with ``%``-templates over
+chunks of rows and the rest of the report with ``json.dumps``, giving the
+same bytes as ``json.dumps`` of the list of its rows' dicts, and
+``write_csv`` writes it as CSV lines. Both take the rows one block of whole
+matrix rows at a time and write chunk by chunk into an open text stream,
+so no report or table is ever held whole; a table is checked when it is
+built, and the writers make every other check before their first write.
 
 ``read_witness_report`` reads a witness report back from its file. One
 pass finds the end of a canonical entries block and parses the small rest;
@@ -62,6 +59,8 @@ __all__ = [
 ]
 
 MATRIX_MAGIC = b"BMAT"
+# cells of the whole rows of result arrays that one block of a report table covers
+_BLOCK_ENTRIES = 1 << 15
 # rows per %-template call; bounds the Python objects alive at once
 _CHUNK_ROWS = 4096
 # what json.dumps writes for a RowBlock until its rows are spliced in
@@ -75,57 +74,61 @@ _MAX_DIGITS = 18
 
 
 class RowBlock:
-    """Rows of a report table as named numpy columns, not one dict per row.
+    """A report table: one row per entry (i, j) of (n, n) result arrays, in
+    row-major order.
 
-    ``columns`` maps each key to a 1-D integer or finite float array holding
-    one value per row. ``list_key``, when given, names one more key whose value
-    is a list: row r lists the non-negative cells of ``lists[r]``, a 2-D
-    integer array whose negative cells are padding. As CSV, the columns come
-    in ``columns`` order and the list column last, with one line per listed
-    value.
+    ``index`` names the two index keys, ``values`` maps each value key to an
+    (n, n) int64 or float64 array, and an entry is a cell where the first of
+    them is non-negative. With ``list_key``, row (i, j) also lists the
+    non-negative cells of ``lists[i, j]``, an (n, n, k) integer array padded
+    with negative cells, and the entries are the cells that list anything.
+    ``off`` is added to every integer, as each is an index. Floats must be
+    finite where the first value is non-negative. CSV columns come in
+    ``keys`` order, the list last, one line per listed value.
     """
 
-    __slots__ = ("columns", "list_key", "lists", "keys", "source")
+    __slots__ = ("index", "values", "off", "list_key", "lists", "keys")
 
-    def __init__(self, columns: dict, list_key: str | None = None, lists=None):
-        cols = list(columns.values())
-        if not cols or any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
-            raise ValueError("row block columns must be 1-D arrays of one length")
-        if any(c.dtype.kind not in "iuf" for c in cols):
-            raise ValueError("row block columns must hold integers or floats")
+    def __init__(self, index, values: dict, off: int = 0, list_key: str | None = None, lists=None):
+        first = next(iter(values.values()), lists)
+        if len(index) != 2 or first is None or (list_key is None) != (lists is None):
+            raise ValueError("a row block needs two index keys and value arrays or a list key with its slots")
+        shape = first.shape[:2]
+        if len(shape) != 2 or any(v.shape != shape or v.dtype not in (np.int64, np.float64) for v in values.values()):
+            raise ValueError("row block values must be int64 or float64 arrays of one 2-D shape")
+        if lists is not None and (lists.ndim != 3 or lists.shape[:2] != shape or lists.dtype.kind not in "iu"):
+            raise ValueError("a list column must be an (n, n, k) integer array of the values' shape")
         # a finite float's JSON is its repr, which the templates write
-        if not all(np.isfinite(c).all() for c in cols if c.dtype.kind == "f"):
-            raise ValueError("row block floats must be finite")
-        if list_key is not None and (
-            lists is None or lists.ndim != 2 or len(lists) != len(cols[0]) or lists.dtype.kind not in "iu"
-        ):
-            raise ValueError("lists must be a 2-D integer array with one row per row of the block")
-        self.columns, self.list_key, self.lists = columns, list_key, lists
-        self.keys, self.source = tuple(columns), None
-
-    @classmethod
-    def chunked(cls, keys, source: Callable, list_key: str | None = None) -> "RowBlock":
-        """A block of the rows of the plain blocks ``source()`` yields, each
-        with the columns ``keys`` and ``list_key``; writers take one at a time."""
-        block = cls.__new__(cls)
-        block.columns = block.lists = None
-        block.keys, block.list_key, block.source = tuple(keys), list_key, source
-        return block
+        if any(v.dtype.kind == "f" and not (np.isfinite(v) | ~(first >= 0)).all() for v in values.values()):
+            raise ValueError("row block floats must be finite where the first value is non-negative")
+        self.index, self.values, self.off = tuple(index), values, off
+        self.list_key, self.lists = list_key, lists
+        self.keys = (*self.index, *values)
 
     def chunks(self):
-        """The plain blocks that hold this block's rows, in order."""
-        if self.source is None:
-            yield self
-            return
-        for chunk in self.source():
-            if chunk.keys != self.keys or chunk.list_key != self.list_key:
-                raise ValueError(f"a chunk has the columns {chunk.keys}, not {self.keys}")
-            yield chunk
-
-    def __len__(self) -> int:
-        if self.source is not None:
-            raise TypeError("a chunked row block has no length until its chunks are made")
-        return len(next(iter(self.columns.values())))
+        """(columns, lists) for the entries of successive blocks of whole
+        rows of about _BLOCK_ENTRIES cells, skipping blocks with none:
+        columns maps each of ``keys`` to a 1-D array, lists is the entries'
+        (entries, k) slots or None; offsets are added in place."""
+        src = next(iter(self.values.values())) if self.lists is None else self.lists
+        step = max(1, _BLOCK_ENTRIES // src.shape[1])
+        for s in range(0, len(src), step):
+            present = src[s : s + step] >= 0
+            i, j = np.nonzero(present if self.lists is None else present.any(axis=-1))
+            if not len(i):
+                continue
+            i += s
+            columns = {self.index[0]: i, self.index[1]: j}
+            columns.update((key, v[i, j]) for key, v in self.values.items())
+            lists = None if self.lists is None else self.lists[i, j]
+            if self.off:
+                for x in columns.values():
+                    if x.dtype == np.int64:
+                        x += self.off
+                if lists is not None:  # widened first; padding stays negative
+                    lists = lists.astype(np.int64)
+                    np.add(lists, self.off, out=lists, where=lists >= 0)
+            yield columns, lists
 
 
 def _interleave(cols: list[np.ndarray], lists, at: int) -> np.ndarray:
@@ -190,11 +193,10 @@ def _json_rows(block: RowBlock, indent: str):
 
     at = 0 if block.list_key is None else keys.index(block.list_key)
     lead = "[\n"
-    for chunk in block.chunks():
-        if len(chunk):
-            cols = [chunk.columns[key] for key in keys if key != block.list_key]
-            yield from _format_rows(cols, chunk.lists, at, template, lead, ",\n")
-            lead = ",\n"
+    for columns, lists in block.chunks():
+        cols = [columns[key] for key in keys if key != block.list_key]
+        yield from _format_rows(cols, lists, at, template, lead, ",\n")
+        lead = ",\n"
     yield "[]" if lead == "[\n" else "\n" + indent + "]"
 
 
@@ -330,7 +332,7 @@ class _EntryWindows:
     ``_json_rows`` writes at ``indent``."""
 
     def __init__(self, fh, body: int, end: int, indent: str):
-        zeros = RowBlock({key: np.zeros(1, np.int64) for key in ("i", "j", "witness")})
+        zeros = RowBlock(("i", "j"), {"witness": np.zeros((1, 1), np.int64)})
         # one entry with every value written "0", and the ",\n" that follows it
         self.unit = "".join(_json_rows(zeros, indent))[2 : -len(indent) - 2].encode() + b",\n"
         self.cut_mark = b"},\n" + self.unit[: self.unit.index(b"{") + 1]
@@ -520,15 +522,15 @@ def load_dag(path: str | Path) -> Dag:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _list_lines(block: RowBlock):
+def _list_lines(columns: dict, lists: np.ndarray):
     """The columns of a list block's CSV lines, one line per listed value:
     the columns of the row that lists it, then the value. Rows are taken
     about _CHUNK_ROWS list cells at a time."""
-    step = max(1, _CHUNK_ROWS // max(1, block.lists.shape[1]))
-    for s in range(0, len(block.lists), step):
-        cells = block.lists[s : s + step]
+    step = max(1, _CHUNK_ROWS // max(1, lists.shape[1]))
+    for s in range(0, len(lists), step):
+        cells = lists[s : s + step]
         r, t = np.nonzero(cells >= 0)
-        yield [c[s + r] for c in block.columns.values()] + [cells[r, t]]
+        yield [c[s + r] for c in columns.values()] + [cells[r, t]]
 
 
 def write_csv(header: str, block: RowBlock, out) -> None:
@@ -540,8 +542,8 @@ def write_csv(header: str, block: RowBlock, out) -> None:
         raise ValueError(f"CSV header {header!r} does not name {width} columns")
     line = ",".join(["%s"] * width)
     out.write(header)
-    for chunk in block.chunks():
-        pieces = [list(chunk.columns.values())] if block.list_key is None else _list_lines(chunk)
+    for columns, lists in block.chunks():
+        pieces = [list(columns.values())] if lists is None else _list_lines(columns, lists)
         for cols in pieces:
             out.writelines(_format_rows(cols, None, 0, lambda _: line, "\n", "\n"))
     out.write("\n")

@@ -21,6 +21,7 @@ from maxwit.boolmat import (
     witness_rank_matrix,
     witness_violations,
 )
+from maxwit.io import RowBlock
 from maxwit.rng import np_stream
 
 from scalar_oracles import (
@@ -280,13 +281,13 @@ def test_witness_lists_keep_the_solver_slots():
     assert wl.slots[2, 1].tolist() == [4, 2, 1] and wl.slots[0, 0].tolist() == [3, 1, -1]
     same = WitnessLists(3, 3, wl.slots)
     assert same.slots is wl.slots  # kept as given, not copied
-    cols, key, cells = wl.columns()
-    assert key == "witnesses" and cols["i"].tolist() == [0, 0, 2, 2] and cols["j"].tolist() == [0, 2, 0, 1]
-    assert cells.tolist() == [[3, 1, -1], [2, -1, -1], [0, -1, -1], [4, 2, 1]]
+    entries = [(e["i"], e["j"], e["witnesses"]) for e in wl.to_json_dict()["entries"]]
+    assert entries == [(0, 0, [3, 1]), (0, 2, [2]), (2, 0, [0]), (2, 1, [4, 2, 1])]
     # one-based: the offset goes to the witnesses only, the padding stays negative
-    assert wl.columns(one_based=True)[2].tolist() == [[4, 2, -1], [3, -1, -1], [1, -1, -1], [5, 3, 2]]
+    ((cols, cells),) = RowBlock(("i", "j"), {}, 1, "witnesses", wl.slots).chunks()
+    assert cols["i"].tolist() == [1, 1, 3, 3] and cols["j"].tolist() == [1, 3, 1, 2]
+    assert cells.tolist() == [[4, 2, -1], [3, -1, -1], [1, -1, -1], [5, 3, 2]]
     assert wl.to_json_dict(one_based=True)["entries"][-1] == {"i": 3, "j": 2, "witnesses": [5, 3, 2]}
-    assert [c["j"].tolist() for c, _, _ in (wl.columns(False, s, s + 1) for s in range(3))] == [[0, 2], [], [0, 1]]
     for bad in (
         lambda: WitnessLists(2, 2, np.zeros((2, 3, 2), np.int64)),
         lambda: WitnessLists(1, 2, np.zeros((1, 1, 2))),

@@ -25,7 +25,7 @@ from maxwit.boolmat import (
     witness_violations,
 )
 from maxwit.cli import main
-from maxwit.io import save_matrix_text
+from maxwit.io import RowBlock, save_matrix_text
 from maxwit.rng import np_stream
 from maxwit.witness import approx_rank_bounded, k_witness
 
@@ -88,8 +88,8 @@ def test_k_witness_at_type_edges(n):
         if k == n:
             assert np.array_equal(wl.slots, np.broadcast_to(np.arange(n)[::-1], (n, n, n)))
         assert wl.get(n - 1, 0)[0] <= n - 1
-        chunks = wl.row_chunks(one_based=True)
-        assert max(int(c[2].max()) for c in chunks) <= n
+        chunks = RowBlock(("i", "j"), {}, 1, "witnesses", wl.slots).chunks()
+        assert max(int(lists.max()) for _, lists in chunks) == n  # witness n - 1, one-based
     rng = np.random.default_rng(n)
     a = BoolMatrix.from_dense(rng.random((n, n)) < 0.05)
     b = BoolMatrix.from_dense(rng.random((n, n)) < 0.05)
@@ -133,10 +133,10 @@ def test_witness_lists_keep_their_types_and_widen_for_reports():
     slots = np.array([[[127, -1], [-1, -1]], [[127, 3], [0, -1]]], np.int8)
     wl = WitnessLists(2, 2, slots)
     assert wl.slots is slots
-    cols, key, lists = wl.columns(one_based=True)
+    ((cols, lists),) = RowBlock(("i", "j"), {}, 1, "witnesses", slots).chunks()
     assert lists.dtype == np.int64 and lists.tolist() == [[128, -1], [128, 4], [1, -1]]
     assert cols["i"].tolist() == [1, 2, 2] and cols["j"].tolist() == [1, 1, 2]
-    assert [c[2].tolist() for c in wl.row_chunks(one_based=True)] == [[[128, -1], [128, 4], [1, -1]]]
+    assert [e["witnesses"] for e in wl.to_json_dict(one_based=True)["entries"]] == [[128], [128, 4], [1]]
     assert wl.get(1, 0) == [127, 3] and wl.lengths().tolist() == [[1, 0], [2, 1]]
     wl.validate()
 

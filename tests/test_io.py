@@ -28,6 +28,7 @@ from maxwit.graphs import (
     random_weighted_graph,
 )
 from maxwit.io import (
+    _BLOCK_ENTRIES,
     _CHUNK_ROWS,
     _ENTRIES,
     MATRIX_MAGIC,
@@ -230,170 +231,182 @@ def _csv(header: str, rows: list[tuple]) -> str:
 BIG = 80
 
 
+def _table(values: dict, off: int = 0, list_key=None, lists=None):
+    """A RowBlock over the (n, n) arrays and its rows as dicts, built with
+    Python loops over the cells, without io."""
+    first = next(iter(values.values()), lists)
+    rows = []
+    for i in range(first.shape[0]):
+        for j in range(first.shape[1]):
+            listed = None if lists is None else [int(w) + off for w in lists[i, j] if w >= 0]
+            if not (listed if lists is not None else first[i, j] >= 0):
+                continue
+            row = {"i": i + off, "j": j + off}
+            for key, v in values.items():
+                x = v[i, j].item()
+                row[key] = x + off if isinstance(x, int) else x
+            if list_key is not None:
+                row[list_key] = listed
+            rows.append(row)
+    return RowBlock(("i", "j"), values, off, list_key, lists), rows
+
+
+def _lines(block: RowBlock, rows: list[dict]) -> list[tuple]:
+    """The CSV lines of the rows: one per row, or one per listed value."""
+    if block.list_key is None:
+        return [tuple(r[k] for k in block.keys) for r in rows]
+    return [(*(r[k] for k in block.keys), w) for r in rows for w in r[block.list_key]]
+
+
+def _witness_table(n: int, density: float, off: int = 0, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    w = rng.integers(0, 10**6, (n, n))
+    w[rng.random((n, n)) >= density] = -1
+    return _table({"witness": w}, off)
+
+
+def _list_table(lengths, off: int = 0, seed: int = 0):
+    """Lists of the given (n, n) lengths of random values, padded with -1."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths, np.int64)
+    lists = rng.integers(0, 10**9, (*lengths.shape, int(lengths.max(initial=1))))
+    lists[np.arange(lists.shape[-1]) >= lengths[..., None]] = -1
+    return _table({}, off, "witnesses", lists)
+
+
+def _two_edge_table(off: int = 0):
+    """Middle vertices and their float weights, NaN where there is none."""
+    mid = np.array([[2, -1, 0], [1, 1, -1], [0, 2, 1]])
+    weight = np.array([[-0.0, np.nan, 5e-324], [1e16, 0.1, np.nan], [1e-05, 1 / 3, 1.7976931348623157e308]])
+    return _table({"mid": mid, "weight": weight}, off)
+
+
+# block sizes in cells: one row per block, a few rows, and the default
+BLOCKS = (1, 7, _BLOCK_ENTRIES)
+
+
 def test_row_block_floats_and_nesting_match_json_dumps():
-    floats = np.array([1e-05, 0.1, 2.5, 1e16, -0.0, 5e-324, 1 / 3, 1.7976931348623157e308])
-    ints = np.arange(floats.size) - 3
-    block = RowBlock({"x": floats, "k": ints, "a%s": ints * 7})
-    plain = [{"x": x, "k": k, "a%s": 7 * k} for x, k in zip(floats.tolist(), ints.tolist())]
-    doc = {"stats": {"rate": 1e-05, "p": 0.1}, "rows": block, "deep": [{"more": block}, block]}
-    want = {"stats": {"rate": 1e-05, "p": 0.1}, "rows": plain, "deep": [{"more": plain}, plain]}
-    assert _json_text(doc) == _dumps(want)
+    ints = np.arange(9).reshape(3, 3)
+    ints[2, 2] = -1  # no entry, so its NaN is never written
+    floats = np.array([1e-05, 0.1, 2.5, 1e16, -0.0, 5e-324, 1 / 3, 1.7976931348623157e308, np.nan]).reshape(3, 3)
+    for off in (0, 1):
+        block, plain = _table({"k": ints, "x": floats, "a%s": ints * 7 - 3}, off)
+        doc = {"stats": {"rate": 1e-05, "p": 0.1}, "rows": block, "deep": [{"more": block}, block]}
+        want = {"stats": {"rate": 1e-05, "p": 0.1}, "rows": plain, "deep": [{"more": plain}, plain]}
+        assert _json_text(doc) == _dumps(want)
+        assert _json_text(block) == _dumps(plain)
+        assert _csv_text("i,j,k,x,a", block) == _csv("i,j,k,x,a", _lines(block, plain))
+    block, plain = _two_edge_table(1)
+    assert [r["weight"] for r in plain] == [-0.0, 5e-324, 1e16, 0.1, 1e-05, 1 / 3, 1.7976931348623157e308]
     assert _json_text(block) == _dumps(plain)
-    assert _csv_text("x,k,a", block) == _csv("x,k,a", [(r["x"], r["k"], r["a%s"]) for r in plain])
+    assert _csv_text("i,j,mid,weight", block) == _csv("i,j,mid,weight", _lines(block, plain))
 
 
 def test_row_block_lists_match_json_dumps():
-    # every negative cell is padding, wherever it sits
-    lists = np.array([[-1, -1, -1], [9, -1, -1], [8, 7, 6], [-5, -1, -1], [-1, 5, 4]], np.int8)
-    block = RowBlock({"i": np.arange(5), "j": np.arange(5)[::-1]}, "ws", lists)
-    plain = [{"i": 0, "j": 4, "ws": []}, {"i": 1, "j": 3, "ws": [9]}, {"i": 2, "j": 2, "ws": [8, 7, 6]},
-             {"i": 3, "j": 1, "ws": []}, {"i": 4, "j": 0, "ws": [5, 4]}]
-    assert _json_text({"entries": block, "n": 5}) == _dumps({"entries": plain, "n": 5})
-    rows = [(r["i"], r["j"], w) for r in plain for w in r["ws"]]
-    assert _csv_text("i,j,w", block) == _csv("i,j,w", rows)
-    empty = RowBlock({"i": np.zeros(0, np.int64)}, "ws", np.zeros((0, 2), np.int64))
+    # every negative cell is padding, wherever it sits; int8 slots at 127 widen under the offset
+    lists = np.full((3, 3, 3), -1, np.int8)
+    lists[0, 1, 0] = 127
+    lists[1, 0] = [127, 126, 0]
+    lists[1, 2] = [-5, -1, -1]
+    lists[2, 2] = [-1, 5, 4]
+    for off in (0, 1):
+        block, plain = _table({}, off, "ws", lists)
+        assert [r["ws"] for r in plain] == [[127 + off], [127 + off, 126 + off, off], [5 + off, 4 + off]]
+        assert _json_text({"entries": block, "n": 3}) == _dumps({"entries": plain, "n": 3})
+        assert _csv_text("i,j,w", block) == _csv("i,j,w", _lines(block, plain))
+    empty = RowBlock(("i", "j"), {}, 1, "ws", np.full((2, 2, 2), -1, np.int8))
     assert _json_text({"entries": empty}) == _dumps({"entries": []})
-    assert _csv_text("i,w", empty) == "i,w\n"
-
-
-def _plain_rows(block: RowBlock) -> list[dict]:
-    """The block's rows as dicts, built without io."""
-    rows = [dict(zip(block.columns, vals)) for vals in zip(*(c.tolist() for c in block.columns.values()))]
-    if block.list_key is not None:
-        for row, cells in zip(rows, block.lists.tolist()):
-            row[block.list_key] = [w for w in cells if w >= 0]
-    return rows
-
-
-def _witness_block(count: int, off: int = 0, seed: int = 0) -> RowBlock:
-    rng = np.random.default_rng(seed)
-    return RowBlock({key: rng.integers(0, 10**6, count) + off for key in ("i", "j", "witness")})
-
-
-def _list_block(lengths: list[int], seed: int = 0) -> RowBlock:
-    rng = np.random.default_rng(seed)
-    lengths = np.array(lengths, np.int64)
-    cols = {"i": rng.integers(0, 50, lengths.size), "j": rng.integers(0, 50, lengths.size)}
-    lists = rng.integers(0, 10**9, (lengths.size, int(lengths.max(initial=0))))
-    lists[np.arange(lists.shape[1]) >= lengths[:, None]] = -1  # each row's first lengths[r] cells are listed
-    return RowBlock(cols, "witnesses", lists)
+    assert _csv_text("i,j,w", empty) == "i,j,w\n"
 
 
 @pytest.mark.parametrize(
-    "block, stats",
+    "table, stats",
     [
-        (_witness_block(0), None),
-        (_list_block([]), None),
-        (_witness_block(1), None),
-        (_witness_block(7, off=1), None),
-        (_list_block([0, 300, 1, 0, 2]), None),
-        (_witness_block(5), {"rate": 1e-05, "p": 0.1, "mean": 1 / 3}),
-        (_witness_block(2 * _CHUNK_ROWS + 5), None),
-        (_list_block(np.random.default_rng(1).integers(0, 4, 2 * _CHUNK_ROWS + 5).tolist()), None),
-        (_list_block([2] + [0] * (2 * _CHUNK_ROWS + 3) + [1, 0]), None),
-        (_list_block([0, _CHUNK_ROWS + 3, 0, 2]), None),
+        (_witness_table(3, 0.0), None),
+        (_list_table(np.zeros((3, 3))), None),
+        (_witness_table(1, 1.0), None),
+        (_witness_table(7, 0.5, off=1), None),
+        (_list_table([[0, 300, 1], [0, 2, 0], [4, 0, 1]], off=1), None),
+        (_two_edge_table(), {"rate": 1e-05, "p": 0.1, "mean": 1 / 3}),
+        (_witness_table(100, 0.9), None),
+        (_list_table(np.random.default_rng(1).integers(0, 4, (100, 100))), None),
+        (_list_table(np.eye(100, dtype=np.int64)[::-1] * 2), None),
+        (_list_table([[0, _CHUNK_ROWS + 3], [0, 2]]), None),
     ],
     ids=[
         "empty", "empty-lists", "n1", "one-based", "lists", "float-stats", "chunks", "chunked-lists",
         "chunks-of-empty-lists", "list-longer-than-a-chunk",
     ],
 )
-def test_streamed_writers_match_json_dumps_and_joined_lines(block, stats):
-    rows = _plain_rows(block)
+def test_streamed_writers_match_json_dumps_and_joined_lines(monkeypatch, table, stats):
+    block, rows = table
     doc = {"config": {"seed": 3}, "result": {"n": 5, "entries": block}}
     want = {"config": {"seed": 3}, "result": {"n": 5, "entries": rows}}
     if stats is not None:
         doc["stats"] = want["stats"] = stats
-    assert _json_text(doc) == _dumps(want)
-    assert _json_text({"entries": block, "n": 5}) == _dumps({"entries": rows, "n": 5})
-    keys = [*block.columns, *([block.list_key] if block.list_key else [])]
-    if block.list_key is None:
-        lines = [tuple(r.values()) for r in rows]
-    else:
-        lines = [(*(r[k] for k in block.columns), w) for r in rows for w in r[block.list_key]]
-    assert _csv_text(",".join(keys), block) == _csv(",".join(keys), lines)
-
-
-def _chunked(block: RowBlock, sizes: list[int]) -> RowBlock:
-    """block's rows cut into plain chunks of the given row counts (the last takes the rest)."""
-    ends = np.cumsum([0, *sizes, len(block)]).clip(max=len(block))
-
-    def source():
-        for s, e in zip(ends[:-1], ends[1:]):
-            cols = {key: c[s:e] for key, c in block.columns.items()}
-            if block.list_key is None:
-                yield RowBlock(cols)
-            else:
-                yield RowBlock(cols, block.list_key, block.lists[s:e])
-
-    return RowBlock.chunked(block.columns, source, block.list_key)
+    keys = ",".join([*block.keys, *([block.list_key] if block.list_key else [])])
+    for entries in BLOCKS:  # rows cross block boundaries
+        monkeypatch.setattr("maxwit.io._BLOCK_ENTRIES", entries)
+        assert _json_text(doc) == _dumps(want)
+        assert _json_text({"entries": block, "n": 5}) == _dumps({"entries": rows, "n": 5})
+        assert _csv_text(keys, block) == _csv(keys, _lines(block, rows))
 
 
 @pytest.mark.parametrize(
     "block",
-    [_witness_block(0), _witness_block(9), _witness_block(2 * _CHUNK_ROWS + 5), _list_block([]),
-     _list_block([0, 3, 1, 0, 2, 0, 0, 4]), _list_block([0, _CHUNK_ROWS + 3, 0, 2])],
+    [_witness_table(3, 0.0)[0], _witness_table(4, 0.6)[0], _witness_table(100, 0.9)[0],
+     _list_table(np.zeros((3, 3)))[0], _list_table(np.arange(16).reshape(4, 4) % 5)[0],
+     _list_table([[0, _CHUNK_ROWS + 3], [0, 2]])[0]],
     ids=["empty", "rows", "rows-over-chunks", "empty-lists", "lists", "list-longer-than-a-chunk"],
 )
-@pytest.mark.parametrize("sizes", [[], [0, 0], [1, 0, 2], [3, 3, 3], [0, 2 * _CHUNK_ROWS + 1]])
-def test_chunked_row_blocks_write_the_bytes_of_the_whole_block(block, sizes):
-    # empty chunks anywhere, including first and last, leave no trace
-    chunked = _chunked(block, sizes)
-    keys = ",".join([*block.columns, *([block.list_key] if block.list_key else [])])
-    for doc in ({"result": {"n": 5, "entries": block}}, {"entries": block, "z": [block]}):
-        assert _json_text(_swap(doc, block, chunked)) == _json_text(doc)
-    assert _csv_text(keys, chunked) == _csv_text(keys, block)
-
-
-def _swap(obj, old, new):
-    if obj is old:
-        return new
-    if isinstance(obj, dict):
-        return {k: _swap(v, old, new) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_swap(v, old, new) for v in obj]
-    return obj
+@pytest.mark.parametrize("sizes", [[1], [2, 3], [5, 7], [100, 4096], [1 << 30]])
+def test_chunked_row_blocks_write_the_bytes_of_the_whole_block(monkeypatch, block, sizes):
+    # a table's bytes do not depend on the blocks of rows it is made in,
+    # with blocks that have no entry anywhere, including first and last
+    keys = ",".join([*block.keys, *([block.list_key] if block.list_key else [])])
+    docs = [{"result": {"n": 5, "entries": block}}, {"entries": block, "z": [block]}]
+    whole = [_json_text(doc) for doc in docs], _csv_text(keys, block)
+    for entries in sizes:
+        monkeypatch.setattr("maxwit.io._BLOCK_ENTRIES", entries)
+        assert ([_json_text(doc) for doc in docs], _csv_text(keys, block)) == whole
 
 
 def test_chunked_row_block_checks_each_chunk():
-    def source():
-        yield RowBlock({"i": np.arange(2), "j": np.arange(2)})
-        yield RowBlock({"j": np.arange(2), "i": np.arange(2)})
-
-    block = RowBlock.chunked(("i", "j"), source)
-    with pytest.raises(ValueError, match="a chunk has the columns"):
-        _json_text({"entries": block})
-    with pytest.raises(ValueError, match="a chunk has the columns"):
-        _csv_text("i,j", block)
-    with pytest.raises(ValueError, match="does not name 2 columns"):
-        _csv_text("i", RowBlock.chunked(("i", "j"), lambda: iter(())))
-    assert _json_text({"entries": RowBlock.chunked(("i",), lambda: iter(()))}) == _dumps({"entries": []})
-    with pytest.raises(TypeError, match="no length"):
-        len(block)
+    # a table with no entries still has its header checked, and is an empty list
+    empty = RowBlock(("i", "j"), {"w": np.full((3, 3), -1)})
+    with pytest.raises(ValueError, match="does not name 3 columns"):
+        _csv_text("i,j", empty)
+    assert _json_text({"entries": empty}) == _dumps({"entries": []})
 
 
 @pytest.mark.parametrize("step", [1, 7, 1 << 15])
 @pytest.mark.parametrize("one_based", [False, True])
 def test_witness_row_chunks_cover_the_whole_columns(monkeypatch, step, one_based):
-    """Witness matrices and k-witness lists hand out their report rows one
-    block of whole rows at a time; together the blocks are their columns."""
-    monkeypatch.setattr("maxwit.boolmat._BLOCK_ENTRIES", step)
+    """Witness and k-witness rows are made one block of whole matrix rows at
+    a time; together the blocks are the entries of the whole matrix, and
+    their bytes are those of ``to_json_dict`` and ``to_csv_rows``."""
+    monkeypatch.setattr("maxwit.io._BLOCK_ENTRIES", step)
     a, b = random_matrix(13, 0.3, seed=5), random_matrix(13, 0.3, seed=6)
+    off = int(one_based)
     wm = max_witness_oracle(a, b)
-    chunks = list(wm.row_chunks(one_based))
-    assert len(chunks) == -(-13 // max(1, step // 13))
-    for key, column in wm.columns(one_based).items():
-        assert np.array_equal(np.concatenate([c[key] for c in chunks]), column)
+    rows = cli._witness_rows(None, None, (wm, None), off)
+    chunks = list(rows.chunks())
+    per = max(1, step // 13)
+    assert len(chunks) == sum(bool((wm.array[s : s + per] >= 0).any()) for s in range(0, 13, per))
+    i, j = np.nonzero(wm.array >= 0)
+    for key, column in {"i": i + off, "j": j + off, "witness": wm.array[i, j] + off}.items():
+        assert np.array_equal(np.concatenate([c[key] for c, _ in chunks]), column)
+    assert _json_text({"entries": rows, "n": 13}) == _dumps(wm.to_json_dict(one_based))
+    assert _csv_text("i,j,witness", rows) == _csv("i,j,witness", wm.to_csv_rows(one_based))
     wl = k_witness(a, b, 3, seed=2)
-    whole = wl.columns(one_based)
-    chunks = list(wl.row_chunks(one_based))
-    for key in ("i", "j"):
-        assert np.array_equal(np.concatenate([c[0][key] for c in chunks]), whole[0][key])
-    assert np.array_equal(np.concatenate([c[2] for c in chunks]), whole[2])
-    rows = cli._witness_rows(None, None, (wm, None), int(one_based))
-    plain = RowBlock(wm.columns(one_based))
-    assert _json_text({"entries": rows}) == _json_text({"entries": plain})
-    assert _csv_text("i,j,witness", rows) == _csv_text("i,j,witness", plain)
+    lists = cli.KWITNESS.rows(None, None, wl, off)
+    i, j = np.nonzero((wl.slots >= 0).any(axis=-1))
+    cells = wl.slots[i, j].astype(np.int64)
+    cells[cells >= 0] += off
+    chunks = list(lists.chunks())
+    assert np.array_equal(np.concatenate([c["i"] for c, _ in chunks]), i + off)
+    assert np.array_equal(np.concatenate([cl for _, cl in chunks]), cells)
+    assert _json_text({"entries": lists, "k": 3, "n": 13}) == _dumps(wl.to_json_dict(one_based))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -422,24 +435,31 @@ def test_rejected_report_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
 
 
 def test_row_block_rejects_malformed_columns():
+    sq = np.zeros((2, 2), np.int64)
     for bad in (
-        lambda: RowBlock({"i": np.arange(3), "j": np.arange(4)}),
-        lambda: RowBlock({"i": np.zeros((2, 2))}),
-        lambda: RowBlock({"i": np.array([True, False])}),
-        lambda: RowBlock({"i": np.arange(2)}, "w", np.zeros((3, 1), np.int64)),
-        lambda: RowBlock({"i": np.arange(2)}, "w", np.arange(2)),
-        lambda: RowBlock({"i": np.arange(2)}, "w"),
-        lambda: RowBlock({"x": np.array([1.0, float("nan")])}),
-        lambda: RowBlock({"i": np.arange(1)}, "w", np.array([[1.0]])),
+        lambda: RowBlock(("i", "j"), {"a": sq, "b": np.zeros((2, 3), np.int64)}),
+        lambda: RowBlock(("i", "j"), {"a": np.zeros(2, np.int64)}),
+        lambda: RowBlock(("i",), {"a": sq}),
+        lambda: RowBlock(("i", "j"), {"a": np.ones((2, 2), bool)}),
+        lambda: RowBlock(("i", "j"), {"a": sq.astype(np.int32)}),  # a narrow value could wrap under off
+        lambda: RowBlock(("i", "j"), {}),
+        lambda: RowBlock(("i", "j"), {"a": sq}, 0, "w"),
+        lambda: RowBlock(("i", "j"), {"a": sq}, 0, None, np.zeros((2, 2, 1), np.int64)),
+        lambda: RowBlock(("i", "j"), {"a": sq}, 0, "w", np.zeros((3, 2, 1), np.int64)),
+        lambda: RowBlock(("i", "j"), {}, 0, "w", sq),
+        lambda: RowBlock(("i", "j"), {}, 0, "w", np.zeros((2, 2, 1))),
+        lambda: RowBlock(("i", "j"), {"a": sq, "x": np.array([[1.0, np.nan], [0.0, 0.0]])}),
     ):
         with pytest.raises(ValueError):
             bad()
-    with pytest.raises(ValueError, match="does not name 2 columns"):
-        _csv_text("i", RowBlock({"i": np.arange(2), "j": np.arange(2)}))
+    # a float need only be finite where the first value makes an entry
+    RowBlock(("i", "j"), {"a": np.array([[0, -1]]), "x": np.array([[1.0, np.nan]])})
+    with pytest.raises(ValueError, match="does not name 3 columns"):
+        _csv_text("i", RowBlock(("i", "j"), {"a": sq}))
     with pytest.raises(TypeError):
         _json_text({"x": object()})
     with pytest.raises(ValueError, match="stand-in"):
-        _json_text({"a": "\x00rows0\x00", "b": RowBlock({"i": np.arange(2)})})
+        _json_text({"a": "\x00rows0\x00", "b": RowBlock(("i", "j"), {"a": sq})})
 
 
 def _report(tmp_path, capsys, *argv: str) -> str:
@@ -646,7 +666,9 @@ def test_reader_decodes_valid_reports_like_json_loads(tmp_path, case, window):
 
 
 def test_reader_decodes_only_the_block_at_the_entries_key(tmp_path):
-    block = RowBlock({"i": np.array([0, 1]), "j": np.array([2, 0]), "witness": np.array([1, 1])})
+    w = np.full((3, 3), -1)
+    w[0, 2] = w[1, 0] = 1
+    block = RowBlock(("i", "j"), {"witness": w})
     rep = tmp_path / "doc.json"
     for doc, decoded in [
         ({"result": {"entries": block, "n": 3}}, True),
@@ -665,11 +687,10 @@ def test_reader_decodes_only_the_block_at_the_entries_key(tmp_path):
 def _window_report(tmp_path, rows, n=6, one_based=False, bare=False):
     """A canonical witness report of the (i, j, witness) rows, full or bare,
     as the path of its file and its text."""
-    cols = {key: np.array(col, np.int64) for key, col in zip(("i", "j", "witness"), zip(*rows))}
-    result = {"entries": RowBlock(cols), "n": n}
+    result = {"entries": [dict(zip(("i", "j", "witness"), row)) for row in rows], "n": n}
     doc = result if bare else {"config": {"one_based": one_based}, "result": result}
     rep = tmp_path / "report.json"
-    rep.write_text(_json_text(doc))
+    rep.write_text(_dumps(doc))  # the bytes canonical_json writes for these rows
     return rep, rep.read_text()
 
 

@@ -11,8 +11,10 @@ exit code, stdout or written ``--out`` file differs between the trees, and
 
 The list covers every subcommand in JSON and CSV: ``--one-based``, n=1, the
 digit-width edges 9/10 and 99/100, k-witness lists with k in {1, 4, n}, the
-narrow index types' edges (n=127 with k=126 and 127, n=128), error exits,
-and ``verify`` with ``--out`` equal to ``--result``. Input files come from
+narrow index types' edges (n=127 with k=126 and 127, n=128), report tables
+of several blocks of rows (witnesses and k-witness lists at n=300, LCA on
+a 300-vertex dag, triangles and two-edge paths on 200-vertex graphs),
+error exits, and ``verify`` with ``--out`` equal to ``--result``. Input files come from
 the trees' own ``gen`` commands at the head of the list, so they are
 compared too.
 """
@@ -38,6 +40,10 @@ def commands() -> list[str]:
     """The sweep's commands; {seed} and {seed2} (seed + 1) are filled in per seed."""
     gen = "gen --seed {seed} --out"
     cmds = [
+        # graphs whose report tables span several blocks of rows
+        f"{gen} dag300.txt --kind dag --n 300 --density 0.05",
+        f"{gen} g200.txt --kind graph --n 200 --density 0.1",
+        f"{gen} dg200.txt --kind graph --n 200 --density 0.1 --directed",
         f"{gen} a.txt --n 24 --density 0.3",
         "gen --seed {seed2} --out b.txt --n 24 --density 0.3",
         f"{gen} a.bin --n 24 --density 0.5 --format binary",
@@ -120,6 +126,13 @@ def commands() -> list[str]:
             f"triangle --graph g.txt --verify {fmt}",
             f"triangle --graph g.txt --lightest --verify {fmt}",
             f"two-edge --graph dg.txt --verify {fmt}",
+            f"lca --graph dag300.txt --solver oracle --verify {fmt}",
+            f"lca --graph dag300.txt --solver strips --verify {fmt}",
+            f"triangle --graph g200.txt --verify {fmt}",
+            f"triangle --graph g200.txt --lightest --verify {fmt}",
+            f"two-edge --graph dg200.txt --verify {fmt}",
+            f"maxwit --n 300 --density 0.1 --algo strips --seed {{seed}} --verify {fmt}",
+            f"kwitness --n 300 --density 0.1 --k 3 --seed {{seed}} --verify {fmt}",
         ]
     cmds += [
         "triangle --n 11 --density 0.5 --seed {seed} --verify --out t.json",
