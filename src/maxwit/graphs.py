@@ -198,15 +198,17 @@ def all_pairs_lca(
     if solver not in LCA_SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     m, order = lca_matrix(dag)
-    wm, _ = SOLVERS[LCA_SOLVERS[solver]].run(m, transpose(m), ell, beta, seed)
     rank_arr = np.asarray(dag.rank, np.int64)
-    return _in_order(wm.array, order)[np.ix_(rank_arr, rank_arr)]
+    wm, _ = SOLVERS[LCA_SOLVERS[solver]].run(m, transpose(m), ell, beta, seed)
+    w = wm.array[np.ix_(rank_arr, rank_arr)]
+    del wm  # the lookup then holds two n x n arrays, the gathered witnesses and the result
+    return _in_order(w, order)
 
 
 def _in_order(w: np.ndarray, order) -> np.ndarray:
-    """order[k] for each witness k of w, and -1 where w is -1."""
-    order_arr = np.asarray(order, np.int64)
-    return np.where(w >= 0, order_arr[np.clip(w, 0, None)], np.int64(-1))
+    """order[k] for each witness k of w, and -1 where w is -1 (it reads the -1
+    appended to order)."""
+    return np.append(np.asarray(order, np.int64), -1)[w]
 
 
 def brute_force_lca_set(dag: Dag, u: int, v: int) -> list[int]:

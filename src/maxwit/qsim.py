@@ -20,23 +20,23 @@ final position back to an index. One engine runs every search in the library:
 ``durr_hoyer_batch`` on explicit tables, ``max_wit`` on one product entry and
 ``algorithm1``-``algorithm4`` on whole products. It has two paths with one
 law. The loop, ``_dh_position_batch``, steps runs in fixed-size, cache-sized
-blocks. A run that has reached the minimum needs no success probability; the
-others look theirs up in a per-length table, which holds the same float64
-bits as the closed form (lengths above 4096 compute it inline). The law,
-``_dh_law``, is the exact joint distribution of one run's (final position,
-queries), computed by a DP over the loop's own state and cached per length;
-heavy batches draw from it by inverse CDF. ``_dh_positions``, the entry
-point of ``durr_hoyer_batch`` and the solvers, picks the law for a length q
-with r runs in the job when 2 <= q <= 256 and r >= gamma * q^1.5, gamma = 12
-(``_LAW_GAMMA``), and the loop otherwise (a solver counts r over all its
-blocks, other callers over one call); only ``max_wit``, which reports
-Grover iterations, calls the loop directly. Every call draws from one SFC64
-generator seeded from the caller's stream. The solvers hand the engine their
-targets as (i, j, q) arrays. They and ``max_wit`` map a best final position
-r to the (r+1)-th largest witness in the table's range through boolmat's
-witness-bit kernel, which alone reads the words (``BoolMatrix.words``).
-``durr_hoyer_min`` is the one-run-at-a-time scalar reference whose law both
-paths are tested against.
+blocks. Each run carries the Grover angle asin(sqrt(pos/q)) of its position,
+set at the start and recomputed only when the run hits, so a step computes
+the success probability sin^2((2j+1) theta) of the runs not yet at the
+minimum and nothing for the others. The law, ``_dh_law``, is the exact joint
+distribution of one run's (final position, queries), computed by a DP over
+the loop's own state and cached per length; heavy batches draw from it by
+inverse CDF. ``_dh_positions``, the entry point of ``durr_hoyer_batch`` and
+the solvers, picks the law for a length q with r runs in the job when
+2 <= q <= 256 and r >= gamma * q^1.5, gamma = 12 (``_LAW_GAMMA``), and the
+loop otherwise (a solver counts r over all its blocks, other callers over
+one call); only ``max_wit``, which reports Grover iterations, calls the loop
+directly. Every call draws from one SFC64 generator seeded from the caller's
+stream. The solvers hand the engine their targets as (i, j, q) arrays. They
+and ``max_wit`` map a best final position r to the (r+1)-th largest witness
+in the table's range through boolmat's witness-bit kernel, which alone reads
+the words (``BoolMatrix.words``). ``durr_hoyer_min`` is the one-run-at-a-time
+scalar reference whose law both paths are tested against.
 """
 from __future__ import annotations
 
@@ -317,42 +317,18 @@ def max_wit(
 # Runs the engine steps together. A block's (7, runs) float64 state is 1.75 MiB, so it
 # stays in L2 cache; a fixed size keeps sample paths the same on every machine.
 _BLOCK_RUNS = 1 << 15
-# A table length q gets a success-probability table only while q * ceil(sqrt(q)) cells
-# fit in one block's worth of state (2 MiB, so q <= 4096); longer tables compute the
-# same values inline.
-_TABLE_CELLS = 8 * _BLOCK_RUNS
 
 
-def _success_probability(pos: np.ndarray, q: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """sin^2((2j+1) asin(sqrt(pos/q))) elementwise: a Grover run with j iterations
-    over q items of which pos are marked succeeds with this probability."""
-    return np.sin((2 * j + 1) * np.arcsin(np.sqrt(pos / q))) ** 2
+def _angle(pos: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """asin(sqrt(pos/q)) elementwise: the Grover angle of a search over q items of
+    which pos are marked."""
+    return np.arcsin(np.sqrt(pos / q))
 
 
-@functools.lru_cache(maxsize=8)
-def _success_table(q: int) -> np.ndarray:
-    """Flat read-only table of _success_probability over a length-q table: cell
-    pos * (isqrt(q) + 1) + j, for every position and every BBHT iteration count
-    j = floor(u * m) <= m <= sqrt(q). Each cell is bit-identical to the inline
-    expression."""
-    pos = np.arange(q, dtype=np.float64)[:, None]
-    j = np.arange(math.isqrt(q) + 1, dtype=np.float64)
-    table = _success_probability(pos, np.float64(q), j).ravel()
-    table.flags.writeable = False
-    return table
-
-
-def _block_table(q: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The success tables of a block's distinct lengths laid end to end, and each
-    run's offset of its table; None when a length is too long to tabulate."""
-    longest = int(q.max())
-    if longest * (math.isqrt(longest - 1) + 1) > _TABLE_CELLS:
-        return None
-    lengths = np.flatnonzero(np.bincount(q))
-    tables = [_success_table(x) for x in lengths.tolist()]
-    start = np.zeros(longest + 1)
-    start[lengths[1:]] = np.cumsum([t.size for t in tables[:-1]])
-    return np.concatenate(tables), start[q]
+def _success_probability(theta: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """sin^2((2j+1) theta) elementwise: a Grover run with j iterations at angle
+    theta succeeds with this probability."""
+    return np.sin((2 * j + 1) * theta) ** 2
 
 
 def _engine_rng(rng: np.random.Generator) -> np.random.Generator:
@@ -394,10 +370,10 @@ def _dh_loop(
     sample paths depend only on rng and the order of qs, and every uniform
     is drawn from rng itself.
 
-    A run's success probability is looked up in a per-length table (see
-    _success_table) unless its block holds a length too long to tabulate; then
-    the whole block computes it inline, with the same bits. Each run keeps its
-    remaining budget, so a step tests one row to find the runs that are done.
+    Each run keeps the Grover angle of its position (_angle), set at the start
+    and recomputed only for the runs that hit, so a step computes the success
+    probability (_success_probability) of the live runs alone. Each run keeps
+    its remaining budget, so a step tests one row to find the runs that are done.
     """
     out = np.zeros((3, qs.size), np.int64)  # length-1 tables finish with zero queries
     for s in range(0, qs.size, _BLOCK_RUNS):
@@ -407,17 +383,14 @@ def _dh_loop(
         q = qs[ids].astype(np.float64)
         pos = np.floor(rng.random(ids.size) * q)
         sq = np.sqrt(q)
-        tabulated = _block_table(qs[ids])
-        table, start = tabulated if tabulated else (None, np.zeros_like(q))
         # rows: position, budget (iteration limit minus iterations), BBHT step m,
-        # table cell of (position, j = 0), sqrt(q), q, run index. After k steps a
-        # run has spent 1 + iterations + k queries (the +1 is the initial threshold
+        # Grover angle of the position, sqrt(q), q, run index. After k steps a run
+        # has spent 1 + iterations + k queries (the +1 is the initial threshold
         # evaluation) and stops once that reaches the limit, i.e. once budget <= k.
-        state = np.stack([pos, DH_BUDGET_FACTOR * sq - 1, np.ones_like(q),
-                          start + pos * (np.floor(sq) + 1), sq, q, ids])
+        state = np.stack([pos, DH_BUDGET_FACTOR * sq - 1, np.ones_like(q), _angle(pos, q), sq, q, ids])
         k, left = 0, ids.size
         while left:
-            pos, budget, m, cell, sq, q, _ = state
+            pos, budget, m, theta, sq, q, _ = state
             k += 1
             j = rng.random(pos.size)
             j *= m
@@ -425,19 +398,12 @@ def _dh_loop(
             budget -= j
             # a run at position 0 cannot hit, so only the others need a success probability
             live = np.flatnonzero(pos > 0)
-            if table is None:
-                p = _success_probability(pos[live], q[live], j[live])
-            else:
-                at = cell[live]
-                at += j[live]
-                p = table[at.astype(np.intp)]
-            hit = live[rng.random(live.size) < p]
+            hit = live[rng.random(live.size) < _success_probability(theta[live], j[live])]
             m *= BBHT_GROWTH
             np.minimum(m, sq, out=m)
             if hit.size:
-                old = pos[hit]
-                pos[hit] = new = np.floor(rng.random(hit.size) * old)
-                cell[hit] -= (old - new) * (np.floor(sq[hit]) + 1)
+                pos[hit] = new = np.floor(rng.random(hit.size) * pos[hit])
+                theta[hit] = _angle(new, q[hit])
                 m[hit] = 1.0
             done = np.flatnonzero(budget <= k)
             if done.size:
@@ -469,13 +435,14 @@ def _dh_law(q: int) -> np.ndarray:
     steps, the BBHT level l and the position. Level l holds the loop's float m
     after l misses in a row: 1.0, then min(1.2 m, sqrt(q)) up to the top level,
     where m equals sqrt(q) and stays. A step from (s, l, pos) draws j = t with
-    probability (min(t + 1, m) - t) / m, moves to s + t + 1, hits with
-    _success_table(q)'s probability of (pos, t) and then lands on each
-    position below pos with equal mass at level 0; a miss goes to level
-    min(l + 1, top). Mass whose s reaches 22.5 sqrt(q) has stopped. A step spends at most isqrt(q) + 1 queries, so
-    a ring of isqrt(q) + 2 slots over s holds every live state: memory is
-    O(levels * sqrt(q) * q). Every operation is elementwise numpy or a fixed
-    reduction, so the bits do not depend on the machine's thread count.
+    probability (min(t + 1, m) - t) / m, moves to s + t + 1, hits with the
+    loop's own probability _success_probability(_angle(pos, q), t) and then
+    lands on each position below pos with equal mass at level 0; a miss goes
+    to level min(l + 1, top). Mass whose s reaches 22.5 sqrt(q) has stopped.
+    A step spends at most isqrt(q) + 1 queries, so a ring of isqrt(q) + 2
+    slots over s holds every live state: memory is O(levels * sqrt(q) * q).
+    Every operation is elementwise numpy or a fixed reduction, so the bits do
+    not depend on the machine's thread count.
     """
     sq = math.sqrt(q)
     levels = [1.0]
@@ -489,7 +456,8 @@ def _dh_law(q: int) -> np.ndarray:
                    for l, m in enumerate(levels) for t in range(math.ceil(m)))
     t, lev, pt = (np.array(c) for c in zip(*pairs))
     first = np.flatnonzero(np.diff(t, prepend=-1))  # the first pair of each t
-    hit = pt[:, None] * _success_table(q).reshape(q, width).T[t]
+    theta = _angle(np.arange(q, dtype=np.float64), np.float64(q))
+    hit = pt[:, None] * _success_probability(theta, t[:, None])
     miss = pt[:, None] - hit
     hit[:, 1:] /= np.arange(1, q)  # a hit from pos spreads its mass over pos positions
     # ring row slot * rows + level; the extra level row collects the top level's
