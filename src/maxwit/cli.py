@@ -22,18 +22,14 @@ column, and it is finite because graph weights are checked on load, so no
 block can fail once writing has begun. The verify command reads the
 --result file with ``io.read_witness_report``, which decodes a canonical
 report window by window into the witness matrix, and closes it before it
-writes anything. The MAXWIT_THREADS environment variable caps campaign
-parallelism; results are merged by trial index, so the thread count never
-changes a report.
+writes anything.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -158,26 +154,6 @@ def _max_rank(text: str) -> int:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
-
-
-def _thread_count(items: int) -> int:
-    """MAXWIT_THREADS, clamped to the item count and the CPU count (at least 1)."""
-    raw = os.environ.get("MAXWIT_THREADS", "1")
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ConfigError(f"MAXWIT_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(requested, items, os.cpu_count() or 1))
-
-
-def _map_indexed(fn, items: list) -> list:
-    """Apply fn to items, possibly in parallel; results keep item order."""
-    workers = _thread_count(len(items))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, x) for x in items]
-        return [f.result() for f in futures]
 
 
 def _load_pair(args) -> tuple[BoolMatrix, BoolMatrix]:
@@ -415,7 +391,9 @@ def _check_kwitness(args, ab, wl) -> dict:
     """Count the lists whose length is not min(k, W) and the listed indices
     that are no witness, over blocks of rows of the lists' slots. A block's
     W are one float32 count product, exact while the inner dimension is
-    below 2^24 (float64 above), as in the solver. Slot x of entry (i, j) is
+    below 2^24 (float64 above), as in the solver, and its list lengths are
+    the product of the listed slots with a ones vector, exact as no list
+    is longer than the inner dimension. Slot x of entry (i, j) is
     checked by gathering A[i, x] and B[x, j] for every slot of the block at
     once; a padding slot gathers index 0 and is not counted."""
     a, b = ab
@@ -426,12 +404,13 @@ def _check_kwitness(args, ab, wl) -> dict:
     q = a.cols
     af, bt = ad.ravel(), np.ascontiguousarray(bd.T).ravel()  # af[i * q + x] = A[i, x], bt[j * q + x] = B[x, j]
     cols = np.arange(wl.n)[:, None] * q
+    ones = np.ones(wl.k, ftype)
     step = max(1, _CHECK_BYTES // (8 * wl.n * wl.k))
     length_bad = invalid = 0
     for s in range(0, wl.n, step):
         slots = wl.slots[s : s + step]
         listed = slots >= 0
-        length_bad += int((np.minimum(ad[s : s + step].astype(ftype) @ bf, args.k) != listed.sum(axis=-1)).sum())
+        length_bad += int((np.minimum(ad[s : s + step].astype(ftype) @ bf, args.k) != listed.astype(ftype) @ ones).sum())
         x = slots.astype(np.intp)
         np.maximum(x, 0, out=x)
         hit = af[x + np.arange(s, s + len(x))[:, None, None] * q] & bt[x + cols]
@@ -536,40 +515,32 @@ def _parse_q_grid(text: str) -> list[int]:
 
 def _campaign_durr_hoyer(args) -> dict:
     qs = _parse_q_grid(args.q_grid)
-
-    def run_cell(cell):
-        qi, q, si, shape = cell
-        tables = np.stack(
-            [table_values(shape, q, np_stream(args.seed, 31, qi, si, t)) for t in range(args.trials)]
-        )
-        _, hits, queries = durr_hoyer_batch(tables, np_stream(args.seed, 30, qi, si))
-        arr = queries.astype(np.float64)
-        return {
-            "q": q,
-            "shape": shape,
-            "trials": args.trials,
-            "success_rate": int(hits.sum()) / args.trials,
-            "mean_queries": float(arr.mean()),
-            "std_queries": float(arr.std()),
-        }
-
-    cells = [
-        (qi, q, si, shape)
-        for qi, q in enumerate(qs)
-        for si, shape in enumerate(TABLE_SHAPES)
-    ]
-    results = _map_indexed(run_cell, cells)
-    pooled = []
-    for q in qs:
-        means = [c["mean_queries"] for c in results if c["q"] == q]
+    cells, pooled = [], []
+    for qi, q in enumerate(qs):
+        means = []
+        for si, shape in enumerate(TABLE_SHAPES):
+            _, hits, queries = durr_hoyer_batch(
+                np.stack([table_values(shape, q, np_stream(args.seed, 31, qi, si, t)) for t in range(args.trials)]),
+                np_stream(args.seed, 30, qi, si),
+            )
+            queries = queries.astype(np.float64)
+            means.append(float(queries.mean()))
+            cells.append({
+                "q": q,
+                "shape": shape,
+                "trials": args.trials,
+                "success_rate": int(hits.sum()) / args.trials,
+                "mean_queries": means[-1],
+                "std_queries": float(queries.std()),
+            })
         pooled.append(float(np.mean(means)))
     slope = float(np.polyfit(np.log(np.asarray(qs, np.float64)), np.log(pooled), 1)[0])
     return {
         "target": "durr-hoyer",
-        "cells": results,
+        "cells": cells,
         "pooled_mean_queries": dict(zip(map(str, qs), pooled)),
         "slope": slope,
-        "min_success_rate": min(c["success_rate"] for c in results),
+        "min_success_rate": min(c["success_rate"] for c in cells),
     }
 
 
@@ -582,17 +553,15 @@ def _campaign_multiwitness(args) -> dict:
     n, k = _campaign_n(args), args.k
     a = b = BoolMatrix.ones(n)
     bound = 4 * -(-n // k)  # every entry of the all-ones product has W = n witnesses
-
-    def run_trial(t):
+    trials = []
+    for t in range(args.trials):
         wm = approx_multiwitness(a, b, ApproxParams(k, 1, spawn_seed(args.seed, 32, t)))
         counts = _check_pass(a, b, wm, bound)[0]  # every entry of a x b is nonzero: none is spurious
-        return {
+        trials.append({
             "trial": t,
             "success_rate": (n * n - counts["missing"] - counts["rank_violations"]) / (n * n),
             "validity_violations": counts["missing"] + counts["invalid"],
-        }
-
-    trials = _map_indexed(run_trial, list(range(args.trials)))
+        })
     return {
         "target": "multiwitness",
         "n": n,
@@ -606,19 +575,17 @@ def _campaign_multiwitness(args) -> dict:
 
 def _campaign_maxwit_accuracy(args) -> dict:
     n = _campaign_n(args)
-
-    def run_trial(t):
+    trials = []
+    for t in range(args.trials):
         a = random_matrix(n, args.density, spawn_seed(args.seed, 33, t, 0))
         b = random_matrix(n, args.density, spawn_seed(args.seed, 33, t, 1))
         wm, stats = algorithm1(a, b, args.beta, spawn_seed(args.seed, 34, t))
-        return {
+        trials.append({
             "trial": t,
             "wrong_entries": _check_pass(a, b, wm)[0]["disagreements"],
             "entries": n * n,
             "mean_queries_per_entry": stats.mean_queries_per_entry,
-        }
-
-    trials = _map_indexed(run_trial, list(range(args.trials)))
+        })
     wrong = sum(t["wrong_entries"] for t in trials)
     total = sum(t["entries"] for t in trials)
     p = n ** (-args.beta)
@@ -701,7 +668,7 @@ def _add_common(p, matrices: bool = True, graph: bool = False) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="maxwit", description=__doc__)
+    parser = _Parser(prog="maxwit", description=(__doc__ or "").partition("\n")[0])  # no docstring under -OO
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a random matrix, dag, or weighted graph file")

@@ -554,8 +554,10 @@ def durr_hoyer_batch(
     values = np.asarray(values)
     runs, q = values.shape
     order = np.argsort(values, axis=1, kind="stable")
-    if np.any(np.diff(np.take_along_axis(values, order, axis=1), axis=1) <= 0):
+    ranked = np.take_along_axis(values, order, axis=1)
+    if np.any(ranked[:, 1:] <= ranked[:, :-1]):
         raise ValueError("table values are not pairwise distinct")
+    del ranked  # not held while the engine runs
     pos, queries = _dh_positions(np.full(runs, q), rng)
     return order[np.arange(runs), pos], pos == 0, queries
 

@@ -8,12 +8,16 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 import conftest
 
+import maxwit
 from maxwit.boolmat import (
     BoolMatrix,
     bool_product,
@@ -404,7 +408,7 @@ def test_criterion_10_graph_reductions_match_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# 11. campaign determinism across reruns and thread counts
+# 11. campaign determinism across reruns and BLAS thread counts
 # ---------------------------------------------------------------------------
 
 
@@ -414,25 +418,20 @@ def test_criterion_11_campaign_determinism(tmp_path):
         ["campaign", "--target", "multiwitness", "--trials", "4", "--n", "16", "--seed", "5"],
         ["campaign", "--target", "maxwit-accuracy", "--trials", "3", "--n", "16", "--seed", "5"],
     ]
-    old = os.environ.get("MAXWIT_THREADS")
-    try:
-        for ci, argv in enumerate(configs):
-            out = tmp_path / f"c{ci}.json"
-            full = argv + ["--out", str(out)]
-            os.environ["MAXWIT_THREADS"] = "1"
-            assert main(full) == 0
-            first = out.read_bytes()
-            assert main(full) == 0
-            assert out.read_bytes() == first, f"rerun differs: {argv}"
-            os.environ["MAXWIT_THREADS"] = "4"
-            assert main(full) == 0
-            assert out.read_bytes() == first, f"thread count changed bytes: {argv}"
-    finally:
-        if old is None:
-            os.environ.pop("MAXWIT_THREADS", None)
-        else:
-            os.environ["MAXWIT_THREADS"] = old
+    src = str(Path(maxwit.__file__).parents[1])
+    for ci, argv in enumerate(configs):
+        out = tmp_path / f"c{ci}.json"
+        full = argv + ["--out", str(out)]
+        assert main(full) == 0
+        first = out.read_bytes()
+        assert main(full) == 0
+        assert out.read_bytes() == first, f"rerun differs: {argv}"
+        for blas in ("1", "2"):  # BLAS threads are the only threads a campaign runs
+            out.unlink()
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas}
+            subprocess.run([sys.executable, "-m", "maxwit.cli", *full], env=env, check=True)
+            assert out.read_bytes() == first, f"OPENBLAS_NUM_THREADS={blas} changed bytes: {argv}"
     _report(
-        "[PASS] criterion 11: campaign reports byte-identical across reruns "
-        "and MAXWIT_THREADS in {1, 4} for all three targets"
+        "[PASS] criterion 11: campaign reports byte-identical across in-process reruns "
+        "and fresh interpreters at OPENBLAS_NUM_THREADS in {1, 2} for all three targets"
     )

@@ -3,17 +3,19 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 from argparse import Namespace
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maxwit import cli
 from maxwit.boolmat import BoolMatrix, WitnessLists, WitnessMatrix, max_witness_oracle, random_matrix
-from maxwit.cli import _thread_count, main
+from maxwit.cli import main
 from maxwit.graphs import LCA_SOLVERS, VertexWeightedGraph
 from maxwit.io import load_matrix, save_matrix_text
 from maxwit.rng import spawn_seed
@@ -261,23 +263,13 @@ def test_campaign_rerun_is_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_campaign_thread_count_does_not_change_bytes(tmp_path):
-    out = tmp_path / "c.json"
-    argv = ["campaign", "--target", "multiwitness", "--trials", "4", "--n", "16",
-            "--seed", "11", "--out", str(out)]
-    old = os.environ.get("MAXWIT_THREADS")
-    try:
-        os.environ["MAXWIT_THREADS"] = "1"
-        assert main(argv) == 0
-        single = out.read_bytes()
-        os.environ["MAXWIT_THREADS"] = "4"
-        assert main(argv) == 0
-        assert out.read_bytes() == single
-    finally:
-        if old is None:
-            os.environ.pop("MAXWIT_THREADS", None)
-        else:
-            os.environ["MAXWIT_THREADS"] = old
+def test_cli_import_leaves_out_the_thread_pool():
+    """Campaign trials run in order in one thread, so no CLI job loads
+    ``concurrent.futures`` (numpy alone does not import it)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = "import sys, maxwit.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_verify_subcommand(tmp_path, capsys):
@@ -538,15 +530,6 @@ def test_graph_parse_errors_are_one_error_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {g}: line 2: an edge must be two integers 'u v', got '0 x'\n"
-
-
-def test_thread_count_is_clamped(monkeypatch):
-    cpus = os.cpu_count() or 1
-    monkeypatch.setenv("MAXWIT_THREADS", str(10**9))
-    assert _thread_count(10**6) == cpus
-    assert _thread_count(3) == min(3, cpus)
-    monkeypatch.setenv("MAXWIT_THREADS", "0")
-    assert _thread_count(8) == 1
 
 
 # command -> (instance flags, CSV header); every first three CSV columns are indices

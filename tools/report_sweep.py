@@ -14,9 +14,10 @@ digit-width edges 9/10 and 99/100, k-witness lists with k in {1, 4, n}, the
 narrow index types' edges (n=127 with k=126 and 127, n=128), report tables
 of several blocks of rows (witnesses and k-witness lists at n=300, LCA on
 a 300-vertex dag, triangles and two-edge paths on 200-vertex graphs),
-minimum finding at table lengths 4096 and 4097, error exits, and ``verify``
-with ``--out`` equal to ``--result``. Input files come from the trees' own
-``gen`` commands at the head of the list, so they are compared too.
+minimum finding at table lengths 4096 and 4097, campaigns of one trial and
+on an unsorted q grid, error exits, and ``verify`` with ``--out`` equal to
+``--result``. Input files come from the trees' own ``gen`` commands at the
+head of the list, so they are compared too.
 """
 from __future__ import annotations
 
@@ -144,9 +145,11 @@ def commands() -> list[str]:
     cmds += [
         "campaign --target durr-hoyer --q-grid 4,9,16 --trials 5 --seed {seed}",
         "campaign --target durr-hoyer --q-grid 4096,4097 --trials 3 --seed {seed}",
+        "campaign --target durr-hoyer --q-grid 64,16,32 --trials 1 --seed {seed}",
         "campaign --target multiwitness --n 10 --k 4 --trials 3 --seed {seed}",
         "campaign --target multiwitness --n 8 --k 8 --trials 2 --seed {seed} --out c.json",
         "campaign --target maxwit-accuracy --n 10 --trials 3 --seed {seed} --beta 1.5",
+        "campaign --target maxwit-accuracy --n 6 --trials 1 --seed {seed}",
     ]
 
     cmds += [
