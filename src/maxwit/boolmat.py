@@ -45,11 +45,13 @@ __all__ = [
 
 # the low k bits of a word, k = 0..64
 _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
-# bytes of one (entries, words) block of gathered words in the rank check, and
-# of one float32 block of A's rows or of B's columns in bool_product
+# bytes of one block of gathered words or witness slots (the rank check, the
+# sampling core's witness-bit reads) and of one float32 block of A's rows or
+# of B's columns in bool_product; witness imports it
 _CHUNK_BYTES = 1 << 20
-# entries of the whole rows that one block of the rank check, or of the
-# k-witness lists' validation, covers
+# entries that one block covers: of the rank check, the k-witness lists'
+# validation, the strip scan, a sampling round's hit reads and a report
+# table (whole rows where the block is rows); witness and io import it
 _BLOCK_ENTRIES = 1 << 15
 
 

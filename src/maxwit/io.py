@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boolmat import BoolMatrix
+from .boolmat import _BLOCK_ENTRIES, BoolMatrix
 from .graphs import Dag, VertexWeightedGraph
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
 ]
 
 MATRIX_MAGIC = b"BMAT"
-# cells of the whole rows of result arrays that one block of a report table covers
-_BLOCK_ENTRIES = 1 << 15
 # rows per %-template call; bounds the Python objects alive at once
 _CHUNK_ROWS = 4096
 # what json.dumps writes for a RowBlock until its rows are spliced in

@@ -12,9 +12,9 @@ Three families live here:
   finds the entries where exactly one sampled column survives, and that lone
   witness is the one set bit of the entry's packed uint64 rows ANDed with
   the sample's column mask; entries with at most k witnesses read all of
-  them off the same packed words, and a deterministic fallback scan tops up
-  any entry the sampling missed, so the advertised contract holds for every
-  seed;
+  them off the same packed words, and an entry the sampling left short
+  tops up with its largest unlisted witnesses through the same kernel, so
+  the advertised contract holds for every seed;
 * two approximation schemes: a rank-bounded solver (reported witness always
   has rank at most the strip width; each strip samples only the entries
   whose highest nonzero strip it is) and a multiwitness scheme that
@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolmat import (
+    _BLOCK_ENTRIES,
+    _CHUNK_BYTES,
     BoolMatrix,
     WitnessLists,
     WitnessMatrix,
@@ -141,10 +143,6 @@ def largest_nonzero_strip(a: BoolMatrix, b: BoolMatrix, dec: StripDecomposition)
     return np.subtract(_highest_strips(a, b, dec), 1, dtype=np.int64)
 
 
-# entries the strip scan handles per block of whole rows
-_CHUNK_ENTRIES = 1 << 15
-
-
 def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = None) -> WitnessMatrix:
     """Exact maximum witnesses via strip decomposition.
 
@@ -160,7 +158,7 @@ def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = Non
     wa, wb = a.words, transpose(b).words
     wm = WitnessMatrix(n)
     w = wm.array.ravel()
-    step = n * max(1, _CHUNK_ENTRIES // n)  # whole rows of entries
+    step = n * max(1, _BLOCK_ENTRIES // n)  # whole rows of entries
     for s in range(0, n * n, step):
         e = s + np.flatnonzero(best[s : s + step])  # flat ids of the nonzero entries
         lo = (best[e] - 1).astype(np.int64) * ell  # widened first: p * ell overflows the narrow type
@@ -173,14 +171,8 @@ def exact_max_witness_strips(a: BoolMatrix, b: BoolMatrix, ell: int | None = Non
 # ---------------------------------------------------------------------------
 
 
-# bytes of the (entries, words) uint64 AND block the few-witness branch holds at once
-_CHUNK_BYTES = 1 << 20
-# hits of one sampling round whose lone survivors are read at once
-_CHUNK_HITS = 1 << 15
-
-
 def _sample_rounds(n_scale: int, k: int) -> int:
-    # enough rounds that the fallback rarely fires when W is near k
+    # enough rounds that the top-up rarely fires when W is near k
     return 2 * math.ceil(math.log2(max(n_scale, 2))) + 2 * k
 
 
@@ -191,15 +183,15 @@ def _index_type(m: int) -> np.dtype:
 
 def _collect_witnesses(
     a_dense: np.ndarray, b_dense: np.ndarray, k: int, rng: np.random.Generator, want: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Find min(k, W) distinct witnesses per entry of the product of 0/1 arrays.
 
-    Returns (found, counts, wcount) in ``_index_type(max(q, k))``, to be
-    widened before any offset is added. found is (p, r, k), sorted
-    descending per entry and padded with -1; counts equals min(k, wcount)
-    for every entry, unconditionally. Where the optional (p, r) bool mask
-    ``want`` is False the entry is left out: its wcount and count are 0, its
-    slots stay -1, and it takes no part in the sampling.
+    Returns the (p, r, k) witness slots in ``_index_type(max(q, k))``, to be
+    widened before any offset is added: each entry's witnesses sorted
+    descending and padded with -1, min(k, W) of them for every entry and
+    every seed (checked before the return). Where the optional (p, r) bool
+    mask ``want`` is False the entry is left out: its slots stay -1, and it
+    takes no part in the sampling.
 
     Entries with 1 <= W <= k take their complete witness set from boolmat's
     witness-bit kernel, in blocks of about 1 MiB of words. Entries with more
@@ -207,10 +199,11 @@ def _collect_witnesses(
     subset where exactly one witness survives hits, and that witness is the
     one set bit of the packed rows ANDed with the subset's column mask, so no
     index-sum product is needed. After each round's count product only the
-    entries that hit are read, _CHUNK_HITS at a time, and only those that
-    finish leave the masks. A final deterministic scan fills whatever the
-    sampling missed. Counts are float32 products, exact while q < 2^24
-    (float64 above).
+    entries that hit are read, _BLOCK_ENTRIES at a time, and only those that
+    finish leave the masks. An entry the sampling left short keeps its
+    sampled witnesses and tops up with its largest unlisted ones, read
+    through the same witness-bit kernel. Counts are float32 products, exact
+    while q < 2^24 (float64 above).
     """
     p, q = a_dense.shape
     r = b_dense.shape[1]
@@ -240,12 +233,11 @@ def _collect_witnesses(
 
     if left:
         rounds = _sample_rounds(max(p, q, r), k)
-        wa, wb = wa.T.copy(), wb.T.copy()  # word-major: one word of every row is contiguous
+        words_a, words_b = wa.T.copy(), wb.T.copy()  # word-major: one word of every row is contiguous
         pick = np.zeros(64 * words, dtype=bool)  # a round's sampled columns, padded to whole words
         for t in range(1, math.ceil(math.log2(max(q, 2))) + 1):
-            hi = min(4 << t, np.iinfo(itype).max)  # in itype's range; every count is below q
-            band = unfinished & (wcount >= (1 << (t - 1))) & (wcount <= hi)
-            in_band = int(np.count_nonzero(band))
+            lo, hi = 1 << (t - 1), min(4 << t, np.iinfo(itype).max)  # in itype's range; every count is below q
+            in_band = int(np.count_nonzero(unfinished & (wcount >= lo) & (wcount <= hi)))
             if not in_band:
                 continue
             rate = 2.0**-t
@@ -260,13 +252,13 @@ def _collect_witnesses(
                 # the lone survivor is the one set bit of the masked AND; a power
                 # of two converts to float64 exactly, so frexp gives its index
                 mask = np.packbits(pick, bitorder="little").view("<u8")
-                for c in range(0, hits.size, _CHUNK_HITS):
-                    e = hits[c : c + _CHUNK_HITS]
+                for c in range(0, hits.size, _BLOCK_ENTRIES):
+                    e = hits[c : c + _BLOCK_ENTRIES]
                     ii, jj = np.divmod(e, r)
                     w = np.full(e.size, -1, dtype=np.int64)
                     for word in np.flatnonzero(mask).tolist():
-                        x = wa[word, ii]
-                        x &= wb[word, jj]
+                        x = words_a[word, ii]
+                        x &= words_b[word, jj]
                         x &= mask[word]
                         bit = np.frexp(x.astype(np.float64))[1]  # 1 + the bit's index; 0 if no bit
                         w += bit
@@ -283,31 +275,35 @@ def _collect_witnesses(
                     if e.size:  # only the entries that just finished leave the masks
                         unfinished.ravel()[e] = False
                         left -= e.size
-                        in_band -= int(np.count_nonzero(band.ravel()[e]))
-                        band.ravel()[e] = False
+                        in_band -= int(np.count_nonzero((wc[e] >= lo) & (wc[e] <= hi)))
                 if not in_band:
                     break
             if not left:
                 break
 
-    for e in np.flatnonzero(cnt < np.minimum(wc, k)).tolist():
-        have = set(found[e, : cnt[e]].tolist())
-        need = min(int(wc[e]), k)
-        i, j = divmod(e, r)
-        for kk in np.flatnonzero(a_dense[i] & b_dense[:, j])[::-1].tolist():
-            if cnt[e] >= need:
-                break
-            if kk not in have:
-                found[e, cnt[e]] = kk
-                cnt[e] += 1
+    # an entry left short has W > k: its k largest witnesses hold at least
+    # k - cnt unlisted ones, and the largest of those fill its -1 slots
+    short = np.flatnonzero(cnt < np.minimum(wc, k))
+    step = max(1, _CHUNK_BYTES // (8 * max(words, k)))
+    for s in range(0, short.size, step):
+        e = short[s : s + step]
+        slots = found[e]
+        top = _witness_bits(wa, wb, e // r, e % r, count=k)
+        row = np.arange(e.size)[:, None] * q  # keys value + row * q keep the entries apart
+        new = ~np.isin(top + row, (slots + row)[slots >= 0])
+        new &= np.cumsum(new, axis=1) <= k - cnt[e][:, None]
+        slots[slots < 0] = top[new]
+        found[e] = slots
+        cnt[e] += np.count_nonzero(new, axis=1)
 
     # the few-witness lists are descending already; sort the sampled ones, -1 last
     sampled = np.flatnonzero(wc > k)
     lists = np.negative(found[sampled])
     lists.sort(axis=1)
     found[sampled] = np.negative(lists, out=lists)
-    assert (cnt == np.minimum(wc, k)).all()
-    return found.reshape(p, r, k), cnt.reshape(p, r), wcount
+    if not np.array_equal(cnt, np.minimum(wc, k)):
+        raise RuntimeError("sampling core listed fewer than min(k, W) witnesses for some entry")
+    return found.reshape(p, r, k)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +317,7 @@ def single_witness_product(a: BoolMatrix, b: BoolMatrix, seed: int = 0) -> Witne
     Which witness is reported depends on the seed; its validity does not.
     """
     n, _ = product_dims(a, b, square=True)
-    found, _, _ = _collect_witnesses(a.to_dense(), b.to_dense(), 1, np_stream(seed, _TAG_SINGLE))
+    found = _collect_witnesses(a.to_dense(), b.to_dense(), 1, np_stream(seed, _TAG_SINGLE))
     return WitnessMatrix(n, found[:, :, 0])
 
 
@@ -334,7 +330,7 @@ def k_witness(a: BoolMatrix, b: BoolMatrix, k: int, seed: int = 0) -> WitnessLis
     n, q = product_dims(a, b, square=True)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    found = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))[0]
+    found = _collect_witnesses(a.to_dense(), b.to_dense(), k, np_stream(seed, _TAG_KWIT))
     return WitnessLists(n, k, found)  # the solver's slots, as they are
 
 
@@ -359,7 +355,7 @@ def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -
     for p in (np.unique(top[top > 0]) - 1).tolist():  # the strips that are some entry's highest
         s, e = dec.ranges[p]
         want = top == p + 1
-        found = _collect_witnesses(ad[:, s:e], bd[s:e, :], 1, np_stream(seed, _TAG_RANK, p), want)[0]
+        found = _collect_witnesses(ad[:, s:e], bd[s:e, :], 1, np_stream(seed, _TAG_RANK, p), want)
         wm.array[want] = np.add(found[want, 0], s, dtype=np.int64)  # widened first: s may not fit found's type
         del found  # not held while the next strip samples
     return wm
@@ -379,7 +375,7 @@ def _multiwitness_run(a: BoolMatrix, b: BoolMatrix, k: int, seed: int, rep: int)
     wit = np.full((n, n), -1, dtype=np.int64)
     for rnd in range(_multiwitness_rounds(n)):
         rng = np_stream(seed, _TAG_MULTI, rep, rnd)
-        found, _, _ = _collect_witnesses(ad, d, k, rng)
+        found = _collect_witnesses(ad, d, k, rng)
         wit = np.maximum(wit, found[:, :, 0])  # descending order: slot 0 is the max
         # keep each remaining 1 of the second factor with probability 1/2
         d &= (rng.random(d.shape) < 0.5).astype(np.uint8)
@@ -395,8 +391,7 @@ def approx_multiwitness(a: BoolMatrix, b: BoolMatrix, params: ApproxParams) -> W
     """
     if params.reps != 1:
         raise ValueError("single run takes reps=1; use approx_multiwitness_boosted for reps>1")
-    n = a.rows
-    return WitnessMatrix(n, _multiwitness_run(a, b, params.k, params.seed, 0))
+    return approx_multiwitness_boosted(a, b, params)  # the best over one run is that run
 
 
 def approx_multiwitness_boosted(a: BoolMatrix, b: BoolMatrix, params: ApproxParams) -> WitnessMatrix:

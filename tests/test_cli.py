@@ -272,6 +272,16 @@ def test_cli_import_leaves_out_the_thread_pool():
     assert done.stdout == "False\n"
 
 
+def test_cli_runs_without_docstrings_or_asserts(tmp_path):
+    """``python -OO`` strips docstrings and asserts: the help and a verified
+    k-witness run, whose sampling core checks its list lengths, still exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv in (["--help"], ["kwitness", "--n", "16", "--density", "0.9", "--k", "9", "--verify"]):
+        done = subprocess.run([sys.executable, "-OO", "-m", "maxwit.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (argv, done.stderr)
+
+
 def test_verify_subcommand(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     am, bm = random_matrix(10, 0.4, seed=200), random_matrix(10, 0.4, seed=201)

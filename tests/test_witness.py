@@ -191,7 +191,8 @@ def test_collect_witnesses_lists_every_few_witness_entry():
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
                 mp.setattr(witness, "_CHUNK_BYTES", chunk)
-            found, cnt, _ = witness._collect_witnesses(ad, bd, k, np_stream(seed, 2))
+            found = witness._collect_witnesses(ad, bd, k, np_stream(seed, 2))
+        cnt = np.count_nonzero(found >= 0, axis=2)
         da, db = ad.tolist(), bd.tolist()
         for i in range(p):
             for j in range(r):
@@ -206,20 +207,19 @@ def test_collect_witnesses_lists_every_few_witness_entry():
 
 
 def test_collect_witnesses_top_up_scan_takes_the_k_largest(monkeypatch):
-    # with no sampling rounds the final scan fills every entry with W > k
+    # with no sampling rounds the top-up fills every entry with W > k
     # by itself, from the top witness down
     monkeypatch.setattr(witness, "_sample_rounds", lambda n_scale, k: 0)
     for seed, (p, q, r, k) in enumerate([(20, 30, 25, 1), (24, 24, 24, 3), (9, 70, 13, 5), (12, 129, 6, 2)]):
         rng = np.random.default_rng(seed + 40)
         ad = (rng.random((p, q)) < 0.4).astype(np.uint8)
         bd = (rng.random((q, r)) < 0.4).astype(np.uint8)
-        found, cnt, wcount = witness._collect_witnesses(ad, bd, k, np_stream(seed, 5))
-        assert (wcount > k).any()
+        found = witness._collect_witnesses(ad, bd, k, np_stream(seed, 5))
+        assert (ad.astype(np.int64) @ bd > k).any()
         da, db = ad.tolist(), bd.tolist()
         for i in range(p):
             for j in range(r):
                 top = witness_list_entry(da, db, i, j)[:k]
-                assert cnt[i, j] == len(top)
                 assert found[i, j].tolist() == top + [-1] * (k - len(top)), (p, q, r, i, j)
 
 
@@ -293,10 +293,9 @@ def _collect_witnesses_dense_gemm(a_dense, b_dense, k, rng):
     return found, cnt, wcount
 
 
-def test_collect_witnesses_keeps_the_dense_gemm_sample_path():
-    # q on both sides of the word boundaries; the densities put entries in
-    # every branch (W = 0, 1 <= W <= k, W > k); p != r; and the tiny chunks
-    # cross chunk boundaries inside the few-witness branch
+def _dense_gemm_pairs():
+    """(case, density, A, B, k): q on both sides of the word boundaries; the
+    densities put entries in every branch (W = 0, 1 <= W <= k, W > k); p != r."""
     shapes = [(5, q, 9) for q in (1, 63, 64, 65, 128, 129)] + [(17, 96, 6), (40, 200, 33)]
     for case, (p, q, r) in enumerate(shapes):
         for density in (0.08, 0.35, 0.8):
@@ -304,14 +303,39 @@ def test_collect_witnesses_keeps_the_dense_gemm_sample_path():
             ad = (rng.random((p, q)) < density).astype(np.uint8)
             bd = (rng.random((q, r)) < density).astype(np.uint8)
             for k in (1, 2, 4, 9):
-                for chunk in (None, 3, 64):
-                    with pytest.MonkeyPatch.context() as mp:
-                        if chunk is not None:
-                            mp.setattr(witness, "_CHUNK_BYTES", chunk)
-                        got = witness._collect_witnesses(ad, bd, k, np_stream(case, k, 5))
-                    want = _collect_witnesses_dense_gemm(ad, bd, k, np_stream(case, k, 5))
-                    for g, w in zip(got, want):
-                        assert np.array_equal(g, w), (p, q, r, density, k, chunk)
+                yield case, density, ad, bd, k
+
+
+def test_collect_witnesses_keeps_the_dense_gemm_sample_path():
+    # the tiny chunks cross chunk boundaries inside the few-witness branch
+    for case, density, ad, bd, k in _dense_gemm_pairs():
+        want = _collect_witnesses_dense_gemm(ad, bd, k, np_stream(case, k, 5))[0]
+        for chunk in (None, 3, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                if chunk is not None:
+                    mp.setattr(witness, "_CHUNK_BYTES", chunk)
+                got = witness._collect_witnesses(ad, bd, k, np_stream(case, k, 5))
+            assert np.array_equal(got, want), (ad.shape, bd.shape, density, k, chunk)
+
+
+def test_collect_witnesses_partial_top_up_keeps_the_sampled_witnesses(monkeypatch):
+    """With one round per band the sampling leaves most entries with W > k
+    short but not empty; each keeps its sampled witnesses and takes its
+    largest unlisted ones, as the frozen dense-gemm copy does."""
+    monkeypatch.setattr(witness, "_sample_rounds", lambda n_scale, k: 1)
+    mixed = 0  # entries with W > k whose list is not their k largest witnesses
+    for case, density, ad, bd, k in _dense_gemm_pairs():
+        want = _collect_witnesses_dense_gemm(ad, bd, k, np_stream(case, k, 5))[0]
+        for chunk in (None, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                if chunk is not None:
+                    mp.setattr(witness, "_CHUNK_BYTES", chunk)
+                got = witness._collect_witnesses(ad, bd, k, np_stream(case, k, 5))
+            assert np.array_equal(got, want), (ad.shape, bd.shape, density, k, chunk)
+        da, db = ad.tolist(), bd.tolist()
+        for i, j in zip(*np.nonzero(ad.astype(np.int64) @ bd > k)):
+            mixed += got[i, j].tolist() != witness_list_entry(da, db, i, j)[:k]
+    assert mixed > 5000, mixed
 
 
 def test_collect_witnesses_leaves_unwanted_entries_out():
@@ -321,10 +345,9 @@ def test_collect_witnesses_leaves_unwanted_entries_out():
     want = rng.random((23, 17)) < 0.4
     full = ad.astype(np.int64) @ bd.astype(np.int64)
     for k in (1, 3, 6):
-        found, cnt, wcount = witness._collect_witnesses(ad, bd, k, np_stream(3, k), want)
+        found = witness._collect_witnesses(ad, bd, k, np_stream(3, k), want)
+        cnt = np.count_nonzero(found >= 0, axis=2)
         assert np.all(found[~want] == -1)
-        assert np.all(cnt[~want] == 0) and np.all(wcount[~want] == 0)
-        assert np.array_equal(wcount[want], full[want])
         assert np.array_equal(cnt[want], np.minimum(full[want], k))
         for i, j in zip(*np.nonzero(want)):
             got = found[i, j, : cnt[i, j]]
@@ -398,10 +421,9 @@ def test_collect_witnesses_reads_hits_in_blocks_with_the_same_draws():
         want = witness._collect_witnesses(ad, bd, k, np_stream(case, 9))
         for hits in (1, 7):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(witness, "_CHUNK_HITS", hits)
+                mp.setattr(witness, "_BLOCK_ENTRIES", hits)
                 got = witness._collect_witnesses(ad, bd, k, np_stream(case, 9))
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w), (case, hits)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (case, hits)
 
 
 def test_k_witness_rejects_bad_k():

@@ -9,15 +9,17 @@ list order, once per seed in ``SEEDS``. The sweep exits 1 if any command's
 exit code, stdout or written ``--out`` file differs between the trees, and
 0 when all are identical. It checks bytes only and times nothing.
 
-The list covers every subcommand in JSON and CSV: ``--one-based``, n=1, the
-digit-width edges 9/10 and 99/100, k-witness lists with k in {1, 4, n}, the
-narrow index types' edges (n=127 with k=126 and 127, n=128), report tables
-of several blocks of rows (witnesses and k-witness lists at n=300, LCA on
-a 300-vertex dag, triangles and two-edge paths on 200-vertex graphs),
-minimum finding at table lengths 4096 and 4097, campaigns of one trial and
-on an unsorted q grid, error exits, and ``verify`` with ``--out`` equal to
-``--result``. Input files come from the trees' own ``gen`` commands at the
-head of the list, so they are compared too.
+The list holds 294 commands per seed and covers every subcommand in JSON and
+CSV: ``--one-based``, n=1, the digit-width edges 9/10 and 99/100, k-witness
+lists with k in {1, 4, n}, the narrow index types' edges (n=127 with k=126
+and 127, n=128), k-witness lists that the sampling core mostly tops up
+(n=64, density 0.9, k=40), report tables of several blocks of rows
+(witnesses and k-witness lists at n=300, LCA on a 300-vertex dag, triangles
+and two-edge paths on 200-vertex graphs), minimum finding at table lengths
+4096 and 4097, campaigns of one trial and on an unsorted q grid, error
+exits, and ``verify`` with ``--out`` equal to ``--result``. Input files come
+from the trees' own ``gen`` commands at the head of the list, so they are
+compared too.
 """
 from __future__ import annotations
 
@@ -113,6 +115,9 @@ def commands() -> list[str]:
         "kwitness --n 128 --density 0.1 --k 128 --seed {seed} --verify --one-based",
         "kwitness --n 128 --density 0.1 --k 128 --seed {seed} --verify --format csv",
         "kwitness --n 128 --density 0.3 --k 4 --seed {seed} --verify --format csv --one-based",
+        # the sampling leaves most entries short here, so the top-up fills them
+        "kwitness --n 64 --density 0.9 --k 40 --seed {seed} --verify",
+        "kwitness --n 64 --density 0.9 --k 40 --seed {seed} --verify --format csv",
         f"kwitness {binary} --k 24 --seed {{seed}} --verify --out k.csv --format csv",
         f"kwitness {pair} --k 4 --seed {{seed}} --out k.json",
     ]
