@@ -356,7 +356,7 @@ def approx_rank_bounded(a: BoolMatrix, b: BoolMatrix, ell: int, seed: int = 0) -
         s, e = dec.ranges[p]
         want = top == p + 1
         found = _collect_witnesses(ad[:, s:e], bd[s:e, :], 1, np_stream(seed, _TAG_RANK, p), want)
-        wm.array[want] = np.add(found[want, 0], s, dtype=np.int64)  # widened first: s may not fit found's type
+        np.add(found[:, :, 0], s, out=wm.array, where=want, dtype=np.int64)  # widened first: s may not fit found's type
         del found  # not held while the next strip samples
     return wm
 
