@@ -280,6 +280,7 @@ def _collect_witnesses(
                     break
             if not left:
                 break
+    del af, bf  # the count products are done
 
     # an entry left short has W > k: its k largest witnesses hold at least
     # k - cnt unlisted ones, and the largest of those fill its -1 slots
@@ -296,11 +297,10 @@ def _collect_witnesses(
         found[e] = slots
         cnt[e] += np.count_nonzero(new, axis=1)
 
-    # the few-witness lists are descending already; sort the sampled ones, -1 last
-    sampled = np.flatnonzero(wc > k)
-    lists = np.negative(found[sampled])
-    lists.sort(axis=1)
-    found[sampled] = np.negative(lists, out=lists)
+    # each list descending, -1 last: sort the negated slots in place
+    np.negative(found, out=found)
+    found.sort(axis=1)
+    np.negative(found, out=found)
     if not np.array_equal(cnt, np.minimum(wc, k)):
         raise RuntimeError("sampling core listed fewer than min(k, W) witnesses for some entry")
     return found.reshape(p, r, k)
